@@ -67,7 +67,7 @@ _TASK_DEFAULTS = {
     "conjunction": {"n": 10, "m_start": 25, "m_step": 25, "m_max": 1250},
     "threshold": {"vc_dim": 1, "m_start": 20, "m_step": 20, "m_max": 1000},
 }
-_COMMON_DEFAULTS = {"slots": 100, "trials": 1000, "gt_mode": "per-trial", "out_dir": "paclab-out", "workers": 1}
+_COMMON_DEFAULTS = {"slots": 100, "trials": 1000, "gt_mode": "per-trial", "out_dir": "paclab-out"}
 
 _GRID_POINTS = 1000
 _GRID_TOP = 1.1
@@ -138,18 +138,11 @@ def task_bound_spec(task: Task, m: int, vc_dim: int = 1) -> BoundSpec:
     return BoundSpec.finite_vc(m=m, vc_dim=vc_dim)
 
 
-def run_experiment(config: ExperimentConfig, *, vc_dim: int = 1, workers: int = 1) -> list[ExperimentRecord]:
+def run_experiment(config: ExperimentConfig, *, vc_dim: int = 1) -> list[ExperimentRecord]:
     """Empirical and theoretical distributions for every scheduled m."""
     records = []
     for m in config.schedule():
-        batch = run_trials(
-            config.task,
-            m,
-            config.trials,
-            config.master_seed,
-            fixed_target=config.fixed_target,
-            workers=workers,
-        )
+        batch = run_trials(config.task, m, config.trials, config.master_seed, fixed_target=config.fixed_target)
         empirical = histogram(batch.losses, config.num_slots)
         theoretical = discretize_bound(task_bound_spec(config.task, m, vc_dim), config.num_slots)
         records.append(ExperimentRecord(m=m, empirical=empirical, theoretical=theoretical))
@@ -164,11 +157,11 @@ def _distribution_rows(m: int, source: str, dist: DiscreteDistribution) -> list[
     return rows
 
 
-def cmd_experiment(config: ExperimentConfig, out_dir: str | Path, *, vc_dim: int = 1, workers: int = 1) -> RunManifest:
+def cmd_experiment(config: ExperimentConfig, out_dir: str | Path, *, vc_dim: int = 1) -> RunManifest:
     """Run the experiment and write distributions.csv, curve.csv, manifest.json."""
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
-    records = run_experiment(config, vc_dim=vc_dim, workers=workers)
+    records = run_experiment(config, vc_dim=vc_dim)
     curve = build_curve(records)
 
     dist_rows = []
@@ -379,7 +372,6 @@ _KEY_TYPES = {
     "seed": int,
     "gt_mode": str,
     "out_dir": str,
-    "workers": int,
     "kind": str,
     "h_size": float,
     "log_h_size": float,
@@ -466,7 +458,6 @@ def build_parser() -> argparse.ArgumentParser:
     exp.add_argument("--seed", type=int, help=f"master seed (falls back to ${SEED_ENV_VAR})")
     exp.add_argument("--gt-mode", dest="gt_mode", choices=["per-trial", "fixed"])
     exp.add_argument("--out-dir", dest="out_dir")
-    exp.add_argument("--workers", type=int, help="trial-level thread count (does not affect output bytes)")
     exp.add_argument("--config", help="key=value file, JSON config, or a previous manifest.json")
     exp.set_defaults(func=_handle_experiment)
 
@@ -518,8 +509,7 @@ def _handle_experiment(args: argparse.Namespace) -> int:
         fixed_target=(gt_mode == "fixed"),
     )
     out_dir = _merged(args, file_config, "out_dir", defaults["out_dir"])
-    workers = int(_merged(args, file_config, "workers", defaults["workers"]))
-    manifest = cmd_experiment(config, out_dir, vc_dim=vc_dim, workers=workers)
+    manifest = cmd_experiment(config, out_dir, vc_dim=vc_dim)
     print(f"wrote {', '.join(sorted(manifest.outputs.values()))} to {out_dir}")
     return 0
 

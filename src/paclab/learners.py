@@ -16,7 +16,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from enum import IntEnum
-from typing import Sequence
+from typing import Iterable, Sequence
 
 import numpy as np
 
@@ -291,6 +291,20 @@ def threshold_loss_monte_carlo(
 # Task handles used by the trial runner
 # ---------------------------------------------------------------------------
 
+# Per-variable weight of a bit in a row's literal check: with w = -1 on
+# positive literals and +1 on negated ones, bits @ w equals minus the
+# number of positive literals exactly when the row satisfies the target.
+_LITERAL_WEIGHT = np.array([-1.0, 1.0, 0.0])
+_POSITIVE_CODE = int(VariableState.POSITIVE)  # a plain int compares faster than the enum
+
+
+def _satisfying_fractions(states: np.ndarray) -> np.ndarray:
+    """Row-wise :meth:`ConjunctionHypothesis.satisfying_fraction` of a (k, n) code array."""
+    both = states == VariableState.BOTH
+    literals = np.count_nonzero(states <= VariableState.NEGATED, axis=1) + 2 * np.count_nonzero(both, axis=1)
+    return np.where(both.any(axis=1), 0.0, np.ldexp(1.0, -literals))
+
+
 @dataclass(frozen=True)
 class ConjunctionTask:
     """Conjunction learning over n boolean variables (|H| = 3**n)."""
@@ -306,14 +320,43 @@ class ConjunctionTask:
     def draw_target(self, rng: np.random.Generator) -> ConjunctionHypothesis:
         return random_conjunction_target(self.n, rng)
 
-    def trial_loss(self, m: int, rng: np.random.Generator, target: ConjunctionHypothesis | None = None) -> float:
-        """One trial: draw target (unless given), sample m examples, learn, score."""
-        if target is None:
-            target = self.draw_target(rng)
-        bits = rng.integers(0, 2, size=(m, self.n), dtype=np.uint8)
-        labels = label_conjunction_batch(target, bits)
-        learned = learn_conjunction_bits(bits, labels)
-        return conjunction_loss_exact(target, learned)
+    def trial_losses(
+        self, m: int, rngs: Iterable[np.random.Generator], target: ConjunctionHypothesis | None = None
+    ) -> np.ndarray:
+        """Exact loss of one trial per generator in ``rngs``.
+
+        Each trial makes the draws of :func:`random_conjunction_target`
+        (unless ``target`` is given) and then m uniform assignments, keeps
+        the column sums of the rows the target accepts, and is scored
+        with the others at the end: :func:`learn_conjunction_bits` and
+        :func:`conjunction_loss_exact` over code arrays instead of objects.
+        """
+        fixed = None if target is None else np.array(target.states, dtype=np.int64)
+        codes, ones, positives = [], [], []
+        for rng in rngs:
+            code = rng.integers(0, 3, size=self.n) if fixed is None else fixed
+            bits = rng.integers(0, 2, size=(m, self.n), dtype=np.uint8).astype(np.float64)
+            accepted = bits @ _LITERAL_WEIGHT[code] == -np.count_nonzero(code == _POSITIVE_CODE)
+            codes.append(code)
+            ones.append(accepted.astype(np.float64) @ bits)
+            positives.append(np.count_nonzero(accepted))
+        target_codes = np.array(codes)
+        ones = np.array(ones)
+        positives = np.array(positives)[:, None]
+        # Literal elimination: a variable keeps x_i if no positive had a 0,
+        # not-x_i if none had a 1, neither if both occurred.
+        kept = np.where(ones == positives, VariableState.POSITIVE, VariableState.ABSENT)
+        learned = np.where(positives == 0, VariableState.BOTH, np.where(ones == 0, VariableState.NEGATED, kept))
+        union = np.where(
+            target_codes == learned,
+            target_codes,
+            np.where(
+                target_codes == VariableState.ABSENT,
+                learned,
+                np.where(learned == VariableState.ABSENT, target_codes, VariableState.BOTH),
+            ),
+        )
+        return _satisfying_fractions(target_codes) + _satisfying_fractions(learned) - 2.0 * _satisfying_fractions(union)
 
 
 @dataclass(frozen=True)
@@ -325,11 +368,20 @@ class ThresholdTask:
     def draw_target(self, rng: np.random.Generator) -> ThresholdHypothesis:
         return random_threshold_target(rng)
 
-    def trial_loss(self, m: int, rng: np.random.Generator, target: ThresholdHypothesis | None = None) -> float:
-        """One trial: draw target (unless given), sample m points, learn, score."""
-        if target is None:
-            target = self.draw_target(rng)
-        xs = rng.random(m)
-        negatives = xs[xs >= target.a]
-        a_hat = float(negatives.min()) if negatives.size else 1.0
-        return a_hat - target.a
+    def trial_losses(
+        self, m: int, rngs: Iterable[np.random.Generator], target: ThresholdHypothesis | None = None
+    ) -> np.ndarray:
+        """Exact loss of one trial per generator in ``rngs``.
+
+        Each trial makes the draws of :func:`random_threshold_target`
+        (unless ``target`` is given) and then m uniform points; the ERM
+        cut of :func:`learn_threshold` is the smallest point at or above
+        the target, 1.0 when there is none (every point is below 1).
+        """
+        cuts, learned = [], []
+        for rng in rngs:
+            a = rng.random() if target is None else target.a
+            xs = rng.random(m)
+            cuts.append(a)
+            learned.append(np.minimum.reduce(xs[xs >= a], initial=1.0))
+        return np.array(learned) - np.array(cuts)

@@ -19,7 +19,7 @@ from paclab.analysis import (
     two_standard_error_tolerances,
 )
 from paclab.cli import cmd_experiment, run_experiment
-from paclab.empirics import ExperimentConfig
+from paclab.empirics import ExperimentConfig, run_trials
 from paclab.learners import (
     ConjunctionTask,
     ThresholdHypothesis,
@@ -59,7 +59,7 @@ def experiment_curve(task, m_start, m_step, m_max):
         m_start=m_start, m_step=m_step, m_max=m_max, master_seed=SEED,
     )
     start = time.perf_counter()
-    records = run_experiment(config, workers=4)
+    records = run_experiment(config)
     elapsed = time.perf_counter() - start
     return build_curve(records), elapsed
 
@@ -225,11 +225,20 @@ def test_criterion_8_byte_identical_reruns(tmp_path):
         task=ConjunctionTask(10), num_slots=SLOTS, trials=60,
         m_start=25, m_step=25, m_max=150, master_seed=SEED,
     )
-    cmd_experiment(config, tmp_path / "serial", workers=1)
-    cmd_experiment(config, tmp_path / "parallel", workers=4)
+    cmd_experiment(config, tmp_path / "first")
+    cmd_experiment(config, tmp_path / "second")
     same = {
-        name: (tmp_path / "serial" / name).read_bytes() == (tmp_path / "parallel" / name).read_bytes()
+        name: (tmp_path / "first" / name).read_bytes() == (tmp_path / "second" / name).read_bytes()
         for name in ("distributions.csv", "curve.csv", "manifest.json")
     }
-    ok = all(same.values())
-    report("8 determinism", ok, f"serial vs 4-thread reruns byte-identical: {same}")
+    prefix = {
+        mode: run_trials(ConjunctionTask(10), 50, 200, SEED, fixed_target=fixed).losses[:50].tobytes()
+        == run_trials(ConjunctionTask(10), 50, 50, SEED, fixed_target=fixed).losses.tobytes()
+        for mode, fixed in (("per-trial", False), ("fixed", True))
+    }
+    ok = all(same.values()) and all(prefix.values())
+    report(
+        "8 determinism",
+        ok,
+        f"reruns byte-identical: {same}; first 50 of k=200 trials equal k=50 trials: {prefix}",
+    )

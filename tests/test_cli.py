@@ -1,9 +1,11 @@
 """Command-line behavior: config handling, outputs, reproducibility, exit codes."""
 
+import hashlib
 import json
 import math
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from paclab.analysis import build_curve, kl_divergence
@@ -19,7 +21,7 @@ from paclab.cli import (
     run_experiment,
     task_bound_spec,
 )
-from paclab.empirics import ExperimentConfig
+from paclab.empirics import ExperimentConfig, run_trials
 from paclab.learners import ConjunctionTask, ThresholdTask
 from paclab.theory import BoundKind, DiscreteDistribution, discretize_bound
 
@@ -92,9 +94,13 @@ class TestExperimentCommand:
     def test_reruns_are_byte_identical(self, tmp_path):
         config = small_config(task=ConjunctionTask(6), m_start=25, m_step=25, m_max=75)
         cmd_experiment(config, tmp_path / "a")
-        cmd_experiment(config, tmp_path / "b", workers=4)
+        cmd_experiment(config, tmp_path / "b")
         for name in ("distributions.csv", "curve.csv", "manifest.json"):
             assert (tmp_path / "a" / name).read_bytes() == (tmp_path / "b" / name).read_bytes()
+        for fixed in (False, True):
+            longer = run_trials(config.task, 25, 200, config.master_seed, fixed_target=fixed)
+            shorter = run_trials(config.task, 25, 50, config.master_seed, fixed_target=fixed)
+            assert longer.losses[:50].tobytes() == shorter.losses.tobytes()
 
     def test_rerun_from_manifest_is_byte_identical(self, tmp_path):
         rc = main([
@@ -130,9 +136,10 @@ class TestConfigHandling:
 
     def test_unknown_key_rejected(self, tmp_path):
         cfg = tmp_path / "run.cfg"
-        cfg.write_text("bogus=1\n")
-        with pytest.raises(ConfigError):
-            load_config_file(cfg)
+        for line in ("bogus=1\n", "workers=2\n"):
+            cfg.write_text(line)
+            with pytest.raises(ConfigError):
+                load_config_file(cfg)
 
     def test_flags_override_config_file(self, tmp_path):
         cfg = tmp_path / "run.cfg"
@@ -177,6 +184,7 @@ class TestExitCodes:
 
     def test_invalid_flag_value(self):
         assert main(["experiment", "--task", "nonsense"]) == 1
+        assert main(["experiment", "--workers", "2"]) == 1
 
     def test_invalid_config_value(self, tmp_path):
         assert main(["experiment", "--task", "threshold", "--slots", "1", "--out-dir", str(tmp_path)]) == 1
@@ -296,3 +304,28 @@ class TestKlCommand:
         write_single_dist_csv(path, [0.5, 0.5])
         assert main(["kl", str(path), str(path)]) == 0
         assert capsys.readouterr().out.strip() == "0"
+
+
+# sha256 of the default experiment outputs at seed 2024 (NumPy 2.4.x).
+GOLDEN_SHA256 = {
+    "conjunction": {
+        "distributions.csv": "c8b4fa33cdb98d59b071155d4961d29dabce7a489bdab5d843803698235cb80d",
+        "curve.csv": "2ddf7521be8bf3f78aea4be5f7376ac906ec6d53695c520d97f1e4c75039e366",
+    },
+    "threshold": {
+        "distributions.csv": "c21aaf857ece10106c3faddd7ac8af52f3635be1571d1135ed9c2b039dec1410",
+        "curve.csv": "af4a452cf2d18ce58fddd927be16058292efd1f42227e851b596399fc74bf534",
+    },
+}
+
+
+@pytest.mark.skipif(
+    not np.__version__.startswith("2.4."),
+    reason="goldens were recorded with NumPy 2.4.x; NEP 19 does not promise Generator streams across versions",
+)
+@pytest.mark.parametrize("task", sorted(GOLDEN_SHA256))
+def test_default_experiment_matches_golden_hashes(tmp_path, monkeypatch, task):
+    monkeypatch.delenv("PACLAB_SEED", raising=False)
+    assert main(["experiment", "--task", task, "--out-dir", str(tmp_path)]) == 0
+    for name, want in GOLDEN_SHA256[task].items():
+        assert hashlib.sha256((tmp_path / name).read_bytes()).hexdigest() == want, name

@@ -5,6 +5,7 @@ import math
 import numpy as np
 import pytest
 
+import paclab.empirics as empirics
 from paclab.analysis import dist_mean
 from paclab.empirics import (
     FIXED_TARGET_INDEX,
@@ -12,10 +13,57 @@ from paclab.empirics import (
     TrialBatch,
     derive_trial_seed,
     histogram,
+    pcg64_states,
     run_trials,
 )
-from paclab.learners import ConjunctionTask, ThresholdTask
+from paclab.learners import (
+    ConjunctionTask,
+    LabeledPoint,
+    ThresholdTask,
+    conjunction_loss_exact,
+    label_conjunction_batch,
+    learn_conjunction_bits,
+    learn_threshold,
+    threshold_loss_exact,
+)
 from paclab.theory import BoundSpec, discretize_bound
+
+EDGE_SEEDS = [0, 1, 2**32 - 1, 2**32, 2**63, 2**64 - 1]
+
+
+def trial_rng(seed, m, index):
+    return np.random.Generator(np.random.PCG64(derive_trial_seed(seed, m, index)))
+
+
+def reference_losses(task, m, k, seed, fixed_target):
+    """Trial-by-trial replay of run_trials through the object-level functions."""
+    shared = task.draw_target(trial_rng(seed, m, FIXED_TARGET_INDEX)) if fixed_target else None
+    losses = []
+    for i in range(k):
+        rng = trial_rng(seed, m, i)
+        target = shared if fixed_target else task.draw_target(rng)
+        if isinstance(task, ConjunctionTask):
+            bits = rng.integers(0, 2, size=(m, task.n), dtype=np.uint8)
+            learned = learn_conjunction_bits(bits, label_conjunction_batch(target, bits))
+            losses.append(conjunction_loss_exact(target, learned))
+        else:
+            points = [LabeledPoint(x, target.classify(x)) for x in rng.random(m).tolist()]
+            losses.append(threshold_loss_exact(target, learn_threshold(points)))
+    return losses
+
+
+def ks_distance(losses, cdf, atom=None):
+    """sup |F_k - F| for the law with right-continuous CDF ``cdf`` and an
+    optional ``(point, mass)`` jump, checked on both sides of every step."""
+    values, counts = np.unique(losses, return_counts=True)
+    if atom is not None and atom[0] not in values:
+        at = np.searchsorted(values, atom[0])
+        values, counts = np.insert(values, at, atom[0]), np.insert(counts, at, 0)
+    upper = np.cumsum(counts) / len(losses)
+    lower = upper - counts / len(losses)
+    law = cdf(values)
+    law_left = law - (atom[1] * (values == atom[0]) if atom is not None else 0.0)
+    return max(np.abs(upper - law).max(), np.abs(lower - law_left).max())
 
 
 class TestSeedDerivation:
@@ -49,6 +97,34 @@ class TestSeedDerivation:
     def test_fixed_target_index_is_out_of_range(self):
         assert FIXED_TARGET_INDEX >= 2**64 - 1
 
+    def test_vectorised_seeds_match_scalar_derivation(self):
+        for seed in (2024, 7, -1, 0, 2**70):
+            for m in (1, 977, 10**6):
+                expected = [derive_trial_seed(seed, m, i) for i in range(300)]
+                assert empirics._trial_seeds(seed, m, 300).tolist() == expected
+
+
+class TestStreamSeeding:
+    def test_states_match_numpy_pcg64(self):
+        randoms = np.random.default_rng(20250).integers(0, 2**64, size=2000, dtype=np.uint64)
+        seeds = np.concatenate([np.array(EDGE_SEEDS, dtype=np.uint64), randoms])
+        expected = [np.random.PCG64(s).state["state"] for s in seeds.tolist()]
+        assert [{"state": state, "inc": inc} for state, inc in pcg64_states(seeds)] == expected
+
+    def test_state_mismatch_raises(self, monkeypatch):
+        monkeypatch.setattr(empirics, "pcg64_states", lambda seeds: [(1, 1)] * len(seeds))
+        with pytest.raises(RuntimeError):
+            run_trials(ThresholdTask(), 5, 3, 2024)
+
+    @pytest.mark.parametrize("fixed_target", [False, True])
+    @pytest.mark.parametrize("seed", [2024, 7, -1, 0, 2**70])
+    def test_engine_matches_reference_replay(self, seed, fixed_target):
+        tasks = [ConjunctionTask(n) for n in (1, 3, 4, 10, 17)] + [ThresholdTask()]
+        for m in (1, 25, 300, 1250):
+            for task in tasks:
+                batch = run_trials(task, m, 6, seed, fixed_target=fixed_target)
+                assert batch.losses.tolist() == reference_losses(task, m, 6, seed, fixed_target), (task, m)
+
 
 class TestRunTrials:
     def test_batch_shape_and_range(self):
@@ -62,11 +138,13 @@ class TestRunTrials:
         b2 = run_trials(ThresholdTask(), 40, 100, 99)
         assert np.array_equal(b1.losses, b2.losses)
 
-    def test_parallel_matches_serial(self):
-        serial = run_trials(ConjunctionTask(10), 50, 200, 2024)
-        for workers in (2, 4, 7):
-            parallel = run_trials(ConjunctionTask(10), 50, 200, 2024, workers=workers)
-            assert np.array_equal(serial.losses, parallel.losses)
+    @pytest.mark.parametrize("fixed_target", [False, True])
+    def test_trial_prefix_is_stable(self, fixed_target):
+        longer = run_trials(ConjunctionTask(10), 50, 200, 2024, fixed_target=fixed_target)
+        shorter = run_trials(ConjunctionTask(10), 50, 50, 2024, fixed_target=fixed_target)
+        rerun = run_trials(ConjunctionTask(10), 50, 200, 2024, fixed_target=fixed_target)
+        assert longer.losses[:50].tobytes() == shorter.losses.tobytes()
+        assert longer.losses.tobytes() == rerun.losses.tobytes()
 
     def test_conjunction_mean_stays_below_bound_mean(self):
         batch = run_trials(ConjunctionTask(10), 25, 1000, 2024)
@@ -93,14 +171,11 @@ class TestRunTrials:
         # replay: the shared target comes from the reserved index stream
         task = ThresholdTask()
         m, k, seed = 30, 40, 123
-        rng = np.random.Generator(np.random.PCG64(derive_trial_seed(seed, m, FIXED_TARGET_INDEX)))
-        target = task.draw_target(rng)
+        target = task.draw_target(trial_rng(seed, m, FIXED_TARGET_INDEX))
         batch = run_trials(task, m, k, seed, fixed_target=True)
-        expected = [
-            task.trial_loss(m, np.random.Generator(np.random.PCG64(derive_trial_seed(seed, m, i))), target=target)
-            for i in range(k)
-        ]
-        assert batch.losses.tolist() == expected
+        for i, loss in enumerate(batch.losses):
+            points = [LabeledPoint(x, target.classify(x)) for x in trial_rng(seed, m, i).random(m).tolist()]
+            assert loss == threshold_loss_exact(target, learn_threshold(points))
 
     def test_rejects_bad_sizes(self):
         with pytest.raises(ValueError):
@@ -115,6 +190,31 @@ class TestRunTrials:
     def test_batch_validates_loss_range(self):
         with pytest.raises(ValueError):
             TrialBatch(task=ThresholdTask(), m=5, k=2, master_seed=1, losses=np.array([0.5, 1.5]))
+
+
+class TestThresholdLossLaw:
+    """KS tests of 20,000 losses against the exact law (alpha = 0.001)."""
+
+    K = 20_000
+    CRITICAL = 1.95
+
+    @pytest.mark.parametrize("m", [20, 200])
+    def test_per_trial_target(self, m):
+        # P(loss > t) = (1 - t)**(m + 1): the target a is uniform too.
+        losses = run_trials(ThresholdTask(), m, self.K, 2024).losses
+        distance = ks_distance(losses, lambda t: 1.0 - (1.0 - t) ** (m + 1))
+        assert math.sqrt(self.K) * distance < self.CRITICAL
+
+    @pytest.mark.parametrize("m", [20, 200])
+    def test_fixed_target(self, m):
+        # P(loss > t) = (1 - t)**m below 1 - a; no point lands above a with
+        # probability a**m, and then the loss is 1 - a.
+        a = ThresholdTask().draw_target(trial_rng(2024, m, FIXED_TARGET_INDEX)).a
+        top = 1.0 - a
+        losses = run_trials(ThresholdTask(), m, self.K, 2024, fixed_target=True).losses
+        assert losses.max() <= top
+        distance = ks_distance(losses, lambda t: np.where(t < top, 1.0 - (1.0 - t) ** m, 1.0), atom=(top, a**m))
+        assert math.sqrt(self.K) * distance < self.CRITICAL
 
 
 class TestHistogram:

@@ -333,12 +333,10 @@ class TestThresholdLoss:
 
 class TestTaskTrials:
     def test_conjunction_trial_matches_op_composition(self):
-        # replay the trial's exact draw order through the scalar operations
+        # replay each trial's exact draw order through the scalar operations
         task = ConjunctionTask(8)
-        for seed in range(20):
-            rng = np.random.default_rng(seed)
-            loss = task.trial_loss(12, rng)
-
+        losses = task.trial_losses(12, (np.random.default_rng(seed) for seed in range(20)))
+        for seed, loss in enumerate(losses):
             rng = np.random.default_rng(seed)
             target = random_conjunction_target(8, rng)
             bits = rng.integers(0, 2, size=(12, 8), dtype=np.uint8)
@@ -351,10 +349,8 @@ class TestTaskTrials:
 
     def test_threshold_trial_matches_op_composition(self):
         task = ThresholdTask()
-        for seed in range(20):
-            rng = np.random.default_rng(seed)
-            loss = task.trial_loss(15, rng)
-
+        losses = task.trial_losses(15, (np.random.default_rng(seed) for seed in range(20)))
+        for seed, loss in enumerate(losses):
             rng = np.random.default_rng(seed)
             target = random_threshold_target(rng)
             xs = rng.random(15)
@@ -365,9 +361,10 @@ class TestTaskTrials:
     def test_trials_accept_fixed_target(self):
         task = ConjunctionTask(5)
         target = hyp(P, N, A, A, P)
-        l1 = task.trial_loss(10, np.random.default_rng(2), target=target)
-        l2 = task.trial_loss(10, np.random.default_rng(2), target=target)
+        l1, l2 = task.trial_losses(10, [np.random.default_rng(2), np.random.default_rng(2)], target=target)
         assert l1 == l2
+        bits = np.random.default_rng(2).integers(0, 2, size=(10, 5), dtype=np.uint8)
+        assert l1 == conjunction_loss_exact(target, learn_conjunction_bits(bits, label_conjunction_batch(target, bits)))
 
     def test_task_validates_n(self):
         with pytest.raises(ValueError):
