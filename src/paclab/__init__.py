@@ -16,22 +16,17 @@ from .analysis import (
 )
 from .empirics import ExperimentConfig, TrialBatch, derive_trial_seed, histogram, run_trials
 from .learners import (
-    BooleanExample,
     ConjunctionHypothesis,
     ConjunctionTask,
-    LabeledPoint,
     ThresholdHypothesis,
     ThresholdTask,
     VariableState,
     conjunction_loss_enumerate,
     conjunction_loss_exact,
     label_conjunction,
-    learn_conjunction,
     learn_threshold,
     random_conjunction_target,
     random_threshold_target,
-    sample_conjunction_example,
-    sample_threshold_point,
     threshold_loss_exact,
     threshold_loss_monte_carlo,
 )
@@ -39,16 +34,13 @@ from .theory import (
     BoundKind,
     BoundSpec,
     DiscreteDistribution,
+    bound_cdf,
+    bound_density,
+    bound_point_mass,
     cutoff,
     discretize_bound,
-    finite_h_cdf,
-    finite_h_density,
-    finite_h_point_mass,
     sample_complexity_finite,
     sample_complexity_vc,
-    vc_cdf,
-    vc_density,
-    vc_point_mass,
 )
 
 __version__ = "0.1.0"

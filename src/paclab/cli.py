@@ -288,7 +288,7 @@ def read_distributions_csv(path: str | Path) -> dict[tuple[int, str], DiscreteDi
             for row in reader:
                 key = (int(row["m"]), row["source"])
                 groups.setdefault(key, {})[int(row["slot_index"])] = float(row["mass"])
-    except (ValueError, KeyError) as exc:
+    except (KeyError, TypeError, ValueError) as exc:  # TypeError: a short row
         raise ConfigError(f"{path}: malformed distribution row ({exc})") from exc
     out = {}
     for key, slots in groups.items():
@@ -303,9 +303,13 @@ def read_distributions_csv(path: str | Path) -> dict[tuple[int, str], DiscreteDi
 def read_curve_csv(path: str | Path) -> list[dict]:
     """Load curve.csv rows as dicts with typed values."""
     rows = []
-    with open(path, newline="", encoding="utf-8") as fh:
-        for row in csv.DictReader(fh):
-            rows.append({"m": int(row["m"])} | {k: float(row[k]) for k in CURVE_HEADER[1:]})
+    try:
+        with open(path, newline="", encoding="utf-8") as fh:
+            for row in csv.DictReader(fh):
+                rows.append({"m": int(row["m"])} | {k: float(row[k]) for k in CURVE_HEADER[1:]})
+    except (KeyError, TypeError, ValueError) as exc:
+        # KeyError: a missing column; TypeError: a short row; ValueError: a non-numeric cell
+        raise ConfigError(f"{path}: malformed curve row ({exc!r})") from exc
     return rows
 
 
@@ -360,27 +364,25 @@ def _parse_m_list(value) -> list[int]:
         return [int(v) for v in value]
     return [int(part) for part in str(value).split(",") if part.strip()]
 
+_SHARED_KEY_TYPES = {"vc_dim": int, "slots": int, "out_dir": str}
+# Config keys per subcommand; a key of the other subcommand is rejected, not ignored.
 _KEY_TYPES = {
-    "task": str,
-    "n": int,
-    "vc_dim": int,
-    "slots": int,
-    "trials": int,
-    "m_start": int,
-    "m_step": int,
-    "m_max": int,
-    "seed": int,
-    "gt_mode": str,
-    "out_dir": str,
-    "kind": str,
-    "h_size": float,
-    "log_h_size": float,
-    "m": _parse_m_list,
+    "experiment": _SHARED_KEY_TYPES | {
+        "task": str,
+        "n": int,
+        "trials": int,
+        "m_start": int,
+        "m_step": int,
+        "m_max": int,
+        "seed": int,
+        "gt_mode": str,
+    },
+    "bound": _SHARED_KEY_TYPES | {"kind": str, "h_size": float, "log_h_size": float, "m": _parse_m_list},
 }
 
 
-def load_config_file(path: str | Path) -> dict:
-    """Read a config: flat key=value lines, JSON, or a previous manifest."""
+def load_config_file(path: str | Path, command: str) -> dict:
+    """Read ``command``'s config: flat key=value lines, JSON, or a previous manifest of it."""
     text = Path(path).read_text(encoding="utf-8")
     raw: dict = {}
     try:
@@ -397,13 +399,16 @@ def load_config_file(path: str | Path) -> dict:
     else:
         if not isinstance(obj, dict):
             raise ConfigError(f"{path}: JSON config must be an object")
+        if obj.get("command", command) != command:
+            raise ConfigError(f"{path}: manifest of a {obj['command']!r} run, not {command!r}")
         raw = obj.get("config", obj)
+    key_types = _KEY_TYPES[command]
     typed = {}
     for key, value in raw.items():
-        if key not in _KEY_TYPES:
-            raise ConfigError(f"{path}: unknown config key {key!r}")
+        if key not in key_types:
+            raise ConfigError(f"{path}: unknown config key {key!r} for {command}")
         try:
-            typed[key] = _KEY_TYPES[key](value)
+            typed[key] = key_types[key](value)
         except (TypeError, ValueError) as exc:
             raise ConfigError(f"{path}: bad value for {key!r}: {value!r}") from exc
     return typed
@@ -483,7 +488,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _handle_experiment(args: argparse.Namespace) -> int:
-    file_config = load_config_file(args.config) if args.config else {}
+    file_config = load_config_file(args.config, "experiment") if args.config else {}
     task_name = _merged(args, file_config, "task", "conjunction")
     if task_name not in _TASK_DEFAULTS:
         raise ConfigError(f"unknown task {task_name!r}")
@@ -515,7 +520,7 @@ def _handle_experiment(args: argparse.Namespace) -> int:
 
 
 def _handle_bound(args: argparse.Namespace) -> int:
-    file_config = load_config_file(args.config) if args.config else {}
+    file_config = load_config_file(args.config, "bound") if args.config else {}
     kind = _merged(args, file_config, "kind", "finite-h")
     h_size = _merged(args, file_config, "h_size")
     log_h_size = _merged(args, file_config, "log_h_size")

@@ -1,10 +1,13 @@
 """The two learning tasks: boolean-literal conjunctions and thresholds.
 
 Each task bundles ground-truth generation under a uniform data
-distribution, i.i.d. sampling, a consistent ERM learner, and exact
-closed-form generalization loss.  Brute-force oracles
-(:func:`conjunction_loss_enumerate`, :func:`threshold_loss_monte_carlo`)
-exist so the closed forms never have to be taken on faith.
+distribution, one consistent ERM learner, and one exact closed-form
+loss; the batched ``trial_losses`` and the object-level functions call
+the same ones (:func:`eliminate_literals` and :func:`disagreement` on
+:class:`VariableState` code arrays, :func:`learn_threshold`).
+Brute-force oracles (:func:`conjunction_loss_enumerate`,
+:func:`threshold_loss_monte_carlo`) exist so the closed forms never have
+to be taken on faith.
 
 Losses are computed exactly rather than estimated on a held-out set,
 which removes validation noise from learning-curve monotonicity checks.
@@ -13,7 +16,6 @@ Conjunction losses are dyadic rationals and are produced bit-exact.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from enum import IntEnum
 from typing import Iterable, Sequence
@@ -21,24 +23,21 @@ from typing import Iterable, Sequence
 import numpy as np
 
 __all__ = [
-    "BooleanExample",
     "ConjunctionHypothesis",
     "ConjunctionTask",
-    "LabeledPoint",
     "ThresholdHypothesis",
     "ThresholdTask",
     "VariableState",
     "conjunction_loss_enumerate",
     "conjunction_loss_exact",
+    "disagreement",
+    "eliminate_literals",
     "label_conjunction",
     "label_conjunction_batch",
-    "learn_conjunction",
     "learn_conjunction_bits",
     "learn_threshold",
     "random_conjunction_target",
     "random_threshold_target",
-    "sample_conjunction_example",
-    "sample_threshold_point",
     "threshold_loss_exact",
     "threshold_loss_monte_carlo",
 ]
@@ -67,27 +66,6 @@ class ConjunctionHypothesis:
     def n(self) -> int:
         return len(self.states)
 
-    def literal_count(self) -> int:
-        """Number of literals: 1 per single-literal variable, 2 per BOTH."""
-        return sum(2 if s is VariableState.BOTH else (0 if s is VariableState.ABSENT else 1) for s in self.states)
-
-    def is_contradictory(self) -> bool:
-        return any(s is VariableState.BOTH for s in self.states)
-
-    def satisfying_fraction(self) -> float:
-        """Fraction of the 2**n assignments this conjunction satisfies."""
-        if self.is_contradictory():
-            return 0.0
-        return math.ldexp(1.0, -self.literal_count())
-
-
-@dataclass(frozen=True)
-class BooleanExample:
-    """One labeled assignment; label True means consistent with the target."""
-
-    bits: tuple[int, ...]
-    label: bool
-
 
 @dataclass(frozen=True)
 class ThresholdHypothesis:
@@ -101,14 +79,6 @@ class ThresholdHypothesis:
 
     def classify(self, x: float) -> int:
         return 1 if x < self.a else 0
-
-
-@dataclass(frozen=True)
-class LabeledPoint:
-    """One sampled coordinate with its 0/1 label."""
-
-    x: float
-    label: int
 
 
 # ---------------------------------------------------------------------------
@@ -147,7 +117,7 @@ def label_conjunction_batch(hypothesis: ConjunctionHypothesis, bits: np.ndarray)
     if bits.ndim != 2 or bits.shape[1] != hypothesis.n:
         raise ValueError(f"expected a (rows, {hypothesis.n}) bit matrix, got shape {bits.shape}")
     rows = bits.shape[0]
-    if hypothesis.is_contradictory():
+    if VariableState.BOTH in hypothesis.states:
         return np.zeros(rows, dtype=bool)
     codes = np.array(hypothesis.states, dtype=np.int64)
     labels = np.ones(rows, dtype=bool)
@@ -160,78 +130,63 @@ def label_conjunction_batch(hypothesis: ConjunctionHypothesis, bits: np.ndarray)
     return labels
 
 
-def sample_conjunction_example(target: ConjunctionHypothesis, rng: np.random.Generator) -> BooleanExample:
-    """Uniform assignment over {0,1}**n labeled by the target."""
-    bits = tuple(int(b) for b in rng.integers(0, 2, size=target.n))
-    return BooleanExample(bits=bits, label=label_conjunction(target, bits))
+def eliminate_literals(ones: np.ndarray, positives: np.ndarray) -> np.ndarray:
+    """Literal-elimination ERM learner (Valiant, CACM 1984) for k samples.
+
+    ``positives[t]`` counts the positive examples of sample t and
+    ``ones[t, i]`` those with bit i set; returns (k, n) learned codes.
+    Each positive rules out the literal it falsifies, so a variable keeps
+    x_i if no positive had a 0 there, not-x_i if none had a 1, neither if
+    both occurred; with no positive the formula stays all-BOTH.
+    """
+    positives = np.asarray(positives)[:, None]
+    kept = np.where(ones == positives, VariableState.POSITIVE, VariableState.ABSENT)
+    return np.where(positives == 0, VariableState.BOTH, np.where(ones == 0, VariableState.NEGATED, kept))
+
+
+def _satisfying_fractions(states: np.ndarray) -> np.ndarray:
+    """Fraction of the 2**n assignments each row of a (k, n) code array satisfies."""
+    both = states == VariableState.BOTH
+    literals = np.count_nonzero(states <= VariableState.NEGATED, axis=1) + 2 * np.count_nonzero(both, axis=1)
+    return np.where(both.any(axis=1), 0.0, np.ldexp(1.0, -literals))
+
+
+def disagreement(target_codes: np.ndarray, learned_codes: np.ndarray) -> np.ndarray:
+    """Exact disagreement probability, row by row, of two (k, n) code arrays.
+
+    The loss is P(sat T) + P(sat L) - 2*P(sat T-and-L), each probability
+    ``2**-literals`` (0 if contradictory), with T-and-L the per-variable
+    union of literal sets.  All quantities are dyadic, so it is exact.
+    """
+    union = np.where(
+        target_codes == learned_codes,
+        target_codes,
+        np.where(
+            target_codes == VariableState.ABSENT,
+            learned_codes,
+            np.where(learned_codes == VariableState.ABSENT, target_codes, VariableState.BOTH),
+        ),
+    )
+    return _satisfying_fractions(target_codes) + _satisfying_fractions(learned_codes) - 2.0 * _satisfying_fractions(union)
 
 
 def learn_conjunction_bits(bits: np.ndarray, labels: np.ndarray) -> ConjunctionHypothesis:
-    """ERM learner on array input; see :func:`learn_conjunction`."""
+    """:func:`eliminate_literals` on one labeled (rows, n) bit matrix."""
     bits = np.asarray(bits)
     labels = np.asarray(labels, dtype=bool)
     if bits.ndim != 2:
         raise ValueError(f"expected a (rows, n) bit matrix, got shape {bits.shape}")
-    n = bits.shape[1]
     positives = bits[labels]
-    if positives.shape[0] == 0:
-        return ConjunctionHypothesis((VariableState.BOTH,) * n)
-    saw_one = positives.any(axis=0)
-    saw_zero = (positives == 0).any(axis=0)
-    states = []
-    for one, zero in zip(saw_one, saw_zero):
-        if one and zero:
-            states.append(VariableState.ABSENT)
-        elif one:
-            states.append(VariableState.POSITIVE)
-        else:
-            states.append(VariableState.NEGATED)
-    return ConjunctionHypothesis(tuple(states))
-
-
-def learn_conjunction(examples: Sequence[BooleanExample], n: int) -> ConjunctionHypothesis:
-    """Literal-elimination ERM learner for conjunctions.
-
-    Starting from the contradictory all-literals formula, each positive
-    example rules out the literal it falsifies at every position (bit 1
-    rules out the negated literal, bit 0 the positive one).  Negative
-    examples carry no per-bit information and are ignored.  The result is
-    consistent with every positive training example.
-    """
-    for ex in examples:
-        if len(ex.bits) != n:
-            raise ValueError(f"expected {n} bits per example, got {len(ex.bits)}")
-    if not examples:
-        return ConjunctionHypothesis((VariableState.BOTH,) * n)
-    bits = np.array([ex.bits for ex in examples], dtype=np.uint8)
-    labels = np.array([ex.label for ex in examples], dtype=bool)
-    return learn_conjunction_bits(bits, labels)
-
-
-def _union_state(a: VariableState, b: VariableState) -> VariableState:
-    if a == b:
-        return a
-    if a is VariableState.ABSENT:
-        return b
-    if b is VariableState.ABSENT:
-        return a
-    # distinct literals on the same variable, or anything joined with BOTH
-    return VariableState.BOTH
+    codes = eliminate_literals(positives.sum(axis=0)[None, :], np.array([positives.shape[0]]))
+    return ConjunctionHypothesis(tuple(VariableState(int(c)) for c in codes[0]))
 
 
 def conjunction_loss_exact(target: ConjunctionHypothesis, learned: ConjunctionHypothesis) -> float:
-    """Exact disagreement probability under uniform assignments.
-
-    The two formulas disagree exactly where one is satisfied and the other
-    is not, so the loss is P(sat T) + P(sat L) - 2*P(sat T-and-L), with
-    each probability ``2**-literals`` (0 for a contradictory formula) and
-    the conjunction formed by a per-variable union of literal sets.  All
-    quantities are dyadic, so the float result is exact.
-    """
+    """:func:`disagreement` of one pair of hypotheses under uniform assignments."""
     if target.n != learned.n:
         raise ValueError(f"variable count mismatch: {target.n} vs {learned.n}")
-    both = ConjunctionHypothesis(tuple(_union_state(a, b) for a, b in zip(target.states, learned.states)))
-    return target.satisfying_fraction() + learned.satisfying_fraction() - 2.0 * both.satisfying_fraction()
+    codes = np.array([target.states, learned.states], dtype=np.int64)
+    return float(disagreement(codes[:1], codes[1:])[0])
 
 
 def conjunction_loss_enumerate(target: ConjunctionHypothesis, learned: ConjunctionHypothesis) -> float:
@@ -255,20 +210,13 @@ def random_threshold_target(rng: np.random.Generator) -> ThresholdHypothesis:
     return ThresholdHypothesis(float(rng.random()))
 
 
-def sample_threshold_point(target: ThresholdHypothesis, rng: np.random.Generator) -> LabeledPoint:
-    """Uniform x in [0, 1) labeled by the target; x == a gets label 0."""
-    x = float(rng.random())
-    return LabeledPoint(x=x, label=target.classify(x))
+def learn_threshold(negatives: np.ndarray) -> float:
+    """ERM cut from the sample points labeled 0 (all in [0, 1)): their minimum, else 1.0.
 
-
-def learn_threshold(points: Sequence[LabeledPoint]) -> ThresholdHypothesis:
-    """ERM rule: the smallest negatively-labeled coordinate, else 1.0.
-
-    With no negative point in the sample the cut is pushed to the top of
-    the support, the conservative consistent choice.
+    With no negative point the cut is pushed to the top of the support,
+    the conservative consistent choice.
     """
-    negatives = [p.x for p in points if p.label == 0]
-    return ThresholdHypothesis(min(negatives) if negatives else 1.0)
+    return np.minimum.reduce(negatives, initial=1.0)
 
 
 def threshold_loss_exact(target: ThresholdHypothesis, learned: ThresholdHypothesis) -> float:
@@ -298,13 +246,6 @@ _LITERAL_WEIGHT = np.array([-1.0, 1.0, 0.0])
 _POSITIVE_CODE = int(VariableState.POSITIVE)  # a plain int compares faster than the enum
 
 
-def _satisfying_fractions(states: np.ndarray) -> np.ndarray:
-    """Row-wise :meth:`ConjunctionHypothesis.satisfying_fraction` of a (k, n) code array."""
-    both = states == VariableState.BOTH
-    literals = np.count_nonzero(states <= VariableState.NEGATED, axis=1) + 2 * np.count_nonzero(both, axis=1)
-    return np.where(both.any(axis=1), 0.0, np.ldexp(1.0, -literals))
-
-
 @dataclass(frozen=True)
 class ConjunctionTask:
     """Conjunction learning over n boolean variables (|H| = 3**n)."""
@@ -327,9 +268,9 @@ class ConjunctionTask:
 
         Each trial makes the draws of :func:`random_conjunction_target`
         (unless ``target`` is given) and then m uniform assignments, keeps
-        the column sums of the rows the target accepts, and is scored
-        with the others at the end: :func:`learn_conjunction_bits` and
-        :func:`conjunction_loss_exact` over code arrays instead of objects.
+        the column sums of the rows the target accepts; all trials are
+        then learned by :func:`eliminate_literals` and scored by
+        :func:`disagreement` at once.
         """
         fixed = None if target is None else np.array(target.states, dtype=np.int64)
         codes, ones, positives = [], [], []
@@ -340,23 +281,7 @@ class ConjunctionTask:
             codes.append(code)
             ones.append(accepted.astype(np.float64) @ bits)
             positives.append(np.count_nonzero(accepted))
-        target_codes = np.array(codes)
-        ones = np.array(ones)
-        positives = np.array(positives)[:, None]
-        # Literal elimination: a variable keeps x_i if no positive had a 0,
-        # not-x_i if none had a 1, neither if both occurred.
-        kept = np.where(ones == positives, VariableState.POSITIVE, VariableState.ABSENT)
-        learned = np.where(positives == 0, VariableState.BOTH, np.where(ones == 0, VariableState.NEGATED, kept))
-        union = np.where(
-            target_codes == learned,
-            target_codes,
-            np.where(
-                target_codes == VariableState.ABSENT,
-                learned,
-                np.where(learned == VariableState.ABSENT, target_codes, VariableState.BOTH),
-            ),
-        )
-        return _satisfying_fractions(target_codes) + _satisfying_fractions(learned) - 2.0 * _satisfying_fractions(union)
+        return disagreement(np.array(codes), eliminate_literals(np.array(ones), np.array(positives)))
 
 
 @dataclass(frozen=True)
@@ -374,14 +299,14 @@ class ThresholdTask:
         """Exact loss of one trial per generator in ``rngs``.
 
         Each trial makes the draws of :func:`random_threshold_target`
-        (unless ``target`` is given) and then m uniform points; the ERM
-        cut of :func:`learn_threshold` is the smallest point at or above
-        the target, 1.0 when there is none (every point is below 1).
+        (unless ``target`` is given) and then m uniform points, which
+        :func:`learn_threshold` reduces to the ERM cut; the loss is the
+        cut minus the target.
         """
         cuts, learned = [], []
         for rng in rngs:
             a = rng.random() if target is None else target.a
             xs = rng.random(m)
             cuts.append(a)
-            learned.append(np.minimum.reduce(xs[xs >= a], initial=1.0))
+            learned.append(learn_threshold(xs[xs >= a]))
         return np.array(learned) - np.array(cuts)

@@ -9,9 +9,9 @@ envelope weight ``W`` is ``|H|`` in the finite case and ``(e*m/d)**d`` in
 the VC case, so the cutoff (where the ramp leaves zero) is ``ln(W)/m``.
 
 The jump at ``eps = 1`` is a genuine probability atom.  It is never folded
-into the density; :func:`finite_h_point_mass` / :func:`vc_point_mass`
-report it separately and the density functions refuse ``eps == 1``, so
-every returned number stays finite.
+into the density; :func:`bound_point_mass` reports it separately and
+:func:`bound_density` refuses ``eps == 1``, so every returned number stays
+finite.
 
 All weight-bearing arithmetic runs in log space (``ln W`` is stored, never
 ``W``): finite hypothesis spaces of size ``3**n`` overflow floats long
@@ -34,14 +34,8 @@ __all__ = [
     "bound_point_mass",
     "cutoff",
     "discretize_bound",
-    "finite_h_cdf",
-    "finite_h_density",
-    "finite_h_point_mass",
     "sample_complexity_finite",
     "sample_complexity_vc",
-    "vc_cdf",
-    "vc_density",
-    "vc_point_mass",
 ]
 
 
@@ -160,77 +154,32 @@ def _atom_weight(log_weight: float, m: int) -> float:
     return _clamp01(math.exp(min(log_weight - m, 0.0)))
 
 
-def _require_kind(spec: BoundSpec, kind: BoundKind) -> None:
-    if spec.kind is not kind:
-        raise ValueError(f"expected a {kind.value} bound, got {spec.kind.value}")
-
-
 def cutoff(spec: BoundSpec) -> float:
     """Loss value where the CDF leaves zero: ln(W)/m."""
     return spec.log_weight() / spec.m
 
 
-def finite_h_cdf(spec: BoundSpec, eps: float) -> float:
-    """P(loss <= eps) lower bound for a finite hypothesis space.
+def bound_cdf(spec: BoundSpec, eps: float) -> float:
+    """P(loss <= eps) lower bound, for either kind of class.
 
-    Zero below ``ln|H|/m``, then ``1 - |H|*exp(-m*eps)`` up to 1, then 1.
-    The ramp is evaluated as ``1 - exp(ln|H| - m*eps)`` and clamped to
+    Zero below ``cutoff(spec)``, then ``1 - W*exp(-m*eps)`` up to 1, then
+    1.  The ramp is evaluated as ``1 - exp(ln W - m*eps)`` and clamped to
     [0, 1].
     """
-    _require_kind(spec, BoundKind.FINITE_H)
-    return _piecewise_cdf(spec.log_h_size, spec.m, eps)
-
-
-def finite_h_point_mass(spec: BoundSpec) -> float:
-    """Probability atom at loss 1: ``|H|*exp(-m)`` clamped to [0, 1]."""
-    _require_kind(spec, BoundKind.FINITE_H)
-    return _atom_weight(spec.log_h_size, spec.m)
-
-
-def finite_h_density(spec: BoundSpec, eps: float) -> float:
-    """Continuous density ``|H|*m*exp(-m*eps)`` on [cutoff, 1), else 0.
-
-    Raises ValueError at ``eps == 1`` exactly; the atom there is not a
-    density and must be read from :func:`finite_h_point_mass`.
-    """
-    _require_kind(spec, BoundKind.FINITE_H)
-    return _piecewise_density(spec.log_h_size, spec.m, eps)
-
-
-def vc_cdf(spec: BoundSpec, eps: float) -> float:
-    """P(loss <= eps) lower bound for a class of VC dimension d.
-
-    Same shape as the finite case with weight ``(e*m/d)**d``: zero below
-    ``(d/m)*ln(e*m/d)``, then ``1 - (e*m/d)**d * exp(-m*eps)``, then 1.
-    """
-    _require_kind(spec, BoundKind.FINITE_VC)
-    return _piecewise_cdf(spec.log_weight(), spec.m, eps)
-
-
-def vc_point_mass(spec: BoundSpec) -> float:
-    """Probability atom at loss 1: ``(e*m/d)**d * exp(-m)`` clamped to [0, 1]."""
-    _require_kind(spec, BoundKind.FINITE_VC)
-    return _atom_weight(spec.log_weight(), spec.m)
-
-
-def vc_density(spec: BoundSpec, eps: float) -> float:
-    """Continuous density ``(e*m/d)**d * m * exp(-m*eps)`` on [cutoff, 1)."""
-    _require_kind(spec, BoundKind.FINITE_VC)
-    return _piecewise_density(spec.log_weight(), spec.m, eps)
-
-
-def bound_cdf(spec: BoundSpec, eps: float) -> float:
-    """Kind-dispatching CDF."""
     return _piecewise_cdf(spec.log_weight(), spec.m, eps)
 
 
 def bound_density(spec: BoundSpec, eps: float) -> float:
-    """Kind-dispatching continuous density (refuses eps=1)."""
+    """Continuous density ``W*m*exp(-m*eps)`` on [cutoff, 1), else 0.
+
+    Raises ValueError at ``eps == 1`` exactly; the atom there is not a
+    density and must be read from :func:`bound_point_mass`.
+    """
     return _piecewise_density(spec.log_weight(), spec.m, eps)
 
 
 def bound_point_mass(spec: BoundSpec) -> float:
-    """Kind-dispatching atom weight at loss 1."""
+    """Probability atom at loss 1: ``W*exp(-m)`` clamped to [0, 1]."""
     return _atom_weight(spec.log_weight(), spec.m)
 
 

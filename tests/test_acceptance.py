@@ -40,7 +40,6 @@ from paclab.theory import (
     bound_point_mass,
     cutoff,
     discretize_bound,
-    finite_h_cdf,
 )
 
 SEED = 2024
@@ -76,7 +75,7 @@ def threshold_results():
 
 def test_criterion_1_bound_value_near_one():
     spec = BoundSpec.finite_h(m=35, h_size=1e9)
-    got = finite_h_cdf(spec, 1.0 - 1e-12)
+    got = bound_cdf(spec, 1.0 - 1e-12)
     want = 1.0 - 6.3051168e-07
     ok = math.isclose(got, want, rel_tol=1e-6)
     report("1 bound value", ok, f"F(1-1e-12) = {got!r}, expected {want!r} within rel 1e-6")

@@ -131,15 +131,44 @@ class TestConfigHandling:
     def test_flat_config_file(self, tmp_path):
         cfg = tmp_path / "run.cfg"
         cfg.write_text("# comment\ntask=threshold\ntrials=10\nm_start=20\nm_step=20\nm_max=40\nseed=5\n")
-        parsed = load_config_file(cfg)
+        parsed = load_config_file(cfg, "experiment")
         assert parsed == {"task": "threshold", "trials": 10, "m_start": 20, "m_step": 20, "m_max": 40, "seed": 5}
 
     def test_unknown_key_rejected(self, tmp_path):
         cfg = tmp_path / "run.cfg"
         for line in ("bogus=1\n", "workers=2\n"):
             cfg.write_text(line)
-            with pytest.raises(ConfigError):
-                load_config_file(cfg)
+            for command in ("experiment", "bound"):
+                with pytest.raises(ConfigError):
+                    load_config_file(cfg, command)
+
+    @pytest.mark.parametrize(
+        "command, line",
+        [
+            ("experiment", "h_size=100"),
+            ("experiment", "kind=vc"),
+            ("experiment", "m=10,20"),
+            ("bound", "trials=5"),
+            ("bound", "task=threshold"),
+            ("bound", "seed=3"),
+        ],
+    )
+    def test_key_of_other_subcommand_rejected(self, tmp_path, command, line):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(line + "\n")
+        out = tmp_path / "out"
+        assert main([command, "--config", str(cfg), "--out-dir", str(out)]) == 1
+        assert not out.exists()
+
+    def test_manifest_of_other_subcommand_rejected(self, tmp_path, capsys):
+        cmd_bound("finite-h", [22], tmp_path / "bound", h_size=1e9)
+        cmd_experiment(small_config(), tmp_path / "experiment")
+        out = tmp_path / "out"
+        assert main(["experiment", "--config", str(tmp_path / "bound" / "manifest.json"), "--out-dir", str(out)]) == 1
+        assert "'bound' run" in capsys.readouterr().err
+        assert main(["bound", "--config", str(tmp_path / "experiment" / "manifest.json"), "--out-dir", str(out)]) == 1
+        assert "'experiment' run" in capsys.readouterr().err
+        assert not out.exists()
 
     def test_flags_override_config_file(self, tmp_path):
         cfg = tmp_path / "run.cfg"
@@ -203,6 +232,11 @@ class TestExitCodes:
         bad.write_text("definitely,not,the,right,schema\n1,2,3,4,5\n")
         assert main(["kl", str(bad), str(bad)]) == 1
 
+    def test_short_csv_row_is_config_error(self, tmp_path):
+        short = tmp_path / "short.csv"
+        short.write_text("m,source,slot_index,slot_lo,slot_hi,mass\n1,P,0\n")
+        assert main(["kl", str(short), str(short)]) == 1
+
 
 class TestBoundCommand:
     def test_summary_cutoffs(self, tmp_path):
@@ -259,6 +293,22 @@ class TestBoundCommand:
         cmd_bound("finite-h", [10], tmp_path, log_h_size=700 * math.log(3.0))
         groups = read_distributions_csv(tmp_path / "bound_q.csv")
         assert groups[(10, "Q")].masses[-1] == 1.0
+
+
+class TestReadCurveCsv:
+    @pytest.mark.parametrize(
+        "text",
+        [
+            "m,mean_p,mean_q,std_q,kl\n20,0.1,0.2,0.3,0.4\n",  # no std_p column
+            "m,mean_p,std_p,mean_q,std_q,kl\n20,0.1,abc,0.2,0.3,0.4\n",  # non-numeric cell
+            "m,mean_p,std_p,mean_q,std_q,kl\n20,0.1\n",  # short row
+        ],
+    )
+    def test_malformed_curve_is_config_error(self, tmp_path, text):
+        path = tmp_path / "curve.csv"
+        path.write_text(text)
+        with pytest.raises(ConfigError, match="curve.csv"):
+            read_curve_csv(path)
 
 
 class TestKlCommand:

@@ -18,7 +18,7 @@ from paclab.empirics import (
 )
 from paclab.learners import (
     ConjunctionTask,
-    LabeledPoint,
+    ThresholdHypothesis,
     ThresholdTask,
     conjunction_loss_exact,
     label_conjunction_batch,
@@ -47,8 +47,8 @@ def reference_losses(task, m, k, seed, fixed_target):
             learned = learn_conjunction_bits(bits, label_conjunction_batch(target, bits))
             losses.append(conjunction_loss_exact(target, learned))
         else:
-            points = [LabeledPoint(x, target.classify(x)) for x in rng.random(m).tolist()]
-            losses.append(threshold_loss_exact(target, learn_threshold(points)))
+            negatives = np.array([x for x in rng.random(m).tolist() if target.classify(x) == 0])
+            losses.append(threshold_loss_exact(target, ThresholdHypothesis(learn_threshold(negatives))))
     return losses
 
 
@@ -174,8 +174,8 @@ class TestRunTrials:
         target = task.draw_target(trial_rng(seed, m, FIXED_TARGET_INDEX))
         batch = run_trials(task, m, k, seed, fixed_target=True)
         for i, loss in enumerate(batch.losses):
-            points = [LabeledPoint(x, target.classify(x)) for x in trial_rng(seed, m, i).random(m).tolist()]
-            assert loss == threshold_loss_exact(target, learn_threshold(points))
+            negatives = np.array([x for x in trial_rng(seed, m, i).random(m).tolist() if target.classify(x) == 0])
+            assert loss == threshold_loss_exact(target, ThresholdHypothesis(learn_threshold(negatives)))
 
     def test_rejects_bad_sizes(self):
         with pytest.raises(ValueError):
@@ -215,6 +215,81 @@ class TestThresholdLossLaw:
         assert losses.max() <= top
         distance = ks_distance(losses, lambda t: np.where(t < top, 1.0 - (1.0 - t) ** m, 1.0), atom=(top, a**m))
         assert math.sqrt(self.K) * distance < self.CRITICAL
+
+
+def binom_pmf(trials, q):
+    """Bin(trials, q) probabilities of 0..trials from log-space terms, which
+    stay finite where ``math.comb(trials, c)`` would overflow a float."""
+    counts = np.arange(trials + 1)
+    if q in (0.0, 1.0):
+        return (counts == trials * q).astype(float)
+    log_comb = np.array([math.lgamma(trials + 1) - math.lgamma(c + 1) - math.lgamma(trials - c + 1) for c in counts])
+    return np.exp(log_comb + counts * math.log(q) + (trials - counts) * math.log1p(-q))
+
+
+def conjunction_loss_law(n, m):
+    """Exact law of one per-trial conjunction loss as {loss: probability}.
+
+    The target has j ~ Bin(n, 2/3) literals and the sample p ~ Bin(m, 2**-j)
+    positives.  With p = 0 the learner stays contradictory and the loss is
+    2**-j; otherwise each of the n - j free variables keeps a literal with
+    probability 2**(1-p), and s kept literals give loss 2**-j - 2**-(j+s).
+    """
+    law = {}
+    for j, p_j in enumerate(binom_pmf(n, 2 / 3)):
+        for p, p_p in enumerate(binom_pmf(m, 2.0**-j)):
+            if p == 0:
+                law[2.0**-j] = law.get(2.0**-j, 0.0) + p_j * p_p
+                continue
+            for s, p_s in enumerate(binom_pmf(n - j, 2.0 ** (1 - p))):
+                loss = 2.0**-j - 2.0 ** -(j + s)
+                law[loss] = law.get(loss, 0.0) + p_j * p_p * p_s
+    return law
+
+
+def pooled_chi_square(losses, law):
+    """Pearson's statistic and degrees of freedom of ``losses`` against
+    ``law``; the cells expected fewer than 5 times are pooled into one,
+    which joins the smallest other cell if it still expects fewer than 5."""
+    values, counts = np.unique(losses, return_counts=True)
+    observed = dict(zip(values.tolist(), counts.tolist()))
+    cells = sorted(law, key=law.get, reverse=True)
+    expected = [losses.size * law[v] for v in cells]
+    seen = [observed.get(v, 0) for v in cells]
+    big = sum(e >= 5 for e in expected)
+    tail = (sum(expected[big:]), sum(seen[big:]))
+    expected, seen = expected[:big], seen[:big]
+    if tail[0] >= 5:
+        expected.append(tail[0])
+        seen.append(tail[1])
+    else:
+        expected[-1] += tail[0]
+        seen[-1] += tail[1]
+    expected, seen = np.array(expected), np.array(seen)
+    return float(np.sum((seen - expected) ** 2 / expected)), expected.size - 1
+
+
+def chi_square_sf(stat, df):
+    """Upper tail of the chi-square law (Wilson-Hilferty cube-root normal approximation)."""
+    z = ((stat / df) ** (1 / 3) - (1 - 2 / (9 * df))) / math.sqrt(2 / (9 * df))
+    return 0.5 * math.erfc(z / math.sqrt(2))
+
+
+class TestConjunctionLossLaw:
+    """Chi-square tests of 20,000 losses (n = 10) against the exact law,
+    family alpha = 0.001 split over the two sample sizes (Bonferroni)."""
+
+    K = 20_000
+    ALPHA = 0.001 / 2
+
+    @pytest.mark.parametrize("m", [25, 100])
+    def test_per_trial_target(self, m):
+        law = conjunction_loss_law(10, m)
+        assert math.fsum(law.values()) == pytest.approx(1.0, abs=1e-12)
+        losses = run_trials(ConjunctionTask(10), m, self.K, 2024).losses
+        assert set(np.unique(losses).tolist()) <= set(law)
+        stat, df = pooled_chi_square(losses, law)
+        assert chi_square_sf(stat, df) > self.ALPHA
 
 
 class TestHistogram:

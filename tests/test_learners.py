@@ -4,10 +4,8 @@ import numpy as np
 import pytest
 
 from paclab.learners import (
-    BooleanExample,
     ConjunctionHypothesis,
     ConjunctionTask,
-    LabeledPoint,
     ThresholdHypothesis,
     ThresholdTask,
     VariableState,
@@ -15,13 +13,10 @@ from paclab.learners import (
     conjunction_loss_exact,
     label_conjunction,
     label_conjunction_batch,
-    learn_conjunction,
     learn_conjunction_bits,
     learn_threshold,
     random_conjunction_target,
     random_threshold_target,
-    sample_conjunction_example,
-    sample_threshold_point,
     threshold_loss_exact,
     threshold_loss_monte_carlo,
 )
@@ -33,20 +28,22 @@ def hyp(*states):
     return ConjunctionHypothesis(tuple(states))
 
 
-def sample_examples(target, m, rng):
-    return [sample_conjunction_example(target, rng) for _ in range(m)]
+def sample_bits(target, m, rng):
+    """m uniform assignments and their labels under ``target``."""
+    bits = rng.integers(0, 2, size=(m, target.n), dtype=np.uint8)
+    return bits, label_conjunction_batch(target, bits)
+
+
+def negatives_of(target, xs):
+    """The points of ``xs`` that ``target`` labels 0."""
+    return np.array([x for x in xs.tolist() if target.classify(x) == 0])
 
 
 class TestConjunctionHypothesis:
-    def test_literal_count(self):
-        assert hyp(P, N, A).literal_count() == 2
-        assert hyp(B, B).literal_count() == 4
-        assert hyp(A, A).literal_count() == 0
-
     def test_satisfying_fraction(self):
-        assert hyp(A, A, A).satisfying_fraction() == 1.0
-        assert hyp(P, N, A).satisfying_fraction() == 0.25
-        assert hyp(B, A).satisfying_fraction() == 0.0
+        # the all-ABSENT formula accepts everything, so its loss against H is 1 - P(sat H)
+        for h, sat in ((hyp(A, A, A), 1.0), (hyp(P, N, A), 0.25), (hyp(B, A, A), 0.0)):
+            assert conjunction_loss_exact(hyp(A, A, A), h) == 1.0 - sat
 
 
 class TestRandomConjunctionTarget:
@@ -58,7 +55,7 @@ class TestRandomConjunctionTarget:
     def test_never_contradictory(self):
         rng = np.random.default_rng(3)
         for _ in range(500):
-            assert not random_conjunction_target(6, rng).is_contradictory()
+            assert B not in random_conjunction_target(6, rng).states
 
     def test_state_frequencies_one_third(self):
         rng = np.random.default_rng(11)
@@ -112,81 +109,45 @@ class TestLabelConjunction:
             label_conjunction_batch(self.TARGET, np.zeros((4, 3), dtype=np.uint8))
 
 
-class TestSampleConjunctionExample:
-    def test_stream_deterministic(self):
-        target = hyp(P, N, A, P)
-        s1 = [sample_conjunction_example(target, np.random.default_rng(14)) for _ in range(25)]
-        s2 = [sample_conjunction_example(target, np.random.default_rng(14)) for _ in range(25)]
-        assert s1 == s2
-
-    def test_bit_marginals_are_half(self):
-        rng = np.random.default_rng(15)
-        target = hyp(P, N, A)
-        draws = 30_000
-        totals = np.zeros(3)
-        for _ in range(draws):
-            totals += sample_conjunction_example(target, rng).bits
-        for marginal in totals / draws:
-            assert marginal == pytest.approx(0.5, abs=0.02)
-
-    def test_label_comes_from_target(self):
-        rng = np.random.default_rng(16)
-        target = random_conjunction_target(6, rng)
-        for _ in range(200):
-            ex = sample_conjunction_example(target, rng)
-            assert ex.label == label_conjunction(target, ex.bits)
-
-
 class TestLearnConjunction:
     def test_no_examples_returns_contradiction(self):
-        learned = learn_conjunction([], 4)
+        learned = learn_conjunction_bits(np.zeros((0, 4), dtype=np.uint8), np.zeros(0, dtype=bool))
         assert learned.states == (B, B, B, B)
 
     def test_no_positive_examples_returns_contradiction(self):
-        examples = [BooleanExample((0, 1, 0), False), BooleanExample((1, 1, 1), False)]
-        assert learn_conjunction(examples, 3).states == (B, B, B)
+        bits = np.array([(0, 1, 0), (1, 1, 1)], dtype=np.uint8)
+        assert learn_conjunction_bits(bits, [False, False]).states == (B, B, B)
 
     def test_single_positive_keeps_matching_literals(self):
-        learned = learn_conjunction([BooleanExample((1, 0, 1), True)], 3)
+        learned = learn_conjunction_bits(np.array([(1, 0, 1)], dtype=np.uint8), [True])
         assert learned.states == (P, N, P)
 
     def test_negative_examples_are_ignored(self):
-        pos = BooleanExample((1, 0), True)
-        with_neg = learn_conjunction([pos, BooleanExample((1, 1), False)], 2)
-        without = learn_conjunction([pos], 2)
+        with_neg = learn_conjunction_bits(np.array([(1, 0), (1, 1)], dtype=np.uint8), [True, False])
+        without = learn_conjunction_bits(np.array([(1, 0)], dtype=np.uint8), [True])
         assert with_neg == without
 
     def test_consistent_with_positive_examples(self):
         rng = np.random.default_rng(5)
         for _ in range(200):
             target = random_conjunction_target(8, rng)
-            examples = sample_examples(target, 30, rng)
-            learned = learn_conjunction(examples, 8)
-            for ex in examples:
-                if ex.label:
-                    assert label_conjunction(learned, ex.bits)
+            bits, labels = sample_bits(target, 30, rng)
+            learned = learn_conjunction_bits(bits, labels)
+            for row in bits[labels]:
+                assert label_conjunction(learned, tuple(int(b) for b in row))
 
     def test_learned_literals_superset_of_target(self):
         rng = np.random.default_rng(6)
         for _ in range(200):
             target = random_conjunction_target(8, rng)
-            learned = learn_conjunction(sample_examples(target, 20, rng), 8)
+            learned = learn_conjunction_bits(*sample_bits(target, 20, rng))
             for t_state, l_state in zip(target.states, learned.states):
                 if t_state in (P, N):
                     assert l_state in (t_state, B)
 
-    def test_bits_variant_agrees_with_list_variant(self):
-        rng = np.random.default_rng(8)
-        for _ in range(100):
-            target = random_conjunction_target(6, rng)
-            examples = sample_examples(target, 15, rng)
-            bits = np.array([ex.bits for ex in examples], dtype=np.uint8)
-            labels = np.array([ex.label for ex in examples])
-            assert learn_conjunction_bits(bits, labels) == learn_conjunction(examples, 6)
-
-    def test_rejects_length_mismatch(self):
+    def test_rejects_non_matrix(self):
         with pytest.raises(ValueError):
-            learn_conjunction([BooleanExample((1, 0), True)], 3)
+            learn_conjunction_bits(np.array([1, 0, 1], dtype=np.uint8), [True, True, True])
 
 
 class TestConjunctionLoss:
@@ -215,7 +176,7 @@ class TestConjunctionLoss:
         for n in (3, 6, 10, 12):
             for _ in range(100):
                 target = random_conjunction_target(n, rng)
-                learned = learn_conjunction(sample_examples(target, int(rng.integers(0, 3 * n + 1)), rng), n)
+                learned = learn_conjunction_bits(*sample_bits(target, int(rng.integers(0, 3 * n + 1)), rng))
                 assert conjunction_loss_exact(target, learned) == conjunction_loss_enumerate(target, learned)
 
     def test_matches_enumeration_on_arbitrary_pairs(self):
@@ -232,7 +193,7 @@ class TestConjunctionLoss:
         rng = np.random.default_rng(23)
         for _ in range(200):
             target = random_conjunction_target(10, rng)
-            learned = learn_conjunction(sample_examples(target, 10, rng), 10)
+            learned = learn_conjunction_bits(*sample_bits(target, 10, rng))
             loss = conjunction_loss_exact(target, learned)
             assert 0.0 <= loss <= 1.0
             assert loss * 1024 == int(loss * 1024)
@@ -242,10 +203,10 @@ class TestConjunctionLoss:
         rng = np.random.default_rng(29)
         for _ in range(50):
             target = random_conjunction_target(6, rng)
-            examples = sample_examples(target, 40, rng)
+            bits, labels = sample_bits(target, 40, rng)
             prev = 1.0
             for cut in (0, 5, 10, 20, 40):
-                loss = conjunction_loss_exact(target, learn_conjunction(examples[:cut], 6))
+                loss = conjunction_loss_exact(target, learn_conjunction_bits(bits[:cut], labels[:cut]))
                 assert loss <= prev + 1e-15
                 prev = loss
 
@@ -263,12 +224,6 @@ class TestThresholdSampling:
     def test_target_deterministic(self):
         assert random_threshold_target(np.random.default_rng(4)) == random_threshold_target(np.random.default_rng(4))
 
-    def test_point_stream_deterministic(self):
-        t = ThresholdHypothesis(0.6)
-        s1 = [sample_threshold_point(t, np.random.default_rng(12)) for _ in range(20)]
-        s2 = [sample_threshold_point(t, np.random.default_rng(12)) for _ in range(20)]
-        assert s1 == s2
-
     def test_boundary_point_labeled_zero(self):
         assert ThresholdHypothesis(0.4).classify(0.4) == 0
         assert ThresholdHypothesis(0.4).classify(0.39999) == 1
@@ -277,7 +232,7 @@ class TestThresholdSampling:
         rng = np.random.default_rng(31)
         for a in (0.2, 0.5, 0.9):
             t = ThresholdHypothesis(a)
-            freq = sum(sample_threshold_point(t, rng).label for _ in range(30_000)) / 30_000
+            freq = sum(t.classify(x) for x in rng.random(30_000).tolist()) / 30_000
             assert freq == pytest.approx(a, abs=0.02)
 
     def test_hypothesis_validates_range(self):
@@ -287,29 +242,27 @@ class TestThresholdSampling:
 
 class TestLearnThreshold:
     def test_takes_smallest_negative(self):
-        points = [LabeledPoint(0.2, 1), LabeledPoint(0.7, 0), LabeledPoint(0.9, 0)]
-        assert learn_threshold(points).a == 0.7
+        assert learn_threshold(negatives_of(ThresholdHypothesis(0.5), np.array([0.2, 0.9, 0.7]))) == 0.7
 
     def test_fallback_without_negatives(self):
-        points = [LabeledPoint(0.2, 1), LabeledPoint(0.5, 1)]
-        assert learn_threshold(points).a == 1.0
-        assert learn_threshold([]).a == 1.0
+        assert learn_threshold(negatives_of(ThresholdHypothesis(0.6), np.array([0.2, 0.5]))) == 1.0
+        assert learn_threshold(np.array([])) == 1.0
 
     def test_estimate_never_undershoots_target(self):
         rng = np.random.default_rng(37)
         for _ in range(200):
             target = random_threshold_target(rng)
-            points = [sample_threshold_point(target, rng) for _ in range(int(rng.integers(1, 40)))]
-            assert learn_threshold(points).a >= target.a
+            xs = rng.random(int(rng.integers(1, 40)))
+            assert learn_threshold(negatives_of(target, xs)) >= target.a
 
     def test_estimate_tightens_with_more_points(self):
         rng = np.random.default_rng(41)
         for _ in range(50):
             target = random_threshold_target(rng)
-            points = [sample_threshold_point(target, rng) for _ in range(60)]
+            xs = rng.random(60)
             prev = 1.0
             for cut in (5, 15, 30, 60):
-                a_hat = learn_threshold(points[:cut]).a
+                a_hat = learn_threshold(negatives_of(target, xs[:cut]))
                 assert a_hat <= prev
                 prev = a_hat
 
@@ -340,11 +293,8 @@ class TestTaskTrials:
             rng = np.random.default_rng(seed)
             target = random_conjunction_target(8, rng)
             bits = rng.integers(0, 2, size=(12, 8), dtype=np.uint8)
-            examples = [
-                BooleanExample(tuple(int(b) for b in row), label_conjunction(target, tuple(int(b) for b in row)))
-                for row in bits
-            ]
-            expected = conjunction_loss_exact(target, learn_conjunction(examples, 8))
+            labels = [label_conjunction(target, tuple(int(b) for b in row)) for row in bits]
+            expected = conjunction_loss_exact(target, learn_conjunction_bits(bits, labels))
             assert loss == expected
 
     def test_threshold_trial_matches_op_composition(self):
@@ -354,8 +304,7 @@ class TestTaskTrials:
             rng = np.random.default_rng(seed)
             target = random_threshold_target(rng)
             xs = rng.random(15)
-            points = [LabeledPoint(float(x), target.classify(float(x))) for x in xs]
-            expected = threshold_loss_exact(target, learn_threshold(points))
+            expected = threshold_loss_exact(target, ThresholdHypothesis(learn_threshold(negatives_of(target, xs))))
             assert loss == pytest.approx(expected, abs=0.0)
 
     def test_trials_accept_fixed_target(self):

@@ -14,14 +14,8 @@ from paclab.theory import (
     bound_point_mass,
     cutoff,
     discretize_bound,
-    finite_h_cdf,
-    finite_h_density,
-    finite_h_point_mass,
     sample_complexity_finite,
     sample_complexity_vc,
-    vc_cdf,
-    vc_density,
-    vc_point_mass,
 )
 
 LN_1E9 = 9 * math.log(10.0)
@@ -56,8 +50,8 @@ class TestBoundSpec:
     def test_log_storage_handles_huge_h(self):
         # 3**700 overflows a float; the log representation must not
         spec = BoundSpec.finite_h(m=10, log_h_size=700 * math.log(3.0))
-        assert finite_h_cdf(spec, 0.5) == 0.0
-        assert finite_h_point_mass(spec) == 1.0
+        assert bound_cdf(spec, 0.5) == 0.0
+        assert bound_point_mass(spec) == 1.0
 
     def test_h_size_and_log_are_mutually_exclusive(self):
         with pytest.raises(ValueError):
@@ -65,21 +59,11 @@ class TestBoundSpec:
         with pytest.raises(ValueError):
             BoundSpec.finite_h(m=10)
 
-    def test_ops_reject_wrong_kind(self):
-        with pytest.raises(ValueError):
-            finite_h_cdf(VC_1_20, 0.5)
-        with pytest.raises(ValueError):
-            vc_cdf(FH_59049_25, 0.5)
-        with pytest.raises(ValueError):
-            finite_h_point_mass(VC_1_20)
-        with pytest.raises(ValueError):
-            vc_density(FH_59049_25, 0.5)
-
 
 class TestFiniteHCdf:
     def test_below_cutoff_is_zero(self):
         # cutoff for |H|=59049, m=25 sits at 0.4394
-        assert finite_h_cdf(FH_59049_25, 0.438) == 0.0
+        assert bound_cdf(FH_59049_25, 0.438) == 0.0
 
     def test_cutoff_value(self):
         assert cutoff(FH_59049_25) == pytest.approx(0.439, abs=1e-3)
@@ -87,108 +71,108 @@ class TestFiniteHCdf:
     def test_near_one_value(self):
         # 1 - 1e9 * exp(-35), quoted to 8 digits
         expected = 1.0 - 6.3051168e-07
-        assert finite_h_cdf(FH_1E9_35, 1.0 - 1e-12) == pytest.approx(expected, rel=1e-6)
+        assert bound_cdf(FH_1E9_35, 1.0 - 1e-12) == pytest.approx(expected, rel=1e-6)
 
     def test_top_branch(self):
-        assert finite_h_cdf(FH_59049_25, 1.5) == 1.0
-        assert finite_h_cdf(FH_1E9_35, 1.0) == 1.0
+        assert bound_cdf(FH_59049_25, 1.5) == 1.0
+        assert bound_cdf(FH_1E9_35, 1.0) == 1.0
 
     def test_m22_below_cutoff_clamps_to_zero(self):
         # ln(1e9)/22 = 0.9420, so eps=0.9 is still in the flat-zero branch
         spec = BoundSpec.finite_h(m=22, h_size=1e9)
         assert cutoff(spec) == pytest.approx(0.9419666, rel=1e-6)
-        assert finite_h_cdf(spec, 0.9) == 0.0
+        assert bound_cdf(spec, 0.9) == 0.0
 
     def test_ramp_value(self):
         # frozen from 1 - exp(ln(59049) - 25*0.5)
-        assert finite_h_cdf(FH_59049_25, 0.5) == pytest.approx(0.7799448568419263, rel=1e-12)
+        assert bound_cdf(FH_59049_25, 0.5) == pytest.approx(0.7799448568419263, rel=1e-12)
 
 
 class TestFiniteHPointMass:
     def test_quoted_value(self):
-        assert finite_h_point_mass(FH_1E9_35) == pytest.approx(6.3051168e-07, rel=1e-6)
+        assert bound_point_mass(FH_1E9_35) == pytest.approx(6.3051168e-07, rel=1e-6)
 
     def test_decays_with_m(self):
         spec = BoundSpec.finite_h(m=200, h_size=1)
-        assert finite_h_point_mass(spec) < 1e-80
+        assert bound_point_mass(spec) < 1e-80
 
     def test_direct_evaluation(self):
         expected = math.exp(math.log(59049) - 25)  # 8.2e-7
-        assert finite_h_point_mass(FH_59049_25) == pytest.approx(expected, rel=1e-12)
+        assert bound_point_mass(FH_59049_25) == pytest.approx(expected, rel=1e-12)
 
     def test_clamped_when_cutoff_exceeds_one(self):
         spec = BoundSpec.finite_h(m=10, h_size=1e9)
-        assert finite_h_point_mass(spec) == 1.0
+        assert bound_point_mass(spec) == 1.0
 
 
 class TestFiniteHDensity:
     def test_below_cutoff(self):
-        assert finite_h_density(FH_59049_25, 0.3) == 0.0
+        assert bound_density(FH_59049_25, 0.3) == 0.0
 
     def test_interior_value(self):
         expected = 59049 * 25 * math.exp(-12.5)
-        assert finite_h_density(FH_59049_25, 0.5) == pytest.approx(expected, rel=1e-12)
+        assert bound_density(FH_59049_25, 0.5) == pytest.approx(expected, rel=1e-12)
 
     def test_matches_cdf_slope(self):
         h = 1e-6
-        slope = (finite_h_cdf(FH_59049_25, 0.5 + h) - finite_h_cdf(FH_59049_25, 0.5 - h)) / (2 * h)
-        assert finite_h_density(FH_59049_25, 0.5) == pytest.approx(slope, rel=1e-6)
+        slope = (bound_cdf(FH_59049_25, 0.5 + h) - bound_cdf(FH_59049_25, 0.5 - h)) / (2 * h)
+        assert bound_density(FH_59049_25, 0.5) == pytest.approx(slope, rel=1e-6)
 
     def test_refuses_eps_one(self):
         with pytest.raises(ValueError):
-            finite_h_density(FH_59049_25, 1.0)
+            bound_density(FH_59049_25, 1.0)
 
     def test_zero_above_one(self):
-        assert finite_h_density(FH_59049_25, 1.3) == 0.0
+        assert bound_density(FH_59049_25, 1.3) == 0.0
 
     def test_integral_plus_atom_is_one(self):
         lo = cutoff(FH_59049_25)
-        integral = trapezoid_integral(lambda x: finite_h_density(FH_59049_25, x), lo, 1.0 - 1e-12, 100_000)
-        assert integral + finite_h_point_mass(FH_59049_25) == pytest.approx(1.0, abs=1e-6)
+        integral = trapezoid_integral(lambda x: bound_density(FH_59049_25, x), lo, 1.0 - 1e-12, 100_000)
+        assert integral + bound_point_mass(FH_59049_25) == pytest.approx(1.0, abs=1e-6)
 
 
 class TestVcBound:
     def test_below_cutoff_is_zero(self):
         # cutoff = (1/20) ln(20e) = 0.19979
         assert cutoff(VC_1_20) == pytest.approx(0.1998, abs=1e-4)
-        assert vc_cdf(VC_1_20, 0.19) == 0.0
+        assert bound_cdf(VC_1_20, 0.19) == 0.0
 
     def test_top_branch(self):
-        assert vc_cdf(VC_1_100, 1.0) == 1.0
-        assert vc_cdf(VC_1_100, 7.0) == 1.0
+        assert bound_cdf(VC_1_100, 1.0) == 1.0
+        assert bound_cdf(VC_1_100, 7.0) == 1.0
 
     def test_ramp_value(self):
         expected = 1.0 - math.exp(1.0 + math.log(100.0) - 10.0)
-        assert vc_cdf(VC_1_100, 0.1) == pytest.approx(expected, rel=1e-12)
+        assert bound_cdf(VC_1_100, 0.1) == pytest.approx(expected, rel=1e-12)
 
     def test_ramp_value_against_density_quadrature(self):
         lo = cutoff(VC_1_100)
-        integral = trapezoid_integral(lambda x: vc_density(VC_1_100, x), lo, 0.1, 200_000)
-        assert vc_cdf(VC_1_100, 0.1) == pytest.approx(integral, abs=1e-6)
+        integral = trapezoid_integral(lambda x: bound_density(VC_1_100, x), lo, 0.1, 200_000)
+        assert bound_cdf(VC_1_100, 0.1) == pytest.approx(integral, abs=1e-6)
 
     def test_point_mass_direct(self):
         expected = math.exp(math.log(20 * math.e) - 20)  # 1.1206e-7
-        assert vc_point_mass(VC_1_20) == pytest.approx(expected, rel=1e-12)
-        assert vc_point_mass(VC_1_20) == pytest.approx(1.1205592875e-07, rel=1e-9)
+        assert bound_point_mass(VC_1_20) == pytest.approx(expected, rel=1e-12)
+        assert bound_point_mass(VC_1_20) == pytest.approx(1.1205592875e-07, rel=1e-9)
 
     def test_density_below_cutoff(self):
-        assert vc_density(VC_1_20, 0.1) == 0.0
+        assert bound_density(VC_1_20, 0.1) == 0.0
 
     def test_density_refuses_eps_one(self):
         with pytest.raises(ValueError):
-            vc_density(VC_1_20, 1.0)
+            bound_density(VC_1_20, 1.0)
 
     def test_integral_plus_atom_is_one(self):
         lo = cutoff(VC_1_20)
-        integral = trapezoid_integral(lambda x: vc_density(VC_1_20, x), lo, 1.0 - 1e-12, 100_000)
-        assert integral + vc_point_mass(VC_1_20) == pytest.approx(1.0, abs=1e-6)
+        integral = trapezoid_integral(lambda x: bound_density(VC_1_20, x), lo, 1.0 - 1e-12, 100_000)
+        assert integral + bound_point_mass(VC_1_20) == pytest.approx(1.0, abs=1e-6)
 
     def test_higher_dimension(self):
         spec = BoundSpec.finite_vc(m=50, vc_dim=3)
         assert cutoff(spec) == pytest.approx((3 / 50) * math.log(50 * math.e / 3), rel=1e-12)
         eps = 0.9
         expected = 1.0 - math.exp(3 * math.log(50 * math.e / 3) - 45.0)
-        assert vc_cdf(spec, eps) == pytest.approx(expected, rel=1e-12)
+        assert bound_cdf(spec, eps) == pytest.approx(expected, rel=1e-12)
 
 
 class TestSampleComplexity:
@@ -208,7 +192,7 @@ class TestSampleComplexity:
         m = 35
         eps = (LN_1E9 - math.log(delta)) / m
         assert sample_complexity_finite(1e9, eps, delta) == m
-        assert finite_h_cdf(BoundSpec.finite_h(m=m, h_size=1e9), eps) == pytest.approx(1 - delta, abs=1e-12)
+        assert bound_cdf(BoundSpec.finite_h(m=m, h_size=1e9), eps) == pytest.approx(1 - delta, abs=1e-12)
 
     def test_vc_fixed_point(self):
         m = sample_complexity_vc(1, 0.5, 0.5)
@@ -283,13 +267,13 @@ class TestDiscretizeBound:
         # slot containing it carries CDF(0.44) = 0.0138
         q = discretize_bound(FH_59049_25, 100)
         assert all(q.masses[i] == 0.0 for i in range(43))
-        assert q.masses[43] == pytest.approx(finite_h_cdf(FH_59049_25, 0.44), rel=1e-12)
+        assert q.masses[43] == pytest.approx(bound_cdf(FH_59049_25, 0.44), rel=1e-12)
         assert q.masses[43] == pytest.approx(0.0137813, rel=1e-4)
 
     def test_slot_masses_match_cdf_differences(self):
         q = discretize_bound(VC_1_20, 50)
         for i in range(49):
-            expected = vc_cdf(VC_1_20, (i + 1) / 50) - vc_cdf(VC_1_20, i / 50)
+            expected = bound_cdf(VC_1_20, (i + 1) / 50) - bound_cdf(VC_1_20, i / 50)
             assert q.masses[i] == pytest.approx(expected, abs=1e-15)
 
     def test_vc_m1000_concentrates_low(self):
@@ -300,8 +284,8 @@ class TestDiscretizeBound:
 
     def test_last_slot_receives_atom(self):
         q = discretize_bound(FH_1E9_35, 100)
-        continuous = finite_h_cdf(FH_1E9_35, 1.0 - 1e-12) - finite_h_cdf(FH_1E9_35, 0.99)
-        assert q.masses[99] == pytest.approx(continuous + finite_h_point_mass(FH_1E9_35), abs=1e-9)
+        continuous = bound_cdf(FH_1E9_35, 1.0 - 1e-12) - bound_cdf(FH_1E9_35, 0.99)
+        assert q.masses[99] == pytest.approx(continuous + bound_point_mass(FH_1E9_35), abs=1e-9)
 
     def test_rejects_tiny_slot_count(self):
         with pytest.raises(ValueError):
