@@ -493,6 +493,9 @@ def _handle_experiment(args: argparse.Namespace) -> int:
     if task_name not in _TASK_DEFAULTS:
         raise ConfigError(f"unknown task {task_name!r}")
     defaults = _TASK_DEFAULTS[task_name] | _COMMON_DEFAULTS
+    other_key = "vc_dim" if task_name == "conjunction" else "n"
+    if _merged(args, file_config, other_key) is not None:
+        raise ConfigError(f"{other_key} does not apply to the {task_name} task")
 
     if task_name == "conjunction":
         task: Task = ConjunctionTask(n=int(_merged(args, file_config, "n", defaults["n"])))

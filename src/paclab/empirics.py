@@ -6,9 +6,11 @@ distribution that gets compared against the discretized theoretical
 bound.  Every trial owns an independent PCG64 stream seeded from
 (master_seed, m, trial_index) by a fixed 64-bit mix, so trial i sees
 the same stream whatever k is.  :func:`run_trials` derives all k streams
-of a sample size at once in vectorised NumPy arithmetic and moves one
-generator from stream to stream, which gives the same draws as building
-``Generator(PCG64(derive_trial_seed(...)))`` for every trial.
+of a sample size at once in vectorised NumPy arithmetic, seats one PCG64
+on each in turn and makes one NumPy call per trial into a chunk buffer:
+the draws of ``Generator(PCG64(derive_trial_seed(...)))`` built per
+trial.  Conjunction rows are raw outputs, decoded a chunk at a time and
+checked once per call against a ``Generator.integers`` replay.
 """
 
 from __future__ import annotations
@@ -64,10 +66,6 @@ def derive_trial_seed(master_seed: int, m: int, trial_index: int) -> int:
     return h
 
 
-def _trial_rng(master_seed: int, m: int, trial_index: int) -> np.random.Generator:
-    return np.random.Generator(np.random.PCG64(derive_trial_seed(master_seed, m, trial_index)))
-
-
 def _trial_seeds(master_seed: int, m: int, k: int) -> np.ndarray:
     """``derive_trial_seed(master_seed, m, i)`` for i < k, as uint64 (wrapping) arithmetic."""
     h = _mix64(((master_seed & _MASK64) + _GOLDEN_GAMMA + (m & _MASK64)) & _MASK64)
@@ -85,6 +83,9 @@ _MIX_MULT_R = 0x4973_F715
 # PCG64's 128-bit LCG multiplier and modulus.
 _PCG_MULT = 0x2360_ED05_1FC6_5DA4_4385_DF64_9FCC_F645
 _MASK128 = (1 << 128) - 1
+# Trials are drawn a chunk at a time into a buffer of this many bytes,
+# small enough that the buffer and its decoded copies leave peak RSS as is.
+_CHUNK_BYTES = 1 << 16
 
 
 def pcg64_states(seeds: np.ndarray) -> list[tuple[int, int]]:
@@ -136,25 +137,38 @@ def pcg64_states(seeds: np.ndarray) -> list[tuple[int, int]]:
     return states
 
 
-def _trial_streams(master_seed: int, m: int, k: int) -> Iterator[np.random.Generator]:
-    """One generator, moved onto trial i's stream before the i-th yield.
-
-    The caller must finish with each trial's draws before advancing.
-    """
+def _trial_draws(task: Task, m: int, k: int, master_seed: int, fixed_target: bool) -> Iterator[np.ndarray]:
+    """Chunks of rows, row i filled by one NumPy call on trial i's stream:
+    raw PCG64 outputs for ``task.decode`` (the first checked against
+    ``Generator.integers``), or the doubles of ``Generator.random``."""
     seeds = _trial_seeds(master_seed, m, k)
     states = pcg64_states(seeds)
     bit_generator = np.random.PCG64(int(seeds[0]))
     if bit_generator.state["state"] != {"state": states[0][0], "inc": states[0][1]}:
         raise RuntimeError(f"derived PCG64 state disagrees with NumPy {np.__version__} for seed {int(seeds[0])}")
     generator = np.random.Generator(bit_generator)
-    for state, inc in states:
-        bit_generator.state = {
-            "bit_generator": "PCG64",
-            "state": {"state": state, "inc": inc},
-            "has_uint32": 0,
-            "uinteger": 0,
-        }
-        yield generator
+    raw = isinstance(task, ConjunctionTask)
+    width = task.draw_width(m, fixed_target)
+    rows = max(1, _CHUNK_BYTES // (8 * width))
+    stream: dict[str, int] = {}
+    seat = {"bit_generator": "PCG64", "state": stream, "has_uint32": 0, "uinteger": 0}
+    for start in range(0, k, rows):
+        chunk = np.empty((min(rows, k - start), width), dtype=np.uint64 if raw else np.float64)
+        for row, state in zip(chunk, states[start : start + rows]):
+            stream["state"], stream["inc"] = state
+            bit_generator.state = seat
+            if raw:
+                row[:] = bit_generator.random_raw(width)
+            else:
+                generator.random(out=row)
+        if raw and start == 0:
+            stream["state"], stream["inc"] = states[0]
+            bit_generator.state = seat
+            codes, bits = task.decode(m, chunk[:1], fixed_target)
+            same = fixed_target or codes[0].tolist() == list(task.draw_target(generator).states)
+            if not (same and np.array_equal(bits[0], generator.integers(0, 2, size=(m, task.n), dtype=np.uint8))):
+                raise RuntimeError(f"raw-output decode disagrees with Generator.integers on NumPy {np.__version__}")
+        yield chunk
 
 
 @dataclass(frozen=True)
@@ -215,8 +229,11 @@ def run_trials(task: Task, m: int, k: int, master_seed: int, *, fixed_target: bo
     """
     if m < 1 or k < 1:
         raise ValueError(f"need m >= 1 and k >= 1, got m={m}, k={k}")
-    target = task.draw_target(_trial_rng(master_seed, m, FIXED_TARGET_INDEX)) if fixed_target else None
-    losses = task.trial_losses(m, _trial_streams(master_seed, m, k), target=target)
+    target = None
+    if fixed_target:
+        shared = np.random.PCG64(derive_trial_seed(master_seed, m, FIXED_TARGET_INDEX))
+        target = task.draw_target(np.random.Generator(shared))
+    losses = task.trial_losses(m, _trial_draws(task, m, k, master_seed, fixed_target), target=target)
     return TrialBatch(task=task, m=m, k=k, master_seed=master_seed, losses=losses)
 
 

@@ -4,7 +4,10 @@ Each task bundles ground-truth generation under a uniform data
 distribution, one consistent ERM learner, and one exact closed-form
 loss; the batched ``trial_losses`` and the object-level functions call
 the same ones (:func:`eliminate_literals` and :func:`disagreement` on
-:class:`VariableState` code arrays, :func:`learn_threshold`).
+:class:`VariableState` code arrays, :func:`learn_threshold` on rows of
+points).  ``trial_losses`` takes chunks of draws, one row per trial;
+:meth:`ConjunctionTask.decode` turns raw PCG64 rows into the draws of
+``Generator.integers``.
 Brute-force oracles (:func:`conjunction_loss_enumerate`,
 :func:`threshold_loss_monte_carlo`) exist so the closed forms never have
 to be taken on faith.
@@ -210,13 +213,13 @@ def random_threshold_target(rng: np.random.Generator) -> ThresholdHypothesis:
     return ThresholdHypothesis(float(rng.random()))
 
 
-def learn_threshold(negatives: np.ndarray) -> float:
-    """ERM cut from the sample points labeled 0 (all in [0, 1)): their minimum, else 1.0.
+def learn_threshold(points: np.ndarray, cuts) -> np.ndarray:
+    """ERM cut of each row of sample points in [0, 1) under that row's target cut.
 
-    With no negative point the cut is pushed to the top of the support,
-    the conservative consistent choice.
+    The points at or above the cut are labeled 0; the learned cut is the
+    smallest of them, or 1.0 (the conservative consistent choice) if none.
     """
-    return np.minimum.reduce(negatives, initial=1.0)
+    return np.where(points >= np.expand_dims(cuts, -1), points, 1.0).min(axis=-1, initial=1.0)
 
 
 def threshold_loss_exact(target: ThresholdHypothesis, learned: ThresholdHypothesis) -> float:
@@ -243,7 +246,9 @@ def threshold_loss_monte_carlo(
 # positive literals and +1 on negated ones, bits @ w equals minus the
 # number of positive literals exactly when the row satisfies the target.
 _LITERAL_WEIGHT = np.array([-1.0, 1.0, 0.0])
-_POSITIVE_CODE = int(VariableState.POSITIVE)  # a plain int compares faster than the enum
+# uint32 words reserved past the n target words for zero words, which the
+# target draw rejects; a trial needing more raises (odds about 2**-90).
+_SPARE_WORDS = 2
 
 
 @dataclass(frozen=True)
@@ -261,27 +266,58 @@ class ConjunctionTask:
     def draw_target(self, rng: np.random.Generator) -> ConjunctionHypothesis:
         return random_conjunction_target(self.n, rng)
 
-    def trial_losses(
-        self, m: int, rngs: Iterable[np.random.Generator], target: ConjunctionHypothesis | None = None
-    ) -> np.ndarray:
-        """Exact loss of one trial per generator in ``rngs``.
+    def draw_width(self, m: int, fixed_target: bool) -> int:
+        """Raw PCG64 outputs one trial reads: its target words (none if fixed), then m*n bit bytes."""
+        return -(-(4 * (0 if fixed_target else self.n + _SPARE_WORDS) + m * self.n) // 8)
 
-        Each trial makes the draws of :func:`random_conjunction_target`
-        (unless ``target`` is given) and then m uniform assignments, keeps
-        the column sums of the rows the target accepts; all trials are
-        then learned by :func:`eliminate_literals` and scored by
-        :func:`disagreement` at once.
+    def decode(self, m: int, raw: np.ndarray, fixed_target: bool) -> tuple[np.ndarray | None, np.ndarray]:
+        """Target codes (k, n) (None if fixed) and bits (k, m, n) of k trials from their raw outputs.
+
+        Equals ``rng.integers(0, 3, size=n)`` then ``rng.integers(0, 2,
+        size=(m, n), dtype=np.uint8)`` on each trial's stream.  Both read
+        uint32 words, the low half of each output first.  Lemire's method
+        (ACM TOMACS 2019) maps word w to ``(3 * w) >> 32`` and, for range
+        3, rejects exactly w = 0; a bit is the top bit of one byte of the
+        words after the target, low byte first.
+        """
+        n, bytes_ = self.n, raw.view(np.uint8)
+        if fixed_target:
+            return None, bytes_[:, : m * n].reshape(-1, m, n) >> 7
+        words = raw.view(np.uint32)[:, : n + _SPARE_WORDS].astype(np.int64)
+        codes = (3 * words[:, :n]) >> 32
+        bits = bytes_[:, 4 * n : 4 * n + m * n].reshape(-1, m, n) >> 7
+        for row in np.flatnonzero((words[:, :n] == 0).any(axis=1)):
+            kept = np.flatnonzero(words[row])[:n]
+            if kept.size < n:
+                raise RuntimeError(f"more than {_SPARE_WORDS} zero words in a conjunction target draw")
+            codes[row] = (3 * words[row, kept]) >> 32
+            start = 4 * (kept[-1] + 1)
+            bits[row] = bytes_[row, start : start + m * n].reshape(m, n) >> 7
+        return codes, bits
+
+    def trial_losses(
+        self, m: int, chunks: Iterable[np.ndarray], target: ConjunctionHypothesis | None = None
+    ) -> np.ndarray:
+        """Exact loss of each trial from chunks of rows of raw outputs, one row per trial (see :meth:`decode`).
+
+        Batched matmuls reduce each chunk to the column sums of the rows
+        the target accepts, exact since float32 holds every count below
+        2**24; all trials are then learned by :func:`eliminate_literals`
+        and scored by :func:`disagreement` at once.
         """
         fixed = None if target is None else np.array(target.states, dtype=np.int64)
+        exact = np.float32 if m < 1 << 24 else np.float64
         codes, ones, positives = [], [], []
-        for rng in rngs:
-            code = rng.integers(0, 3, size=self.n) if fixed is None else fixed
-            bits = rng.integers(0, 2, size=(m, self.n), dtype=np.uint8).astype(np.float64)
-            accepted = bits @ _LITERAL_WEIGHT[code] == -np.count_nonzero(code == _POSITIVE_CODE)
+        for raw in chunks:
+            code, bits = self.decode(m, raw, fixed is not None)
+            code = np.broadcast_to(fixed, (len(raw), self.n)) if fixed is not None else code
+            bits = bits.astype(exact)
+            checks = (bits @ _LITERAL_WEIGHT.astype(exact)[code][:, :, None])[:, :, 0]
+            accepted = checks == -np.count_nonzero(code == VariableState.POSITIVE, axis=1)[:, None]
             codes.append(code)
-            ones.append(accepted.astype(np.float64) @ bits)
-            positives.append(np.count_nonzero(accepted))
-        return disagreement(np.array(codes), eliminate_literals(np.array(ones), np.array(positives)))
+            ones.append((accepted.astype(exact)[:, None, :] @ bits)[:, 0, :])
+            positives.append(np.count_nonzero(accepted, axis=1))
+        return disagreement(np.concatenate(codes), eliminate_literals(np.concatenate(ones), np.concatenate(positives)))
 
 
 @dataclass(frozen=True)
@@ -293,20 +329,20 @@ class ThresholdTask:
     def draw_target(self, rng: np.random.Generator) -> ThresholdHypothesis:
         return random_threshold_target(rng)
 
-    def trial_losses(
-        self, m: int, rngs: Iterable[np.random.Generator], target: ThresholdHypothesis | None = None
-    ) -> np.ndarray:
-        """Exact loss of one trial per generator in ``rngs``.
+    def draw_width(self, m: int, fixed_target: bool) -> int:
+        """Uniform doubles one trial reads: its target cut (none if fixed), then m points."""
+        return m + (not fixed_target)
 
-        Each trial makes the draws of :func:`random_threshold_target`
-        (unless ``target`` is given) and then m uniform points, which
-        :func:`learn_threshold` reduces to the ERM cut; the loss is the
+    def trial_losses(
+        self, m: int, chunks: Iterable[np.ndarray], target: ThresholdHypothesis | None = None
+    ) -> np.ndarray:
+        """Exact loss of each trial from chunks of rows ``[a, x_1..x_m]`` (``[x_1..x_m]`` with a fixed target).
+
+        :func:`learn_threshold` gives each row's ERM cut; the loss is the
         cut minus the target.
         """
-        cuts, learned = [], []
-        for rng in rngs:
-            a = rng.random() if target is None else target.a
-            xs = rng.random(m)
-            cuts.append(a)
-            learned.append(learn_threshold(xs[xs >= a]))
-        return np.array(learned) - np.array(cuts)
+        losses = []
+        for draws in chunks:
+            cut, points = (draws[:, 0], draws[:, 1:]) if target is None else (target.a, draws)
+            losses.append(learn_threshold(points, cut) - cut)
+        return np.concatenate(losses)

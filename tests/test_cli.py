@@ -160,6 +160,21 @@ class TestConfigHandling:
         assert main([command, "--config", str(cfg), "--out-dir", str(out)]) == 1
         assert not out.exists()
 
+    @pytest.mark.parametrize(
+        "task, flag, line",
+        [("threshold", ["--n", "5"], "n=5"), ("conjunction", ["--vc-dim", "3"], "vc_dim=3")],
+    )
+    def test_key_of_other_task_rejected(self, tmp_path, capsys, task, flag, line):
+        out = tmp_path / "out"
+        common = ["experiment", "--trials", "3", "--m-max", "40", "--out-dir", str(out)]
+        assert main(common + ["--task", task] + flag) == 1
+        assert f"{task} task" in capsys.readouterr().err
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(f"task={task}\n{line}\n")
+        assert main(common + ["--config", str(cfg)]) == 1
+        assert f"{task} task" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_manifest_of_other_subcommand_rejected(self, tmp_path, capsys):
         cmd_bound("finite-h", [22], tmp_path / "bound", h_size=1e9)
         cmd_experiment(small_config(), tmp_path / "experiment")

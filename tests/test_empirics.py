@@ -17,22 +17,30 @@ from paclab.empirics import (
     run_trials,
 )
 from paclab.learners import (
+    ConjunctionHypothesis,
     ConjunctionTask,
     ThresholdHypothesis,
     ThresholdTask,
+    VariableState,
     conjunction_loss_exact,
     label_conjunction_batch,
     learn_conjunction_bits,
-    learn_threshold,
     threshold_loss_exact,
 )
 from paclab.theory import BoundSpec, discretize_bound
 
 EDGE_SEEDS = [0, 1, 2**32 - 1, 2**32, 2**63, 2**64 - 1]
+PCG_MULT = 0x2360_ED05_1FC6_5DA4_4385_DF64_9FCC_F645
+MASK64 = 2**64 - 1
 
 
 def trial_rng(seed, m, index):
     return np.random.Generator(np.random.PCG64(derive_trial_seed(seed, m, index)))
+
+
+def erm_cut(target, xs):
+    """Smallest point ``target`` labels 0, else 1.0: the threshold ERM in plain Python."""
+    return min((x for x in xs.tolist() if target.classify(x) == 0), default=1.0)
 
 
 def reference_losses(task, m, k, seed, fixed_target):
@@ -47,8 +55,7 @@ def reference_losses(task, m, k, seed, fixed_target):
             learned = learn_conjunction_bits(bits, label_conjunction_batch(target, bits))
             losses.append(conjunction_loss_exact(target, learned))
         else:
-            negatives = np.array([x for x in rng.random(m).tolist() if target.classify(x) == 0])
-            losses.append(threshold_loss_exact(target, ThresholdHypothesis(learn_threshold(negatives))))
+            losses.append(threshold_loss_exact(target, ThresholdHypothesis(erm_cut(target, rng.random(m)))))
     return losses
 
 
@@ -126,6 +133,105 @@ class TestStreamSeeding:
                 assert batch.losses.tolist() == reference_losses(task, m, 6, seed, fixed_target), (task, m)
 
 
+def pcg64_with_first_output(value, hi=0xDEAD_BEEF_0123_4567, inc=0x5851_F42D_4C95_7F2D_1405_7B7E_F767_814F):
+    """A PCG64 whose next output is ``value``.
+
+    A step goes state -> state * MULT + inc, then XSL-RR outputs
+    rotr64(hi ^ lo, hi >> 58) of the stepped state, so choosing
+    lo = hi ^ rotl64(value, hi >> 58) fixes the output; the state before
+    the step is (stepped - inc) * MULT**-1 mod 2**128.
+    """
+    rot = hi >> 58
+    lo = hi ^ (((value << rot) | (value >> (64 - rot))) & MASK64)
+    state = (((hi << 64) | lo) - inc) * pow(PCG_MULT, -1, 2**128) % 2**128
+    bit_generator = np.random.PCG64()
+    bit_generator.state = {"bit_generator": "PCG64", "state": {"state": state, "inc": inc}, "has_uint32": 0, "uinteger": 0}
+    return bit_generator
+
+
+def replayed_draws(task, m, bit_generator, fixed_target):
+    """Target codes and bits through Generator.integers, the reference the decode must equal."""
+    rng = np.random.Generator(bit_generator)
+    codes = None if fixed_target else rng.integers(0, 3, size=task.n)
+    return codes, rng.integers(0, 2, size=(m, task.n), dtype=np.uint8)
+
+
+def decoded_draws(task, m, bit_generator, fixed_target):
+    state = bit_generator.state
+    codes, bits = task.decode(m, bit_generator.random_raw(task.draw_width(m, fixed_target))[None], fixed_target)
+    bit_generator.state = state
+    return None if codes is None else codes[0], bits[0]
+
+
+class TestRawDecode:
+    # 0 makes both uint32 words of the first output zero; the others one of them.
+    @pytest.mark.parametrize("first", [0, 0xFFFF_FFFF_0000_0000, 0x0000_0000_FFFF_FFFF, 0x0000_0003_0000_0000])
+    @pytest.mark.parametrize("n", [1, 3, 10, 17])
+    def test_zero_target_words_are_skipped(self, first, n):
+        task = ConjunctionTask(n)
+        bit_generator = pcg64_with_first_output(first)
+        assert int(bit_generator.random_raw()) == first
+        bit_generator = pcg64_with_first_output(first)
+        codes, bits = decoded_draws(task, 25, bit_generator, False)
+        expected_codes, expected_bits = replayed_draws(task, 25, bit_generator, False)
+        assert codes.tolist() == expected_codes.tolist()
+        assert np.array_equal(bits, expected_bits)
+
+    @pytest.mark.parametrize("n", [1, 3, 10])
+    def test_zero_word_row_scores_in_a_batch(self, n):
+        m, task = 40, ConjunctionTask(n)
+
+        def streams():
+            return [np.random.PCG64(5), pcg64_with_first_output(0), np.random.PCG64(6)]
+
+        raw = np.stack([bg.random_raw(task.draw_width(m, False)) for bg in streams()])
+        expected = []
+        for bg in streams():
+            codes, bits = replayed_draws(task, m, bg, False)
+            target = ConjunctionHypothesis(tuple(VariableState(int(c)) for c in codes))
+            expected.append(conjunction_loss_exact(target, learn_conjunction_bits(bits, label_conjunction_batch(target, bits))))
+        assert task.trial_losses(m, [raw[:1], raw[1:]]).tolist() == expected
+
+    def test_too_many_zero_words_raise(self):
+        task = ConjunctionTask(4)
+        with pytest.raises(RuntimeError):
+            task.decode(10, np.zeros((1, task.draw_width(10, False)), dtype=np.uint64), False)
+
+    @pytest.mark.parametrize("fixed_target", [False, True])
+    @pytest.mark.parametrize("n", [1, 3, 17])
+    def test_odd_n_bits_start_mid_output(self, n, fixed_target):
+        task = ConjunctionTask(n)
+        for seed in range(20):
+            for m in (1, 2, 7, 300):
+                codes, bits = decoded_draws(task, m, np.random.PCG64(seed), fixed_target)
+                expected_codes, expected_bits = replayed_draws(task, m, np.random.PCG64(seed), fixed_target)
+                assert fixed_target or codes.tolist() == expected_codes.tolist()
+                assert np.array_equal(bits, expected_bits)
+
+    @pytest.mark.parametrize("fixed_target", [False, True])
+    @pytest.mark.parametrize("task", [ConjunctionTask(10), ThresholdTask()], ids=["conjunction", "threshold"])
+    def test_chunk_boundaries(self, task, fixed_target):
+        rows = empirics._CHUNK_BYTES // (8 * task.draw_width(1250, fixed_target))
+        assert rows > 1
+        for k in (rows - 1, rows, rows + 1):
+            losses = run_trials(task, 1250, k, 2024, fixed_target=fixed_target).losses
+            assert losses.tolist() == reference_losses(task, 1250, k, 2024, fixed_target), k
+
+    @pytest.mark.parametrize("broken, fixed_target", [("codes", False), ("bits", False), ("bits", True)])
+    def test_bad_decode_raises(self, monkeypatch, broken, fixed_target):
+        decode = ConjunctionTask.decode
+
+        def bad_decode(self, m, raw, fixed):
+            codes, bits = decode(self, m, raw, fixed)
+            if broken == "codes":
+                return (codes + 1) % 3, bits
+            return codes, bits ^ (np.arange(self.n) == self.n - 1)  # flips the last variable
+
+        monkeypatch.setattr(ConjunctionTask, "decode", bad_decode)
+        with pytest.raises(RuntimeError, match="decode"):
+            run_trials(ConjunctionTask(10), 25, 3, 2024, fixed_target=fixed_target)
+
+
 class TestRunTrials:
     def test_batch_shape_and_range(self):
         batch = run_trials(ConjunctionTask(10), 25, 300, 2024)
@@ -174,8 +280,7 @@ class TestRunTrials:
         target = task.draw_target(trial_rng(seed, m, FIXED_TARGET_INDEX))
         batch = run_trials(task, m, k, seed, fixed_target=True)
         for i, loss in enumerate(batch.losses):
-            negatives = np.array([x for x in trial_rng(seed, m, i).random(m).tolist() if target.classify(x) == 0])
-            assert loss == threshold_loss_exact(target, ThresholdHypothesis(learn_threshold(negatives)))
+            assert loss == threshold_loss_exact(target, ThresholdHypothesis(erm_cut(target, trial_rng(seed, m, i).random(m))))
 
     def test_rejects_bad_sizes(self):
         with pytest.raises(ValueError):
@@ -227,23 +332,32 @@ def binom_pmf(trials, q):
     return np.exp(log_comb + counts * math.log(q) + (trials - counts) * math.log1p(-q))
 
 
-def conjunction_loss_law(n, m):
-    """Exact law of one per-trial conjunction loss as {loss: probability}.
+def fixed_conjunction_loss_law(n, j, m):
+    """Exact law of one conjunction loss under a fixed target of j literals.
 
-    The target has j ~ Bin(n, 2/3) literals and the sample p ~ Bin(m, 2**-j)
-    positives.  With p = 0 the learner stays contradictory and the loss is
-    2**-j; otherwise each of the n - j free variables keeps a literal with
-    probability 2**(1-p), and s kept literals give loss 2**-j - 2**-(j+s).
+    The sample has p ~ Bin(m, 2**-j) positives.  With p = 0 the learner
+    stays contradictory and the loss is 2**-j; otherwise each of the n - j
+    free variables keeps a literal with probability 2**(1-p), and s kept
+    literals give loss 2**-j - 2**-(j+s).
     """
     law = {}
+    for p, p_p in enumerate(binom_pmf(m, 2.0**-j)):
+        if p == 0:
+            law[2.0**-j] = law.get(2.0**-j, 0.0) + p_p
+            continue
+        for s, p_s in enumerate(binom_pmf(n - j, 2.0 ** (1 - p))):
+            loss = 2.0**-j - 2.0 ** -(j + s)
+            law[loss] = law.get(loss, 0.0) + p_p * p_s
+    return law
+
+
+def conjunction_loss_law(n, m):
+    """Exact law of one per-trial conjunction loss as {loss: probability}:
+    the fixed-target law mixed over j ~ Bin(n, 2/3) target literals."""
+    law = {}
     for j, p_j in enumerate(binom_pmf(n, 2 / 3)):
-        for p, p_p in enumerate(binom_pmf(m, 2.0**-j)):
-            if p == 0:
-                law[2.0**-j] = law.get(2.0**-j, 0.0) + p_j * p_p
-                continue
-            for s, p_s in enumerate(binom_pmf(n - j, 2.0 ** (1 - p))):
-                loss = 2.0**-j - 2.0 ** -(j + s)
-                law[loss] = law.get(loss, 0.0) + p_j * p_p * p_s
+        for loss, prob in fixed_conjunction_loss_law(n, j, m).items():
+            law[loss] = law.get(loss, 0.0) + p_j * prob
     return law
 
 
@@ -277,7 +391,8 @@ def chi_square_sf(stat, df):
 
 class TestConjunctionLossLaw:
     """Chi-square tests of 20,000 losses (n = 10) against the exact law,
-    family alpha = 0.001 split over the two sample sizes (Bonferroni)."""
+    family alpha = 0.001 split over the two sample sizes of each target
+    mode (Bonferroni)."""
 
     K = 20_000
     ALPHA = 0.001 / 2
@@ -287,6 +402,17 @@ class TestConjunctionLossLaw:
         law = conjunction_loss_law(10, m)
         assert math.fsum(law.values()) == pytest.approx(1.0, abs=1e-12)
         losses = run_trials(ConjunctionTask(10), m, self.K, 2024).losses
+        assert set(np.unique(losses).tolist()) <= set(law)
+        stat, df = pooled_chi_square(losses, law)
+        assert chi_square_sf(stat, df) > self.ALPHA
+
+    @pytest.mark.parametrize("m", [25, 100])
+    def test_fixed_target(self, m):
+        # Seed 2024 gives targets of 3 literals at m = 25 and 8 at m = 100.
+        target = ConjunctionTask(10).draw_target(trial_rng(2024, m, FIXED_TARGET_INDEX))
+        law = fixed_conjunction_loss_law(10, sum(s != VariableState.ABSENT for s in target.states), m)
+        assert math.fsum(law.values()) == pytest.approx(1.0, abs=1e-12)
+        losses = run_trials(ConjunctionTask(10), m, self.K, 2024, fixed_target=True).losses
         assert set(np.unique(losses).tolist()) <= set(law)
         stat, df = pooled_chi_square(losses, law)
         assert chi_square_sf(stat, df) > self.ALPHA

@@ -242,18 +242,18 @@ class TestThresholdSampling:
 
 class TestLearnThreshold:
     def test_takes_smallest_negative(self):
-        assert learn_threshold(negatives_of(ThresholdHypothesis(0.5), np.array([0.2, 0.9, 0.7]))) == 0.7
+        assert learn_threshold(np.array([0.2, 0.9, 0.7]), 0.5) == 0.7
 
     def test_fallback_without_negatives(self):
-        assert learn_threshold(negatives_of(ThresholdHypothesis(0.6), np.array([0.2, 0.5]))) == 1.0
-        assert learn_threshold(np.array([])) == 1.0
+        assert learn_threshold(np.array([0.2, 0.5]), 0.6) == 1.0
+        assert learn_threshold(np.array([]), 0.3) == 1.0
 
     def test_estimate_never_undershoots_target(self):
         rng = np.random.default_rng(37)
         for _ in range(200):
             target = random_threshold_target(rng)
             xs = rng.random(int(rng.integers(1, 40)))
-            assert learn_threshold(negatives_of(target, xs)) >= target.a
+            assert learn_threshold(xs, target.a) >= target.a
 
     def test_estimate_tightens_with_more_points(self):
         rng = np.random.default_rng(41)
@@ -262,9 +262,17 @@ class TestLearnThreshold:
             xs = rng.random(60)
             prev = 1.0
             for cut in (5, 15, 30, 60):
-                a_hat = learn_threshold(negatives_of(target, xs[:cut]))
+                a_hat = learn_threshold(xs[:cut], target.a)
                 assert a_hat <= prev
                 prev = a_hat
+
+
+    def test_rows_match_classify_labels(self):
+        rng = np.random.default_rng(43)
+        points, cuts = rng.random((40, 12)), rng.random(40)
+        learned = learn_threshold(points, cuts)
+        for xs, a, a_hat in zip(points, cuts, learned):
+            assert a_hat == min(negatives_of(ThresholdHypothesis(a), xs).tolist(), default=1.0)
 
 
 class TestThresholdLoss:
@@ -288,7 +296,8 @@ class TestTaskTrials:
     def test_conjunction_trial_matches_op_composition(self):
         # replay each trial's exact draw order through the scalar operations
         task = ConjunctionTask(8)
-        losses = task.trial_losses(12, (np.random.default_rng(seed) for seed in range(20)))
+        raw = np.stack([np.random.PCG64(seed).random_raw(task.draw_width(12, False)) for seed in range(20)])
+        losses = task.trial_losses(12, [raw])
         for seed, loss in enumerate(losses):
             rng = np.random.default_rng(seed)
             target = random_conjunction_target(8, rng)
@@ -299,18 +308,19 @@ class TestTaskTrials:
 
     def test_threshold_trial_matches_op_composition(self):
         task = ThresholdTask()
-        losses = task.trial_losses(15, (np.random.default_rng(seed) for seed in range(20)))
+        losses = task.trial_losses(15, [np.stack([np.random.default_rng(seed).random(16) for seed in range(20)])])
         for seed, loss in enumerate(losses):
             rng = np.random.default_rng(seed)
             target = random_threshold_target(rng)
             xs = rng.random(15)
-            expected = threshold_loss_exact(target, ThresholdHypothesis(learn_threshold(negatives_of(target, xs))))
+            expected = threshold_loss_exact(target, ThresholdHypothesis(min(negatives_of(target, xs).tolist(), default=1.0)))
             assert loss == pytest.approx(expected, abs=0.0)
 
     def test_trials_accept_fixed_target(self):
         task = ConjunctionTask(5)
         target = hyp(P, N, A, A, P)
-        l1, l2 = task.trial_losses(10, [np.random.default_rng(2), np.random.default_rng(2)], target=target)
+        raw = np.random.PCG64(2).random_raw(task.draw_width(10, True))
+        l1, l2 = task.trial_losses(10, [raw[None], raw[None]], target=target)
         assert l1 == l2
         bits = np.random.default_rng(2).integers(0, 2, size=(10, 5), dtype=np.uint8)
         assert l1 == conjunction_loss_exact(target, learn_conjunction_bits(bits, label_conjunction_batch(target, bits)))
