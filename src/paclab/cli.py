@@ -10,11 +10,13 @@ Three subcommands:
 * ``kl`` recomputes the divergence between two distributions stored in
   CSV form.
 
-Every file-producing run emits a manifest that pins the configuration;
-feeding a manifest back through ``--config`` reproduces the run byte for
-byte.  Reals are printed with 17 significant digits so parsing them back
-recovers the exact float.  Exit codes: 0 success, 1 invalid
-configuration or input data, 2 I/O failure.
+A subcommand's argparse parser is its one schema: a ``--config`` file is
+read as its flags (key ``m_start`` as ``--m-start``) ahead of the command
+line's, which override them.  Every file-producing run emits a manifest
+that pins the configuration; feeding it back through ``--config``
+reproduces the run byte for byte.  Reals are printed with 17
+significant digits so parsing them back recovers the exact float.  Exit
+codes: 0 success, 1 invalid configuration or input data, 2 I/O failure.
 """
 
 from __future__ import annotations
@@ -26,7 +28,7 @@ import json
 import math
 import os
 import sys
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from pathlib import Path
 from typing import Sequence
 
@@ -68,6 +70,7 @@ _TASK_DEFAULTS = {
     "threshold": {"vc_dim": 1, "m_start": 20, "m_step": 20, "m_max": 1000},
 }
 _COMMON_DEFAULTS = {"slots": 100, "trials": 1000, "gt_mode": "per-trial", "out_dir": "paclab-out"}
+_BOUND_DEFAULTS = {"kind": "finite-h", "m": [22, 35, 100], "slots": 100, "out_dir": "paclab-out"}
 
 _GRID_POINTS = 1000
 _GRID_TOP = 1.1
@@ -90,13 +93,7 @@ class RunManifest:
     outputs: dict
 
     def to_json(self) -> str:
-        payload = {
-            "command": self.command,
-            "version": self.version,
-            "config": self.config,
-            "outputs": self.outputs,
-        }
-        return json.dumps(payload, indent=2, sort_keys=True) + "\n"
+        return json.dumps(asdict(self), indent=2, sort_keys=True) + "\n"
 
 
 # ---------------------------------------------------------------------------
@@ -131,20 +128,20 @@ def _write_csv(path: Path, header: Sequence[str], rows: Sequence[Sequence]) -> N
 _LN3 = math.log(3.0)
 
 
-def task_bound_spec(task: Task, m: int, vc_dim: int = 1) -> BoundSpec:
-    """Theoretical bound matched to a task: |H| = 3**n, or VC dimension d."""
+def task_bound_spec(task: Task, m: int) -> BoundSpec:
+    """Theoretical bound matched to a task: |H| = 3**n, or the threshold task's VC dimension."""
     if isinstance(task, ConjunctionTask):
         return BoundSpec.finite_h(m=m, log_h_size=task.n * _LN3)
-    return BoundSpec.finite_vc(m=m, vc_dim=vc_dim)
+    return BoundSpec.finite_vc(m=m, vc_dim=task.vc_dim)
 
 
-def run_experiment(config: ExperimentConfig, *, vc_dim: int = 1) -> list[ExperimentRecord]:
+def run_experiment(config: ExperimentConfig) -> list[ExperimentRecord]:
     """Empirical and theoretical distributions for every scheduled m."""
     records = []
     for m in config.schedule():
         batch = run_trials(config.task, m, config.trials, config.master_seed, fixed_target=config.fixed_target)
         empirical = histogram(batch.losses, config.num_slots)
-        theoretical = discretize_bound(task_bound_spec(config.task, m, vc_dim), config.num_slots)
+        theoretical = discretize_bound(task_bound_spec(config.task, m), config.num_slots)
         records.append(ExperimentRecord(m=m, empirical=empirical, theoretical=theoretical))
     return records
 
@@ -157,11 +154,11 @@ def _distribution_rows(m: int, source: str, dist: DiscreteDistribution) -> list[
     return rows
 
 
-def cmd_experiment(config: ExperimentConfig, out_dir: str | Path, *, vc_dim: int = 1) -> RunManifest:
+def cmd_experiment(config: ExperimentConfig, out_dir: str | Path) -> RunManifest:
     """Run the experiment and write distributions.csv, curve.csv, manifest.json."""
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
-    records = run_experiment(config, vc_dim=vc_dim)
+    records = run_experiment(config)
     curve = build_curve(records)
 
     dist_rows = []
@@ -170,21 +167,17 @@ def cmd_experiment(config: ExperimentConfig, out_dir: str | Path, *, vc_dim: int
         dist_rows += _distribution_rows(rec.m, "Q", rec.theoretical)
     curve_rows = [[pt.m, pt.mean_p, pt.std_p, pt.mean_q, pt.std_q, pt.kl] for pt in curve]
 
-    task = config.task
-    echo: dict = {"task": task.name}
-    if isinstance(task, ConjunctionTask):
-        echo["n"] = task.n
-    else:
-        echo["vc_dim"] = vc_dim
-    echo.update(
-        slots=config.num_slots,
-        trials=config.trials,
-        m_start=config.m_start,
-        m_step=config.m_step,
-        m_max=config.m_max,
-        seed=config.master_seed,
-        gt_mode="fixed" if config.fixed_target else "per-trial",
-    )
+    echo = {
+        "task": config.task.name,
+        **asdict(config.task),
+        "slots": config.num_slots,
+        "trials": config.trials,
+        "m_start": config.m_start,
+        "m_step": config.m_step,
+        "m_max": config.m_max,
+        "seed": config.master_seed,
+        "gt_mode": "fixed" if config.fixed_target else "per-trial",
+    }
     manifest = RunManifest(
         command="experiment",
         version=__version__,
@@ -203,10 +196,14 @@ def cmd_experiment(config: ExperimentConfig, out_dir: str | Path, *, vc_dim: int
 
 def _bound_spec_from_params(kind: str, m: int, h_size: float | None, log_h_size: float | None, vc_dim: int | None) -> BoundSpec:
     if kind == "finite-h":
+        if vc_dim is not None:
+            raise ConfigError("vc_dim does not apply to the finite-h bound")
         if h_size is None and log_h_size is None:
             raise ConfigError("finite-h bound needs --h-size or --log-h-size")
         return BoundSpec.finite_h(m=m, h_size=h_size, log_h_size=log_h_size)
     if kind == "vc":
+        if h_size is not None or log_h_size is not None:
+            raise ConfigError("h_size and log_h_size do not apply to the vc bound")
         if vc_dim is None:
             raise ConfigError("vc bound needs --vc-dim")
         return BoundSpec.finite_vc(m=m, vc_dim=vc_dim)
@@ -228,19 +225,17 @@ def cmd_bound(
     Writes bound_grid.csv (m, eps, cdf, density on a fixed grid over
     [0, 1.1]), bound_summary.csv (m, cutoff, point_mass), bound_q.csv
     (discretized slot masses, same schema as distributions.csv), and a
-    manifest.
+    manifest; a bad parameter fails before the directory is created.
     """
     if not m_list:
         raise ConfigError("need at least one sample size m")
-    out = Path(out_dir)
-    out.mkdir(parents=True, exist_ok=True)
+    specs = [_bound_spec_from_params(kind, m, h_size, log_h_size, vc_dim) for m in m_list]
 
     grid = np.linspace(0.0, _GRID_TOP, _GRID_POINTS)
     grid_rows = []
     summary_rows = []
     q_rows = []
-    for m in m_list:
-        spec = _bound_spec_from_params(kind, m, h_size, log_h_size, vc_dim)
+    for m, spec in zip(m_list, specs):
         for eps in grid:
             eps_f = float(eps)
             grid_rows.append([m, eps_f, bound_cdf(spec, eps_f), bound_density(spec, eps_f)])
@@ -266,6 +261,8 @@ def cmd_bound(
             "manifest": "manifest.json",
         },
     )
+    out = Path(out_dir)
+    out.mkdir(parents=True, exist_ok=True)
     _write_csv(out / "bound_grid.csv", ["m", "eps", "cdf", "density"], grid_rows)
     _write_csv(out / "bound_summary.csv", ["m", "cutoff", "point_mass"], summary_rows)
     _write_csv(out / "bound_q.csv", DISTRIBUTIONS_HEADER, q_rows)
@@ -356,33 +353,16 @@ def cmd_kl(
 
 
 # ---------------------------------------------------------------------------
-# Configuration loading and merging
+# Configuration files
 # ---------------------------------------------------------------------------
 
-def _parse_m_list(value) -> list[int]:
-    if isinstance(value, (list, tuple)):
-        return [int(v) for v in value]
-    return [int(part) for part in str(value).split(",") if part.strip()]
-
-_SHARED_KEY_TYPES = {"vc_dim": int, "slots": int, "out_dir": str}
-# Config keys per subcommand; a key of the other subcommand is rejected, not ignored.
-_KEY_TYPES = {
-    "experiment": _SHARED_KEY_TYPES | {
-        "task": str,
-        "n": int,
-        "trials": int,
-        "m_start": int,
-        "m_step": int,
-        "m_max": int,
-        "seed": int,
-        "gt_mode": str,
-    },
-    "bound": _SHARED_KEY_TYPES | {"kind": str, "h_size": float, "log_h_size": float, "m": _parse_m_list},
-}
+def _parse_m_list(value: str) -> list[int]:
+    return [int(part) for part in value.split(",") if part.strip()]
 
 
-def load_config_file(path: str | Path, command: str) -> dict:
-    """Read ``command``'s config: flat key=value lines, JSON, or a previous manifest of it."""
+def _config_flags(path: str | Path, command: str) -> list[str]:
+    """``command``'s key=value lines, JSON config or manifest as ``--key=value``
+    flags: ``_`` becomes ``-``, and a JSON list a comma-joined value."""
     text = Path(path).read_text(encoding="utf-8")
     raw: dict = {}
     try:
@@ -397,42 +377,20 @@ def load_config_file(path: str | Path, command: str) -> dict:
             key, _, value = line.partition("=")
             raw[key.strip()] = value.strip()
     else:
-        if not isinstance(obj, dict):
-            raise ConfigError(f"{path}: JSON config must be an object")
-        if obj.get("command", command) != command:
+        if isinstance(obj, dict) and obj.get("command", command) != command:
             raise ConfigError(f"{path}: manifest of a {obj['command']!r} run, not {command!r}")
-        raw = obj.get("config", obj)
-    key_types = _KEY_TYPES[command]
-    typed = {}
+        raw = obj.get("config", obj) if isinstance(obj, dict) else obj
+        if not isinstance(raw, dict):
+            raise ConfigError(f"{path}: JSON config must be an object")
+    flags = []
     for key, value in raw.items():
-        if key not in key_types:
+        # A key names a flag exactly: no nested config, no dashed spelling.
+        if key == "config" or "-" in key:
             raise ConfigError(f"{path}: unknown config key {key!r} for {command}")
-        try:
-            typed[key] = key_types[key](value)
-        except (TypeError, ValueError) as exc:
-            raise ConfigError(f"{path}: bad value for {key!r}: {value!r}") from exc
-    return typed
-
-
-def _merged(args: argparse.Namespace, file_config: dict, key: str, default=None):
-    value = getattr(args, key, None)
-    if value is None:
-        value = file_config.get(key, default)
-    return value
-
-
-def _resolve_seed(args: argparse.Namespace, file_config: dict) -> int:
-    seed = _merged(args, file_config, "seed")
-    if seed is None:
-        env = os.environ.get(SEED_ENV_VAR)
-        if env is not None:
-            try:
-                seed = int(env)
-            except ValueError:
-                raise ConfigError(f"{SEED_ENV_VAR} must be an integer, got {env!r}")
-        else:
-            seed = DEFAULT_SEED
-    return int(seed)
+        if isinstance(value, list):
+            value = ",".join(str(v) for v in value)
+        flags.append(f"--{key.replace('_', '-')}={value}")
+    return flags
 
 
 # ---------------------------------------------------------------------------
@@ -447,11 +405,13 @@ class _Parser(argparse.ArgumentParser):
 
 
 def build_parser() -> argparse.ArgumentParser:
+    """The one schema of each subcommand, for flags and config keys alike."""
     parser = _Parser(prog="paclab", description="Risk-bound simulation lab for PAC-learnable tasks.")
     parser.add_argument("--version", action="version", version=f"paclab {__version__}")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    exp = sub.add_parser("experiment", help="run a learning-curve experiment", parents=[], add_help=True)
+    # No abbreviated flags: a config key must name its flag exactly.
+    exp = sub.add_parser("experiment", help="run a learning-curve experiment", allow_abbrev=False)
     exp.add_argument("--task", choices=["conjunction", "threshold"])
     exp.add_argument("--n", type=int, help="boolean variables for the conjunction task")
     exp.add_argument("--vc-dim", dest="vc_dim", type=int, help="VC dimension for the threshold bound")
@@ -466,11 +426,11 @@ def build_parser() -> argparse.ArgumentParser:
     exp.add_argument("--config", help="key=value file, JSON config, or a previous manifest.json")
     exp.set_defaults(func=_handle_experiment)
 
-    bnd = sub.add_parser("bound", help="tabulate a theoretical bound")
+    bnd = sub.add_parser("bound", help="tabulate a theoretical bound", allow_abbrev=False)
     bnd.add_argument("--kind", choices=["finite-h", "vc"])
     bnd.add_argument("--h-size", dest="h_size", type=float, help="|H| for the finite-h kind")
     bnd.add_argument("--log-h-size", dest="log_h_size", type=float, help="ln|H|, for sizes too large to store")
-    bnd.add_argument("--vc-dim", dest="vc_dim", type=int)
+    bnd.add_argument("--vc-dim", dest="vc_dim", type=int, help="VC dimension for the vc kind")
     bnd.add_argument("--slots", type=int)
     bnd.add_argument("--m", type=_parse_m_list, help="comma-separated sample sizes")
     bnd.add_argument("--out-dir", dest="out_dir")
@@ -488,56 +448,46 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _handle_experiment(args: argparse.Namespace) -> int:
-    file_config = load_config_file(args.config, "experiment") if args.config else {}
-    task_name = _merged(args, file_config, "task", "conjunction")
-    if task_name not in _TASK_DEFAULTS:
-        raise ConfigError(f"unknown task {task_name!r}")
-    defaults = _TASK_DEFAULTS[task_name] | _COMMON_DEFAULTS
+    given = {key: value for key, value in vars(args).items() if value is not None}
+    task_name = given.get("task", "conjunction")
     other_key = "vc_dim" if task_name == "conjunction" else "n"
-    if _merged(args, file_config, other_key) is not None:
+    if other_key in given:
         raise ConfigError(f"{other_key} does not apply to the {task_name} task")
-
-    if task_name == "conjunction":
-        task: Task = ConjunctionTask(n=int(_merged(args, file_config, "n", defaults["n"])))
-        vc_dim = 1
-    else:
-        task = ThresholdTask()
-        vc_dim = int(_merged(args, file_config, "vc_dim", defaults["vc_dim"]))
-    gt_mode = _merged(args, file_config, "gt_mode", defaults["gt_mode"])
-    if gt_mode not in ("per-trial", "fixed"):
-        raise ConfigError(f"gt_mode must be per-trial or fixed, got {gt_mode!r}")
+    opts = _TASK_DEFAULTS[task_name] | _COMMON_DEFAULTS | given
+    if "seed" not in opts:
+        env = os.environ.get(SEED_ENV_VAR, str(DEFAULT_SEED))
+        try:
+            opts["seed"] = int(env)
+        except ValueError:
+            raise ConfigError(f"{SEED_ENV_VAR} must be an integer, got {env!r}") from None
+    task = ConjunctionTask(n=opts["n"]) if task_name == "conjunction" else ThresholdTask(vc_dim=opts["vc_dim"])
     config = ExperimentConfig(
         task=task,
-        num_slots=int(_merged(args, file_config, "slots", defaults["slots"])),
-        trials=int(_merged(args, file_config, "trials", defaults["trials"])),
-        m_start=int(_merged(args, file_config, "m_start", defaults["m_start"])),
-        m_step=int(_merged(args, file_config, "m_step", defaults["m_step"])),
-        m_max=int(_merged(args, file_config, "m_max", defaults["m_max"])),
-        master_seed=_resolve_seed(args, file_config),
-        fixed_target=(gt_mode == "fixed"),
+        num_slots=opts["slots"],
+        trials=opts["trials"],
+        m_start=opts["m_start"],
+        m_step=opts["m_step"],
+        m_max=opts["m_max"],
+        master_seed=opts["seed"],
+        fixed_target=(opts["gt_mode"] == "fixed"),
     )
-    out_dir = _merged(args, file_config, "out_dir", defaults["out_dir"])
-    manifest = cmd_experiment(config, out_dir, vc_dim=vc_dim)
-    print(f"wrote {', '.join(sorted(manifest.outputs.values()))} to {out_dir}")
+    manifest = cmd_experiment(config, opts["out_dir"])
+    print(f"wrote {', '.join(sorted(manifest.outputs.values()))} to {opts['out_dir']}")
     return 0
 
 
 def _handle_bound(args: argparse.Namespace) -> int:
-    file_config = load_config_file(args.config, "bound") if args.config else {}
-    kind = _merged(args, file_config, "kind", "finite-h")
-    h_size = _merged(args, file_config, "h_size")
-    log_h_size = _merged(args, file_config, "log_h_size")
-    if kind == "finite-h" and h_size is None and log_h_size is None:
-        h_size = 1e9
-    m_list = _merged(args, file_config, "m", [22, 35, 100])
+    opts = _BOUND_DEFAULTS | {key: value for key, value in vars(args).items() if value is not None}
+    if opts["kind"] == "finite-h" and "h_size" not in opts and "log_h_size" not in opts:
+        opts["h_size"] = 1e9
     manifest = cmd_bound(
-        kind,
-        [int(m) for m in m_list],
-        _merged(args, file_config, "out_dir", _COMMON_DEFAULTS["out_dir"]),
-        h_size=h_size,
-        log_h_size=log_h_size,
-        vc_dim=_merged(args, file_config, "vc_dim"),
-        slots=int(_merged(args, file_config, "slots", _COMMON_DEFAULTS["slots"])),
+        opts["kind"],
+        opts["m"],
+        opts["out_dir"],
+        h_size=opts.get("h_size"),
+        log_h_size=opts.get("log_h_size"),
+        vc_dim=opts.get("vc_dim"),
+        slots=opts["slots"],
     )
     print(f"wrote {', '.join(sorted(manifest.outputs.values()))}")
     return 0
@@ -550,9 +500,17 @@ def _handle_kl(args: argparse.Namespace) -> int:
 
 
 def main(argv: Sequence[str] | None = None) -> int:
+    argv = list(sys.argv[1:] if argv is None else argv)
     parser = build_parser()
     try:
         args = parser.parse_args(argv)
+        if getattr(args, "config", None):
+            file_flags = _config_flags(args.config, args.command)
+            try:
+                parser.parse_args([args.command, *file_flags])
+            except ConfigError as exc:
+                raise ConfigError(f"{args.config}: {exc}") from exc
+            args = parser.parse_args([args.command, *file_flags, *argv[1:]])
         return args.func(args)
     except (ConfigError, ValueError) as exc:
         print(f"paclab: error: {exc}", file=sys.stderr)

@@ -322,9 +322,16 @@ class ConjunctionTask:
 
 @dataclass(frozen=True)
 class ThresholdTask:
-    """Threshold learning on [0, 1] (VC dimension 1)."""
+    """Threshold learning on [0, 1]; its bound uses VC dimension ``vc_dim``
+    (1, the class's own, unless a looser bound is asked for)."""
+
+    vc_dim: int = 1
 
     name = "threshold"
+
+    def __post_init__(self) -> None:
+        if not isinstance(self.vc_dim, int) or self.vc_dim < 1:
+            raise ValueError(f"VC dimension must be a positive integer, got {self.vc_dim!r}")
 
     def draw_target(self, rng: np.random.Generator) -> ThresholdHypothesis:
         return random_threshold_target(rng)

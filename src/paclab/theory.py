@@ -142,18 +142,6 @@ def _piecewise_cdf(log_weight: float, m: int, eps: float) -> float:
     return _clamp01(1.0 - math.exp(log_weight - m * eps))
 
 
-def _piecewise_density(log_weight: float, m: int, eps: float) -> float:
-    if eps == 1.0:
-        raise ValueError("density undefined at eps=1: the atom there is reported by the point-mass accessor")
-    if eps < log_weight / m or eps > 1.0:
-        return 0.0
-    return math.exp(log_weight + math.log(m) - m * eps)
-
-
-def _atom_weight(log_weight: float, m: int) -> float:
-    return _clamp01(math.exp(min(log_weight - m, 0.0)))
-
-
 def cutoff(spec: BoundSpec) -> float:
     """Loss value where the CDF leaves zero: ln(W)/m."""
     return spec.log_weight() / spec.m
@@ -175,12 +163,17 @@ def bound_density(spec: BoundSpec, eps: float) -> float:
     Raises ValueError at ``eps == 1`` exactly; the atom there is not a
     density and must be read from :func:`bound_point_mass`.
     """
-    return _piecewise_density(spec.log_weight(), spec.m, eps)
+    if eps == 1.0:
+        raise ValueError("density undefined at eps=1: the atom there is reported by the point-mass accessor")
+    log_weight, m = spec.log_weight(), spec.m
+    if eps < log_weight / m or eps > 1.0:
+        return 0.0
+    return math.exp(log_weight + math.log(m) - m * eps)
 
 
 def bound_point_mass(spec: BoundSpec) -> float:
     """Probability atom at loss 1: ``W*exp(-m)`` clamped to [0, 1]."""
-    return _atom_weight(spec.log_weight(), spec.m)
+    return _clamp01(math.exp(min(spec.log_weight() - spec.m, 0.0)))
 
 
 def sample_complexity_finite(h_size: float, eps: float, delta: float) -> int:

@@ -9,12 +9,13 @@ import numpy as np
 import pytest
 
 from paclab.analysis import build_curve, kl_divergence
+import paclab.cli
 from paclab.cli import (
     ConfigError,
+    build_parser,
     cmd_bound,
     cmd_experiment,
     cmd_kl,
-    load_config_file,
     main,
     read_curve_csv,
     read_distributions_csv,
@@ -23,7 +24,7 @@ from paclab.cli import (
 )
 from paclab.empirics import ExperimentConfig, run_trials
 from paclab.learners import ConjunctionTask, ThresholdTask
-from paclab.theory import BoundKind, DiscreteDistribution, discretize_bound
+from paclab.theory import BoundKind, BoundSpec, DiscreteDistribution, discretize_bound
 
 
 def small_config(task=None, **overrides):
@@ -60,6 +61,9 @@ class TestTaskBoundSpec:
         spec = task_bound_spec(ThresholdTask(), 40)
         assert spec.kind is BoundKind.FINITE_VC
         assert spec.vc_dim == 1
+
+    def test_threshold_task_carries_vc_dim(self):
+        assert task_bound_spec(ThresholdTask(vc_dim=3), 40) == BoundSpec.finite_vc(m=40, vc_dim=3)
 
 
 class TestExperimentCommand:
@@ -113,6 +117,24 @@ class TestExperimentCommand:
         for name in ("distributions.csv", "curve.csv", "manifest.json"):
             assert (tmp_path / "a" / name).read_bytes() == (tmp_path / "b" / name).read_bytes()
 
+    def test_q_follows_task_vc_dim(self):
+        config = small_config(task=ThresholdTask(vc_dim=2))
+        for rec in run_experiment(config):
+            assert rec.theoretical == discretize_bound(BoundSpec.finite_vc(rec.m, 2), config.num_slots)
+        assert rec.theoretical != discretize_bound(BoundSpec.finite_vc(rec.m, 1), config.num_slots)
+
+    def test_bad_vc_dim_fails_before_any_trial(self, tmp_path, monkeypatch):
+        def no_trials(*args, **kwargs):
+            raise AssertionError("a trial ran")
+
+        monkeypatch.setattr(paclab.cli, "run_trials", no_trials)
+        out = tmp_path / "out"
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("task=threshold\nvc_dim=0\n")
+        assert main(["experiment", "--task", "threshold", "--vc-dim", "0", "--out-dir", str(out)]) == 1
+        assert main(["experiment", "--config", str(cfg), "--out-dir", str(out)]) == 1
+        assert not out.exists()
+
     def test_floats_round_trip_exactly(self, tmp_path):
         config = small_config()
         cmd_experiment(config, tmp_path)
@@ -127,20 +149,82 @@ class TestExperimentCommand:
             assert row["kl"] == pt.kl
 
 
+_THR = ["--task", "threshold", "--trials", "3", "--m-max", "40"]
+# (command, base flags, key, non-default value): one case per flag of each subcommand.
+PARITY_CASES = [
+    ("experiment", ["--trials", "3", "--m-max", "25"], "task", "threshold"),
+    ("experiment", ["--trials", "3", "--m-max", "25"], "n", "4"),
+    ("experiment", _THR, "vc_dim", "2"),
+    ("experiment", _THR, "slots", "7"),
+    ("experiment", ["--task", "threshold", "--m-max", "40"], "trials", "4"),
+    ("experiment", _THR, "m_start", "40"),
+    ("experiment", _THR, "m_step", "10"),
+    ("experiment", ["--task", "threshold", "--trials", "3"], "m_max", "60"),
+    ("experiment", _THR, "seed", "-7"),
+    ("experiment", _THR, "gt_mode", "fixed"),
+    ("experiment", _THR, "out_dir", "elsewhere"),
+    ("bound", ["--vc-dim", "2", "--m", "5"], "kind", "vc"),
+    ("bound", ["--m", "5"], "h_size", "59049"),
+    ("bound", ["--m", "5"], "log_h_size", "23.5"),
+    ("bound", ["--kind", "vc", "--m", "5"], "vc_dim", "3"),
+    ("bound", ["--m", "5"], "slots", "7"),
+    ("bound", [], "m", "5,9"),
+    ("bound", ["--m", "5"], "out_dir", "elsewhere"),
+]
+
+
 class TestConfigHandling:
     def test_flat_config_file(self, tmp_path):
         cfg = tmp_path / "run.cfg"
         cfg.write_text("# comment\ntask=threshold\ntrials=10\nm_start=20\nm_step=20\nm_max=40\nseed=5\n")
-        parsed = load_config_file(cfg, "experiment")
-        assert parsed == {"task": "threshold", "trials": 10, "m_start": 20, "m_step": 20, "m_max": 40, "seed": 5}
+        out = tmp_path / "out"
+        assert main(["experiment", "--config", str(cfg), "--out-dir", str(out)]) == 0
+        assert json.loads((out / "manifest.json").read_text())["config"] == {
+            "task": "threshold", "vc_dim": 1, "slots": 100, "trials": 10,
+            "m_start": 20, "m_step": 20, "m_max": 40, "seed": 5, "gt_mode": "per-trial",
+        }
 
-    def test_unknown_key_rejected(self, tmp_path):
+    def test_unknown_key_rejected(self, tmp_path, capsys):
         cfg = tmp_path / "run.cfg"
-        for line in ("bogus=1\n", "workers=2\n"):
+        out = tmp_path / "out"
+        for line in ("bogus=1\n", "workers=2\n", "m-start=40\n"):
             cfg.write_text(line)
             for command in ("experiment", "bound"):
-                with pytest.raises(ConfigError):
-                    load_config_file(cfg, command)
+                assert main([command, "--config", str(cfg), "--out-dir", str(out)]) == 1
+                assert str(cfg) in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("command", ["experiment", "bound"])
+    def test_abbreviated_or_nested_key_rejected(self, tmp_path, command):
+        out = tmp_path / "out"
+        cfg = tmp_path / "run.cfg"
+        other = tmp_path / "other.cfg"
+        other.write_text("slots=3\n")
+        assert main([command, "--slot", "3", "--out-dir", str(out)]) == 1
+        for text in ("slot=3\n", f"config={other}\n", json.dumps({"config": str(other)})):
+            cfg.write_text(text)
+            assert main([command, "--config", str(cfg), "--out-dir", str(out)]) == 1
+        assert not out.exists()
+
+    @pytest.mark.parametrize(
+        "command, key, value",
+        [
+            ("experiment", "gt_mode", "bogus"),
+            ("experiment", "task", "nonsense"),
+            ("experiment", "n", "abc"),
+            ("bound", "kind", "nonsense"),
+        ],
+    )
+    def test_bad_config_value_gets_flag_message(self, tmp_path, capsys, command, key, value):
+        out = tmp_path / "out"
+        assert main([command, f"--{key.replace('_', '-')}", value, "--out-dir", str(out)]) == 1
+        flag_err = capsys.readouterr().err
+        assert flag_err.startswith("paclab: error: argument --")
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(f"{key}={value}\n")
+        assert main([command, "--config", str(cfg), "--out-dir", str(out)]) == 1
+        assert capsys.readouterr().err == flag_err.replace("error: ", f"error: {cfg}: ", 1)
+        assert not out.exists()
 
     @pytest.mark.parametrize(
         "command, line",
@@ -184,6 +268,31 @@ class TestConfigHandling:
         assert main(["bound", "--config", str(tmp_path / "experiment" / "manifest.json"), "--out-dir", str(out)]) == 1
         assert "'experiment' run" in capsys.readouterr().err
         assert not out.exists()
+
+    @pytest.mark.parametrize("command, base, key, value", PARITY_CASES, ids=[f"{c[0]}-{c[2]}" for c in PARITY_CASES])
+    def test_config_line_matches_flag(self, tmp_path, command, base, key, value):
+        flag_out, file_out = tmp_path / "flag", tmp_path / "file"
+        flag = [f"--{key.replace('_', '-')}", value]
+        assert flag[0] not in base  # a flag would override the config line
+        cfg = tmp_path / "run.cfg"
+        if key == "out_dir":
+            flag_out = tmp_path / value
+            cfg.write_text(f"out_dir={file_out}\n")
+            assert main([command, *base, *flag[:1], str(flag_out)]) == 0
+            assert main([command, *base, "--config", str(cfg)]) == 0
+        else:
+            cfg.write_text(f"{key}={value}\n")
+            assert main([command, *base, *flag, "--out-dir", str(flag_out)]) == 0
+            assert main([command, *base, "--config", str(cfg), "--out-dir", str(file_out)]) == 0
+        names = json.loads((flag_out / "manifest.json").read_text())["outputs"].values()
+        for name in names:
+            assert (flag_out / name).read_bytes() == (file_out / name).read_bytes(), name
+
+    def test_parity_cases_cover_every_flag(self):
+        subparsers = build_parser()._subparsers._group_actions[0].choices
+        for command in ("experiment", "bound"):
+            dests = {a.dest for a in subparsers[command]._actions if a.option_strings and a.dest not in ("help", "config")}
+            assert dests == {key for c, _, key, _ in PARITY_CASES if c == command}
 
     def test_flags_override_config_file(self, tmp_path):
         cfg = tmp_path / "run.cfg"
@@ -303,6 +412,35 @@ class TestBoundCommand:
     def test_finite_h_requires_size(self, tmp_path):
         with pytest.raises(ConfigError):
             cmd_bound("finite-h", [10], tmp_path)
+
+    @pytest.mark.parametrize(
+        "flags",
+        [
+            ["--kind", "vc", "--vc-dim", "1", "--h-size", "5"],
+            ["--kind", "vc", "--vc-dim", "1", "--log-h-size", "5"],
+            ["--kind", "finite-h", "--vc-dim", "3"],
+        ],
+    )
+    def test_key_of_other_kind_rejected(self, tmp_path, capsys, flags):
+        kind = flags[1]
+        out = tmp_path / "out"
+        assert main(["bound", *flags, "--out-dir", str(out)]) == 1
+        assert f"{kind} bound" in capsys.readouterr().err
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("".join(f"{flag[2:].replace('-', '_')}={value}\n" for flag, value in zip(flags[::2], flags[1::2])))
+        assert main(["bound", "--config", str(cfg), "--out-dir", str(out)]) == 1
+        assert f"{kind} bound" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize(
+        "flags",
+        [["--kind", "vc"], ["--h-size", "0.5"], ["--m", "0"], ["--m", "22,0"], ["--slots", "1"]],
+        ids=["vc-without-dim", "h-size-below-one", "m-zero", "m-zero-last", "one-slot"],
+    )
+    def test_bad_parameter_leaves_no_directory(self, tmp_path, flags):
+        out = tmp_path / "out"
+        assert main(["bound", *flags, "--out-dir", str(out)]) == 1
+        assert not out.exists()
 
     def test_huge_h_via_log(self, tmp_path):
         cmd_bound("finite-h", [10], tmp_path, log_h_size=700 * math.log(3.0))

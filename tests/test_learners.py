@@ -328,3 +328,8 @@ class TestTaskTrials:
     def test_task_validates_n(self):
         with pytest.raises(ValueError):
             ConjunctionTask(0)
+
+    @pytest.mark.parametrize("vc_dim", [0, -1, 1.5])
+    def test_task_validates_vc_dim(self, vc_dim):
+        with pytest.raises(ValueError):
+            ThresholdTask(vc_dim=vc_dim)
