@@ -10,7 +10,10 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from itertools import repeat
 from typing import Sequence
+
+import numpy as np
 
 from .theory import DiscreteDistribution
 
@@ -51,15 +54,22 @@ def kl_divergence(p: DiscreteDistribution, q: DiscreteDistribution, floor: float
     return total
 
 
+def _midpoints(num_slots: int) -> np.ndarray:
+    return (np.arange(num_slots) + 0.5) / num_slots
+
+
 def dist_mean(d: DiscreteDistribution) -> float:
     """Mass-weighted mean of slot midpoints (i + 0.5)/l."""
-    return math.fsum(mass * d.slot_midpoint(i) for i, mass in enumerate(d.masses))
+    return math.fsum((np.asarray(d.masses) * _midpoints(d.num_slots)).tolist())
 
 
 def dist_std(d: DiscreteDistribution) -> float:
     """Mass-weighted standard deviation around :func:`dist_mean`."""
     mean = dist_mean(d)
-    var = math.fsum(mass * (d.slot_midpoint(i) - mean) ** 2 for i, mass in enumerate(d.masses))
+    # Python's x ** 2 is libm pow(x, 2.0), which can differ from NumPy's x * x
+    # in the last bit; fsum is exact, so only the elementwise results matter.
+    squares = np.fromiter(map(pow, (_midpoints(d.num_slots) - mean).tolist(), repeat(2)), float, d.num_slots)
+    var = math.fsum((np.asarray(d.masses) * squares).tolist())
     return math.sqrt(max(var, 0.0))
 
 

@@ -14,23 +14,26 @@ A subcommand's argparse parser is its one schema: a ``--config`` file is
 read as its flags (key ``m_start`` as ``--m-start``) ahead of the command
 line's, which override them.  Every file-producing run emits a manifest
 that pins the configuration; feeding it back through ``--config``
-reproduces the run byte for byte.  Reals are printed with 17
-significant digits so parsing them back recovers the exact float.  Exit
-codes: 0 success, 1 invalid configuration or input data, 2 I/O failure.
+reproduces the run byte for byte.  CSV rows are written unquoted, reals
+as ``%.17g`` so that parsing them back recovers the exact float.  Reading
+finds columns by header name; a short row, a missing column, a
+non-numeric cell and a repeated slot of an (m, source) group are input
+errors.  Exit codes: 0 success, 1 invalid configuration or input data,
+2 I/O failure.
 """
 
 from __future__ import annotations
 
 import argparse
 import csv
-import io
 import json
 import math
 import os
 import sys
 from dataclasses import asdict, dataclass
+from operator import itemgetter
 from pathlib import Path
-from typing import Sequence
+from typing import Iterator, Sequence, TextIO
 
 import numpy as np
 
@@ -41,9 +44,8 @@ from .learners import ConjunctionTask, ThresholdTask
 from .theory import (
     BoundSpec,
     DiscreteDistribution,
-    bound_cdf,
-    bound_density,
     bound_point_mass,
+    bound_table,
     cutoff,
     discretize_bound,
 )
@@ -100,25 +102,18 @@ class RunManifest:
 # Formatting and atomic file output
 # ---------------------------------------------------------------------------
 
-def _fmt(value) -> str:
-    if isinstance(value, float):
-        return format(value, ".17g")
-    return str(value)
-
-
 def _atomic_write_text(path: Path, text: str) -> None:
     tmp = path.with_name(path.name + ".tmp")
     tmp.write_text(text, encoding="utf-8")
     os.replace(tmp, path)
 
 
-def _write_csv(path: Path, header: Sequence[str], rows: Sequence[Sequence]) -> None:
-    buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(header)
-    for row in rows:
-        writer.writerow([_fmt(v) for v in row])
-    _atomic_write_text(path, buf.getvalue())
+def _write_csv(path: Path, header: Sequence[str], lines: Sequence[str]) -> None:
+    """Header plus rows pre-formatted with ``%d``/``%.17g``, each ending in a newline.
+
+    No cell needs quoting: every cell is a number or a P/Q source tag.
+    """
+    _atomic_write_text(path, ",".join(header) + "\n" + "".join(lines))
 
 
 # ---------------------------------------------------------------------------
@@ -146,12 +141,14 @@ def run_experiment(config: ExperimentConfig) -> list[ExperimentRecord]:
     return records
 
 
-def _distribution_rows(m: int, source: str, dist: DiscreteDistribution) -> list[list]:
-    rows = []
-    for i, mass in enumerate(dist.masses):
-        lo, hi = dist.slot_bounds(i)
-        rows.append([m, source, i, lo, hi, mass])
-    return rows
+def _slot_prefixes(num_slots: int) -> list[str]:
+    """The ``slot_index,slot_lo,slot_hi,`` cells of every slot, edges as ``slot_bounds`` computes them."""
+    return [f"{i},{i / num_slots:.17g},{(i + 1) / num_slots:.17g}," for i in range(num_slots)]
+
+
+def _distribution_lines(m: int, source: str, dist: DiscreteDistribution, prefixes: list[str]) -> str:
+    head = f"{m},{source},"
+    return "".join([f"{head}{prefix}{mass:.17g}\n" for prefix, mass in zip(prefixes, dist.masses, strict=True)])
 
 
 def cmd_experiment(config: ExperimentConfig, out_dir: str | Path) -> RunManifest:
@@ -161,11 +158,14 @@ def cmd_experiment(config: ExperimentConfig, out_dir: str | Path) -> RunManifest
     records = run_experiment(config)
     curve = build_curve(records)
 
-    dist_rows = []
+    prefixes = _slot_prefixes(config.num_slots)
+    dist_lines = []
     for rec in records:
-        dist_rows += _distribution_rows(rec.m, "P", rec.empirical)
-        dist_rows += _distribution_rows(rec.m, "Q", rec.theoretical)
-    curve_rows = [[pt.m, pt.mean_p, pt.std_p, pt.mean_q, pt.std_q, pt.kl] for pt in curve]
+        dist_lines.append(_distribution_lines(rec.m, "P", rec.empirical, prefixes))
+        dist_lines.append(_distribution_lines(rec.m, "Q", rec.theoretical, prefixes))
+    curve_lines = [
+        "%d,%.17g,%.17g,%.17g,%.17g,%.17g\n" % (pt.m, pt.mean_p, pt.std_p, pt.mean_q, pt.std_q, pt.kl) for pt in curve
+    ]
 
     echo = {
         "task": config.task.name,
@@ -184,8 +184,8 @@ def cmd_experiment(config: ExperimentConfig, out_dir: str | Path) -> RunManifest
         config=echo,
         outputs={"distributions": "distributions.csv", "curve": "curve.csv", "manifest": "manifest.json"},
     )
-    _write_csv(out / "distributions.csv", DISTRIBUTIONS_HEADER, dist_rows)
-    _write_csv(out / "curve.csv", CURVE_HEADER, curve_rows)
+    _write_csv(out / "distributions.csv", DISTRIBUTIONS_HEADER, dist_lines)
+    _write_csv(out / "curve.csv", CURVE_HEADER, curve_lines)
     _atomic_write_text(out / "manifest.json", manifest.to_json())
     return manifest
 
@@ -231,16 +231,17 @@ def cmd_bound(
         raise ConfigError("need at least one sample size m")
     specs = [_bound_spec_from_params(kind, m, h_size, log_h_size, vc_dim) for m in m_list]
 
-    grid = np.linspace(0.0, _GRID_TOP, _GRID_POINTS)
-    grid_rows = []
-    summary_rows = []
-    q_rows = []
+    grid = np.linspace(0.0, _GRID_TOP, _GRID_POINTS).tolist()
+    prefixes = _slot_prefixes(slots)
+    grid_lines = []
+    summary_lines = []
+    q_lines = []
     for m, spec in zip(m_list, specs):
-        for eps in grid:
-            eps_f = float(eps)
-            grid_rows.append([m, eps_f, bound_cdf(spec, eps_f), bound_density(spec, eps_f)])
-        summary_rows.append([m, cutoff(spec), bound_point_mass(spec)])
-        q_rows += _distribution_rows(m, "Q", discretize_bound(spec, slots))
+        grid_lines += [
+            "%d,%.17g,%.17g,%.17g\n" % (m, eps, cdf, density) for eps, (cdf, density) in zip(grid, bound_table(spec, grid))
+        ]
+        summary_lines.append("%d,%.17g,%.17g\n" % (m, cutoff(spec), bound_point_mass(spec)))
+        q_lines.append(_distribution_lines(m, "Q", discretize_bound(spec, slots), prefixes))
 
     echo: dict = {"kind": kind, "slots": slots, "m": list(m_list)}
     if kind == "finite-h":
@@ -263,9 +264,9 @@ def cmd_bound(
     )
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
-    _write_csv(out / "bound_grid.csv", ["m", "eps", "cdf", "density"], grid_rows)
-    _write_csv(out / "bound_summary.csv", ["m", "cutoff", "point_mass"], summary_rows)
-    _write_csv(out / "bound_q.csv", DISTRIBUTIONS_HEADER, q_rows)
+    _write_csv(out / "bound_grid.csv", ["m", "eps", "cdf", "density"], grid_lines)
+    _write_csv(out / "bound_summary.csv", ["m", "cutoff", "point_mass"], summary_lines)
+    _write_csv(out / "bound_q.csv", DISTRIBUTIONS_HEADER, q_lines)
     _atomic_write_text(out / "manifest.json", manifest.to_json())
     return manifest
 
@@ -274,19 +275,38 @@ def cmd_bound(
 # Stored-distribution KL
 # ---------------------------------------------------------------------------
 
+def _csv_columns(fh: TextIO, path: str | Path, header: Sequence[str], columns: Sequence[str]) -> Iterator[tuple]:
+    """Rows of an open CSV as tuples of ``columns``, found by name in its header.
+
+    The file must have every column of ``header``, in any order; blank lines
+    are skipped, and a short row raises IndexError.
+    """
+    reader = csv.reader(fh)
+    index = {name: i for i, name in enumerate(next(reader, []))}
+    if not set(header) <= index.keys():
+        raise ConfigError(f"{path}: expected columns {list(header)}")
+    return map(itemgetter(*(index[name] for name in columns)), filter(None, reader))
+
+
 def read_distributions_csv(path: str | Path) -> dict[tuple[int, str], DiscreteDistribution]:
     """Load every (m, source) group from a distributions-schema CSV."""
     groups: dict[tuple[int, str], dict[int, float]] = {}
+    columns = ("m", "source", "slot_index", "mass")
+    group_cells = None
     try:
         with open(path, newline="", encoding="utf-8") as fh:
-            reader = csv.DictReader(fh)
-            if reader.fieldnames is None or not set(DISTRIBUTIONS_HEADER) <= set(reader.fieldnames):
-                raise ConfigError(f"{path}: expected columns {DISTRIBUTIONS_HEADER}")
-            for row in reader:
-                key = (int(row["m"]), row["source"])
-                groups.setdefault(key, {})[int(row["slot_index"])] = float(row["mass"])
-    except (KeyError, TypeError, ValueError) as exc:  # TypeError: a short row
-        raise ConfigError(f"{path}: malformed distribution row ({exc})") from exc
+            for m, source, index, mass in _csv_columns(fh, path, DISTRIBUTIONS_HEADER, columns):
+                # A group's rows are usually consecutive: parse its m once per run of rows.
+                if (m, source) != group_cells:
+                    group_cells = (m, source)
+                    key = (int(m), source)
+                    slots = groups.setdefault(key, {})
+                i = int(index)
+                if i in slots:
+                    raise ConfigError(f"{path}: duplicate slot {i} in group {key}")
+                slots[i] = float(mass)
+    except (IndexError, ValueError, csv.Error) as exc:  # IndexError: a short row
+        raise ConfigError(f"{path}: malformed distribution row ({exc!r})") from exc
     out = {}
     for key, slots in groups.items():
         if sorted(slots) != list(range(len(slots))):
@@ -299,15 +319,14 @@ def read_distributions_csv(path: str | Path) -> dict[tuple[int, str], DiscreteDi
 
 def read_curve_csv(path: str | Path) -> list[dict]:
     """Load curve.csv rows as dicts with typed values."""
-    rows = []
     try:
         with open(path, newline="", encoding="utf-8") as fh:
-            for row in csv.DictReader(fh):
-                rows.append({"m": int(row["m"])} | {k: float(row[k]) for k in CURVE_HEADER[1:]})
-    except (KeyError, TypeError, ValueError) as exc:
-        # KeyError: a missing column; TypeError: a short row; ValueError: a non-numeric cell
+            return [
+                {"m": int(row[0])} | {name: float(cell) for name, cell in zip(CURVE_HEADER[1:], row[1:])}
+                for row in _csv_columns(fh, path, CURVE_HEADER, CURVE_HEADER)
+            ]
+    except (IndexError, ValueError, csv.Error) as exc:  # IndexError: a short row
         raise ConfigError(f"{path}: malformed curve row ({exc!r})") from exc
-    return rows
 
 
 def _select_distribution(
@@ -347,8 +366,10 @@ def cmd_kl(
     experiment output (which stores P and Q per m), pass --m; the first
     file then defaults to its P group and the second to its Q group.
     """
-    p = _select_distribution(read_distributions_csv(p_path), m, p_source, "P", str(p_path))
-    q = _select_distribution(read_distributions_csv(q_path), m, q_source, "Q", str(q_path))
+    p_groups = read_distributions_csv(p_path)
+    q_groups = p_groups if Path(p_path) == Path(q_path) else read_distributions_csv(q_path)
+    p = _select_distribution(p_groups, m, p_source, "P", str(p_path))
+    q = _select_distribution(q_groups, m, q_source, "Q", str(q_path))
     return kl_divergence(p, q)
 
 
@@ -357,7 +378,10 @@ def cmd_kl(
 # ---------------------------------------------------------------------------
 
 def _parse_m_list(value: str) -> list[int]:
-    return [int(part) for part in value.split(",") if part.strip()]
+    try:
+        return [int(part) for part in value.split(",") if part.strip()]
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"expected comma-separated integers, got {value!r}") from None
 
 
 def _config_flags(path: str | Path, command: str) -> list[str]:
@@ -495,7 +519,7 @@ def _handle_bound(args: argparse.Namespace) -> int:
 
 def _handle_kl(args: argparse.Namespace) -> int:
     value = cmd_kl(args.p_csv, args.q_csv, m=args.m, p_source=args.p_source, q_source=args.q_source)
-    print(_fmt(value))
+    print(f"{value:.17g}")
     return 0
 
 

@@ -24,6 +24,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from enum import Enum
+from typing import Sequence
 
 __all__ = [
     "BoundKind",
@@ -32,6 +33,7 @@ __all__ = [
     "bound_cdf",
     "bound_density",
     "bound_point_mass",
+    "bound_table",
     "cutoff",
     "discretize_bound",
     "sample_complexity_finite",
@@ -163,12 +165,21 @@ def bound_density(spec: BoundSpec, eps: float) -> float:
     Raises ValueError at ``eps == 1`` exactly; the atom there is not a
     density and must be read from :func:`bound_point_mass`.
     """
+    return _piecewise_density(spec.log_weight(), spec.m, eps)
+
+
+def _piecewise_density(log_weight: float, m: int, eps: float) -> float:
     if eps == 1.0:
         raise ValueError("density undefined at eps=1: the atom there is reported by the point-mass accessor")
-    log_weight, m = spec.log_weight(), spec.m
     if eps < log_weight / m or eps > 1.0:
         return 0.0
     return math.exp(log_weight + math.log(m) - m * eps)
+
+
+def bound_table(spec: BoundSpec, eps_values: Sequence[float]) -> list[tuple[float, float]]:
+    """``(bound_cdf, bound_density)`` at each eps, with ``ln W`` computed once."""
+    log_weight, m = spec.log_weight(), spec.m
+    return [(_piecewise_cdf(log_weight, m, eps), _piecewise_density(log_weight, m, eps)) for eps in eps_values]
 
 
 def bound_point_mass(spec: BoundSpec) -> float:

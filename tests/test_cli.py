@@ -11,6 +11,7 @@ import pytest
 from paclab.analysis import build_curve, kl_divergence
 import paclab.cli
 from paclab.cli import (
+    DISTRIBUTIONS_HEADER,
     ConfigError,
     build_parser,
     cmd_bound,
@@ -223,6 +224,17 @@ class TestConfigHandling:
         cfg = tmp_path / "run.cfg"
         cfg.write_text(f"{key}={value}\n")
         assert main([command, "--config", str(cfg), "--out-dir", str(out)]) == 1
+        assert capsys.readouterr().err == flag_err.replace("error: ", f"error: {cfg}: ", 1)
+        assert not out.exists()
+
+    def test_bad_m_list_says_integers_expected(self, tmp_path, capsys):
+        out = tmp_path / "out"
+        assert main(["bound", "--m", "5,x", "--out-dir", str(out)]) == 1
+        flag_err = capsys.readouterr().err
+        assert flag_err == "paclab: error: argument --m: expected comma-separated integers, got '5,x'\n"
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("m=5,x\n")
+        assert main(["bound", "--config", str(cfg), "--out-dir", str(out)]) == 1
         assert capsys.readouterr().err == flag_err.replace("error: ", f"error: {cfg}: ", 1)
         assert not out.exists()
 
@@ -448,7 +460,100 @@ class TestBoundCommand:
         assert groups[(10, "Q")].masses[-1] == 1.0
 
 
+DIST_ROWS = [
+    # m, source, slot_index, slot_lo, slot_hi, mass
+    ("7", "P", "0", "0", "0.5", "0.25"),
+    ("7", "P", "1", "0.5", "1", "0.75"),
+    ("7", "Q", "0", "0", "0.5", "0.5"),
+    ("7", "Q", "1", "0.5", "1", "0.5"),
+]
+DIST_GROUPS = {
+    (7, "P"): DiscreteDistribution((0.25, 0.75)),
+    (7, "Q"): DiscreteDistribution((0.5, 0.5)),
+}
+
+
+def dist_text(header=tuple(DISTRIBUTIONS_HEADER), rows=DIST_ROWS, newline="\n"):
+    lines = [",".join(header)] + [",".join(row) for row in rows]
+    return newline.join(lines) + newline
+
+
+class TestReadDistributionsCsv:
+    @pytest.mark.parametrize(
+        "text",
+        [
+            dist_text(),
+            dist_text(DISTRIBUTIONS_HEADER[::-1], [row[::-1] for row in DIST_ROWS]),
+            dist_text((*DISTRIBUTIONS_HEADER, "note"), [(*row, "x") for row in DIST_ROWS]),
+            dist_text(newline="\r\n"),
+            dist_text().replace("\n7,Q", "\n\n7,Q") + "\n",
+            dist_text().replace(",0.75", ',"0.75"').replace(",P,", ',"P",'),
+        ],
+        ids=["plain", "reordered", "extra-column", "crlf", "blank-lines", "quoted-cells"],
+    )
+    def test_layouts_read_to_same_masses(self, tmp_path, text):
+        path = tmp_path / "d.csv"
+        path.write_bytes(text.encode())
+        assert read_distributions_csv(path) == DIST_GROUPS
+
+    @pytest.mark.parametrize(
+        "text, message",
+        [
+            (dist_text(rows=[*DIST_ROWS, ("7", "P", "0")]), "malformed distribution row"),
+            (dist_text(DISTRIBUTIONS_HEADER[:-1], [row[:-1] for row in DIST_ROWS]), "expected columns"),
+            (dist_text(rows=[*DIST_ROWS[:-1], ("7", "Q", "1", "0.5", "1", "half")]), "malformed distribution row"),
+            (dist_text(rows=[*DIST_ROWS[:-1], ("7", "Q", "one", "0.5", "1", "0.5")]), "malformed distribution row"),
+            (dist_text(rows=[*DIST_ROWS, DIST_ROWS[1]]), "duplicate slot 1 in group (7, 'P')"),
+            (dist_text(rows=[*DIST_ROWS, ("7", "P", "1", "0.5", "1", "0.5")]), "duplicate slot 1 in group (7, 'P')"),
+            (dist_text(rows=[*DIST_ROWS, ("7", "P", "1", "0.5", "1", "0" * 200_000)]), "malformed distribution row"),
+        ],
+        ids=["short-row", "missing-column", "non-numeric-mass", "non-numeric-index", "duplicate-row",
+             "conflicting-row", "oversized-cell"],
+    )
+    def test_malformed_file_exits_1(self, tmp_path, capsys, text, message):
+        path = tmp_path / "d.csv"
+        path.write_text(text)
+        assert main(["kl", str(path), str(path), "--m", "7"]) == 1
+        assert capsys.readouterr().err.startswith(f"paclab: error: {path}: {message}")
+
+    def test_duplicate_row_in_experiment_output_rejected(self, tmp_path, capsys):
+        cmd_experiment(small_config(), tmp_path)
+        dist_path = tmp_path / "distributions.csv"
+        assert main(["kl", str(dist_path), str(dist_path), "--m", "40"]) == 0
+        lines = dist_path.read_text().splitlines(keepends=True)
+        dist_path.write_text("".join(lines + lines[5:6]))
+        capsys.readouterr()
+        assert main(["kl", str(dist_path), str(dist_path), "--m", "40"]) == 1
+        assert "duplicate slot 4 in group (20, 'P')" in capsys.readouterr().err
+
+    def test_kl_reads_a_shared_file_once(self, tmp_path, monkeypatch):
+        a, b = tmp_path / "a.csv", tmp_path / "b.csv"
+        write_single_dist_csv(a, [0.25, 0.25, 0.5])
+        write_single_dist_csv(b, [0.5, 0.25, 0.25], source="Q")
+        reads = []
+
+        def spy(path):
+            reads.append(Path(path))
+            return read_distributions_csv(path)
+
+        monkeypatch.setattr(paclab.cli, "read_distributions_csv", spy)
+        assert cmd_kl(a, a) == 0.0
+        assert reads == [a]
+        reads.clear()
+        assert cmd_kl(a, b) == kl_divergence(DiscreteDistribution((0.25, 0.25, 0.5)), DiscreteDistribution((0.5, 0.25, 0.25)))
+        assert reads == [a, b]
+
+
 class TestReadCurveCsv:
+    def test_layout_does_not_matter(self, tmp_path):
+        cmd_experiment(small_config(), tmp_path)
+        path = tmp_path / "curve.csv"
+        rows = read_curve_csv(path)
+        assert [row["m"] for row in rows] == [20, 40, 60, 80]
+        table = [line.split(",") for line in path.read_text().splitlines()]
+        path.write_bytes("\r\n\r\n".join(",".join(["pad", *cells[::-1]]) for cells in table).encode())
+        assert read_curve_csv(path) == rows
+
     @pytest.mark.parametrize(
         "text",
         [
@@ -532,3 +637,43 @@ def test_default_experiment_matches_golden_hashes(tmp_path, monkeypatch, task):
     assert main(["experiment", "--task", task, "--out-dir", str(tmp_path)]) == 0
     for name, want in GOLDEN_SHA256[task].items():
         assert hashlib.sha256((tmp_path / name).read_bytes()).hexdigest() == want, name
+
+
+# sha256 of the outputs of the benchmark's wide-io workload at seed 2024, as
+# recorded in perfbench/reference.json; the experiment and kl hashes need NumPy 2.4.x.
+WIDE_IO_BOUND_SHA256 = {
+    "bound_grid.csv": "6629d182f64b340f4a4f9b0cdfa01637e0683f208cc6c22fae4fc4daef2ddb1b",
+    "bound_summary.csv": "bbad848a4fc9060d969973e1274ed74d88848ddc4ef17d8411dbda318ec94436",
+    "bound_q.csv": "832785b3fe712e915aa15b087cce6f20904fd711738e16d9906d466602ef61ee",
+}
+WIDE_IO_EXPERIMENT_SHA256 = {
+    "distributions.csv": "dd3ad01c2df4f222554a6b2fe21de7365fcd6360ce2a70d172cbf1c8cbf2d7d7",
+    "curve.csv": "9270148b276ef00d628c514b5a753a5ba233173eb61b1e109036313813384da8",
+}
+WIDE_IO_KL_STDOUT_SHA256 = "7d4b8868beb2d2cb4b6719e5b684d3666dc333371f9211eaa915537613f6d6a2"
+
+
+def sha256_hex(data: bytes) -> str:
+    return hashlib.sha256(data).hexdigest()
+
+
+def test_wide_io_bound_matches_golden_hashes(tmp_path):
+    m_list = ",".join(str(m) for m in range(20, 1001, 20))
+    assert main(["bound", "--kind", "vc", "--vc-dim", "1", "--m", m_list, "--out-dir", str(tmp_path)]) == 0
+    for name, want in WIDE_IO_BOUND_SHA256.items():
+        assert sha256_hex((tmp_path / name).read_bytes()) == want, name
+
+
+@pytest.mark.skipif(
+    not np.__version__.startswith("2.4."),
+    reason="goldens were recorded with NumPy 2.4.x; NEP 19 does not promise Generator streams across versions",
+)
+def test_wide_io_experiment_and_kl_match_golden_hashes(tmp_path, capsys):
+    argv = ["experiment", "--task", "threshold", "--trials", "20", "--slots", "2000", "--seed", "2024"]
+    assert main(argv + ["--out-dir", str(tmp_path)]) == 0
+    for name, want in WIDE_IO_EXPERIMENT_SHA256.items():
+        assert sha256_hex((tmp_path / name).read_bytes()) == want, name
+    capsys.readouterr()
+    dist_path = str(tmp_path / "distributions.csv")
+    assert main(["kl", dist_path, dist_path, "--m", "1000"]) == 0
+    assert sha256_hex(capsys.readouterr().out.encode()) == WIDE_IO_KL_STDOUT_SHA256

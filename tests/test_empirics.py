@@ -442,6 +442,7 @@ class TestHistogram:
         d = histogram(losses, 7)
         counts = [round(mass * 173) for mass in d.masses]
         assert sum(counts) == 173
+        assert all(type(mass) is float for mass in d.masses)
         assert all(mass == count / 173 for mass, count in zip(d.masses, counts))
 
     def test_rejects_empty(self):

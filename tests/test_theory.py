@@ -12,6 +12,7 @@ from paclab.theory import (
     bound_cdf,
     bound_density,
     bound_point_mass,
+    bound_table,
     cutoff,
     discretize_bound,
     sample_complexity_finite,
@@ -173,6 +174,17 @@ class TestVcBound:
         eps = 0.9
         expected = 1.0 - math.exp(3 * math.log(50 * math.e / 3) - 45.0)
         assert bound_cdf(spec, eps) == pytest.approx(expected, rel=1e-12)
+
+
+class TestBoundTable:
+    @pytest.mark.parametrize("spec", [FH_59049_25, FH_1E9_35, VC_1_20, VC_1_100, BoundSpec.finite_vc(m=50, vc_dim=3)])
+    def test_equals_scalar_evaluations(self, spec):
+        eps_values = np.linspace(0.0, 1.1, 1000).tolist() + [cutoff(spec), 0.0, 1.5, 1.0 - 1e-16]
+        assert bound_table(spec, eps_values) == [(bound_cdf(spec, e), bound_density(spec, e)) for e in eps_values]
+
+    def test_refuses_eps_one(self):
+        with pytest.raises(ValueError):
+            bound_table(VC_1_20, [0.5, 1.0])
 
 
 class TestSampleComplexity:
