@@ -77,6 +77,18 @@ _BOUND_DEFAULTS = {"kind": "finite-h", "m": [22, 35, 100], "slots": 100, "out_di
 _GRID_POINTS = 1000
 _GRID_TOP = 1.1
 
+# A run whose estimated peak memory is above this exits 1 before it creates
+# a directory or runs a trial.  The per-item costs are rounded up from
+# peaks measured on CPython 3.11 with NumPy 2.4: about 200 bytes per CSV
+# row held for writing and, for one sample size, about 240 bytes per trial
+# (seed and state words, losses) plus 45 per conjunction variable (code
+# and count arrays); the draw buffer holds a row and its decoded copies.
+SIZE_BUDGET_BYTES = 2 << 30
+_ROW_BYTES = 256
+_TRIAL_BYTES = 256
+_VARIABLE_BYTES = 48
+_DRAW_COPIES = 8
+
 DISTRIBUTIONS_HEADER = ["m", "source", "slot_index", "slot_lo", "slot_hi", "mass"]
 CURVE_HEADER = ["m", "mean_p", "std_p", "mean_q", "std_q", "kl"]
 
@@ -141,6 +153,27 @@ def run_experiment(config: ExperimentConfig) -> list[ExperimentRecord]:
     return records
 
 
+def _experiment_bytes(config: ExperimentConfig) -> int:
+    """Estimated peak memory of ``cmd_experiment(config)``: its CSV rows and one sample size's trials."""
+    sizes = len(range(config.m_start, config.m_max + 1, config.m_step))
+    per_trial = _TRIAL_BYTES + (_VARIABLE_BYTES * config.task.n if isinstance(config.task, ConjunctionTask) else 0)
+    draw_row = 8 * config.task.draw_width(config.m_max, config.fixed_target)
+    return sizes * (2 * config.num_slots + 1) * _ROW_BYTES + config.trials * per_trial + _DRAW_COPIES * draw_row
+
+
+def _bound_bytes(m_count: int, slots: int) -> int:
+    """Estimated peak memory of ``cmd_bound`` over ``m_count`` sample sizes: its CSV rows."""
+    return m_count * (_GRID_POINTS + 1 + slots) * _ROW_BYTES
+
+
+def _check_size(estimate: int) -> None:
+    if estimate > SIZE_BUDGET_BYTES:
+        raise ConfigError(
+            f"run needs an estimated {estimate / 2**20:,.0f} MiB, over the {SIZE_BUDGET_BYTES / 2**20:,.0f} MiB budget;"
+            " lower the slots, trials or sample sizes"
+        )
+
+
 def _slot_prefixes(num_slots: int) -> list[str]:
     """The ``slot_index,slot_lo,slot_hi,`` cells of every slot, edges as ``slot_bounds`` computes them."""
     return [f"{i},{i / num_slots:.17g},{(i + 1) / num_slots:.17g}," for i in range(num_slots)]
@@ -152,7 +185,11 @@ def _distribution_lines(m: int, source: str, dist: DiscreteDistribution, prefixe
 
 
 def cmd_experiment(config: ExperimentConfig, out_dir: str | Path) -> RunManifest:
-    """Run the experiment and write distributions.csv, curve.csv, manifest.json."""
+    """Run the experiment and write distributions.csv, curve.csv, manifest.json.
+
+    A run over the size budget fails before the directory is created.
+    """
+    _check_size(_experiment_bytes(config))
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
     records = run_experiment(config)
@@ -225,10 +262,12 @@ def cmd_bound(
     Writes bound_grid.csv (m, eps, cdf, density on a fixed grid over
     [0, 1.1]), bound_summary.csv (m, cutoff, point_mass), bound_q.csv
     (discretized slot masses, same schema as distributions.csv), and a
-    manifest; a bad parameter fails before the directory is created.
+    manifest; a bad parameter or a run over the size budget fails before
+    any work and before the directory is created.
     """
     if not m_list:
         raise ConfigError("need at least one sample size m")
+    _check_size(_bound_bytes(len(m_list), slots))
     specs = [_bound_spec_from_params(kind, m, h_size, log_h_size, vc_dim) for m in m_list]
 
     grid = np.linspace(0.0, _GRID_TOP, _GRID_POINTS).tolist()

@@ -5,16 +5,25 @@ losses; histogramming them over equal-width slots yields the empirical
 distribution that gets compared against the discretized theoretical
 bound.  Every trial owns an independent PCG64 stream seeded from
 (master_seed, m, trial_index) by a fixed 64-bit mix, so trial i sees
-the same stream whatever k is.  :func:`run_trials` derives all k streams
-of a sample size at once in vectorised NumPy arithmetic, seats one PCG64
-on each in turn and makes one NumPy call per trial into a chunk buffer:
-the draws of ``Generator(PCG64(derive_trial_seed(...)))`` built per
-trial.  Conjunction rows are raw outputs, decoded a chunk at a time and
-checked once per call against a ``Generator.integers`` replay.
+the same stream whatever k is.  :func:`run_trials` derives the PCG64
+state words of all k streams of a sample size at once in vectorised
+uint64 arithmetic (:func:`pcg64_states`).  One PCG64 serves them all:
+trial i is seated by writing its four words into the generator's
+``pcg64_random_t``, reached through ``bit_generator.ctypes.state_address``,
+and one NumPy call per trial fills a row of a chunk buffer with the
+draws of ``Generator(PCG64(derive_trial_seed(...)))`` built per trial.
+Conjunction rows are raw outputs, decoded a chunk at a time.
+
+Three checks run once per call and raise ``RuntimeError``: trial 0's
+derived words must equal ``PCG64(seed).state``; the struct must read
+them in the order of a native ``__uint128_t`` or of NumPy's emulated
+``pcg128_t`` (high word first); and, for conjunctions, trial 0's decode
+must equal a ``Generator.integers`` replay.
 """
 
 from __future__ import annotations
 
+import ctypes
 from dataclasses import dataclass, field
 from typing import Iterator
 
@@ -80,22 +89,33 @@ _INIT_B = 0x8B51_F9DD
 _MULT_B = 0x58F3_8DED
 _MIX_MULT_L = 0xCA01_F9DD
 _MIX_MULT_R = 0x4973_F715
-# PCG64's 128-bit LCG multiplier and modulus.
-_PCG_MULT = 0x2360_ED05_1FC6_5DA4_4385_DF64_9FCC_F645
-_MASK128 = (1 << 128) - 1
+# Halves of PCG64's 128-bit LCG multiplier.
+_PCG_MULT_HI = 0x2360_ED05_1FC6_5DA4
+_PCG_MULT_LO = 0x4385_DF64_9FCC_F645
 # Trials are drawn a chunk at a time into a buffer of this many bytes,
 # small enough that the buffer and its decoded copies leave peak RSS as is.
 _CHUNK_BYTES = 1 << 16
 
 
-def pcg64_states(seeds: np.ndarray) -> list[tuple[int, int]]:
-    """``(state, inc)`` of ``np.random.PCG64(int(s))`` for every uint64 seed s.
+def _mul_hi64(a: np.ndarray, b: int) -> np.ndarray:
+    """High 64 bits of each 128-bit product ``a * b``, from 32-bit limb products."""
+    a0, a1 = a & np.uint64(_MASK32), a >> np.uint64(32)
+    b0, b1 = np.uint64(b & _MASK32), np.uint64(b >> 32)
+    cross0, cross1 = a0 * b1, a1 * b0
+    mid = ((a0 * b0) >> np.uint64(32)) + (cross0 & np.uint64(_MASK32)) + (cross1 & np.uint64(_MASK32))
+    return a1 * b1 + (cross0 >> np.uint64(32)) + (cross1 >> np.uint64(32)) + (mid >> np.uint64(32))
 
+
+def pcg64_states(seeds: np.ndarray) -> np.ndarray:
+    """State words of ``np.random.PCG64(int(s))`` for every uint64 seed s.
+
+    Row i is ``[state_lo, state_hi, inc_lo, inc_hi]``: the 128-bit LCG
+    state and increment, each as two 64-bit halves, low half first.
     Replays ``SeedSequence(s).generate_state(4, np.uint64)`` in uint32
     arithmetic over all seeds at once.  A 64-bit seed is at most two
     entropy words; a seed below 2**32 has one, but the pool pads it with
     ``hashmix(0)``, which is what a zero high word gives.  PCG64 then
-    seeds its LCG from the four words, which needs 128-bit integers.
+    seeds its LCG from the four words in wrapping uint64 arithmetic.
     """
     seeds = np.asarray(seeds, dtype=np.uint64)
     entropy = [
@@ -127,43 +147,74 @@ def pcg64_states(seeds: np.ndarray) -> list[tuple[int, int]]:
         value = value * np.uint32(hash_const)
         out.append((value ^ (value >> np.uint32(16))).astype(np.uint64))
     # Little-endian pairs of 32-bit outputs form the four 64-bit words.
-    w0, w1, w2, w3 = ((out[2 * j] | (out[2 * j + 1] << np.uint64(32))).tolist() for j in range(4))
-    states = []
-    for hi_state, lo_state, hi_seq, lo_seq in zip(w0, w1, w2, w3):
-        # pcg_setseq_128_srandom_r: inc from the sequence word, two LCG steps around adding the state word.
-        inc = ((((hi_seq << 64) | lo_seq) << 1) | 1) & _MASK128
-        state = ((inc + ((hi_state << 64) | lo_state)) * _PCG_MULT + inc) & _MASK128
-        states.append((state, inc))
-    return states
+    hi_state, lo_state, hi_seq, lo_seq = (out[2 * j] | (out[2 * j + 1] << np.uint64(32)) for j in range(4))
+    # pcg_setseq_128_srandom_r: inc = 2 * seq + 1, then state = (inc + state) * MULT + inc, all mod 2**128.
+    inc_lo = (lo_seq << np.uint64(1)) | np.uint64(1)
+    inc_hi = (hi_seq << np.uint64(1)) | (lo_seq >> np.uint64(63))
+    lo = inc_lo + lo_state
+    hi = inc_hi + hi_state + (lo < inc_lo)
+    hi = _mul_hi64(lo, _PCG_MULT_LO) + lo * np.uint64(_PCG_MULT_HI) + hi * np.uint64(_PCG_MULT_LO)
+    lo = lo * np.uint64(_PCG_MULT_LO) + inc_lo
+    return np.stack([lo, hi + inc_hi + (lo < inc_lo), inc_lo, inc_hi], axis=-1)
+
+
+def _state_view(bit_generator: np.random.PCG64) -> np.ndarray:
+    """Writable view of the four uint64 words of ``bit_generator``'s ``pcg64_random_t``.
+
+    ``ctypes.state_address`` points at NumPy's ``pcg64_state``, whose first
+    member points at that struct.  The view is valid while ``bit_generator`` lives.
+    """
+    address = ctypes.c_void_p.from_address(bit_generator.ctypes.state_address).value
+    return np.ctypeslib.as_array((ctypes.c_uint64 * 4).from_address(address))
+
+
+# Column orders of [lo, hi, inc_lo, inc_hi] as a native __uint128_t stores
+# them, and as NumPy's emulated pcg128_t ({high, low}) does.
+_WORD_ORDERS = ([0, 1, 2, 3], [1, 0, 3, 2])
+
+
+def _word_order(reading: np.ndarray, words: np.ndarray) -> list[int]:
+    """The order of :data:`_WORD_ORDERS` in which ``words`` read as ``reading``."""
+    for order in _WORD_ORDERS:
+        if reading.tolist() == words[order].tolist():
+            return order
+    raise RuntimeError(f"PCG64 state layout of NumPy {np.__version__} is neither native nor emulated 128-bit")
 
 
 def _trial_draws(task: Task, m: int, k: int, master_seed: int, fixed_target: bool) -> Iterator[np.ndarray]:
     """Chunks of rows, row i filled by one NumPy call on trial i's stream:
     raw PCG64 outputs for ``task.decode`` (the first checked against
-    ``Generator.integers``), or the doubles of ``Generator.random``."""
+    ``Generator.integers``), or the doubles of ``Generator.random``.
+
+    One PCG64 serves every trial: trial i is seated by writing its four
+    state words into the generator's struct.  ``random_raw`` and
+    ``Generator.random`` do not read NumPy's buffered-uint32 flag, which
+    that write leaves alone; the ``Generator.integers`` replay does, so it
+    seats trial 0 through the ``state`` setter, which clears the flag.
+    """
     seeds = _trial_seeds(master_seed, m, k)
-    states = pcg64_states(seeds)
+    words = pcg64_states(seeds)
     bit_generator = np.random.PCG64(int(seeds[0]))
-    if bit_generator.state["state"] != {"state": states[0][0], "inc": states[0][1]}:
+    first = bit_generator.state
+    derived = [int(words[0, 1]) << 64 | int(words[0, 0]), int(words[0, 3]) << 64 | int(words[0, 2])]
+    if [first["state"]["state"], first["state"]["inc"]] != derived:
         raise RuntimeError(f"derived PCG64 state disagrees with NumPy {np.__version__} for seed {int(seeds[0])}")
+    view = _state_view(bit_generator)
+    words = words[:, _word_order(view, words[0])]
     generator = np.random.Generator(bit_generator)
     raw = isinstance(task, ConjunctionTask)
     width = task.draw_width(m, fixed_target)
     rows = max(1, _CHUNK_BYTES // (8 * width))
-    stream: dict[str, int] = {}
-    seat = {"bit_generator": "PCG64", "state": stream, "has_uint32": 0, "uinteger": 0}
     for start in range(0, k, rows):
         chunk = np.empty((min(rows, k - start), width), dtype=np.uint64 if raw else np.float64)
-        for row, state in zip(chunk, states[start : start + rows]):
-            stream["state"], stream["inc"] = state
-            bit_generator.state = seat
+        for row, state in zip(chunk, words[start : start + rows]):
+            view[:] = state
             if raw:
                 row[:] = bit_generator.random_raw(width)
             else:
                 generator.random(out=row)
         if raw and start == 0:
-            stream["state"], stream["inc"] = states[0]
-            bit_generator.state = seat
+            bit_generator.state = first
             codes, bits = task.decode(m, chunk[:1], fixed_target)
             same = fixed_target or codes[0].tolist() == list(task.draw_target(generator).states)
             if not (same and np.array_equal(bits[0], generator.integers(0, 2, size=(m, task.n), dtype=np.uint8))):

@@ -213,13 +213,25 @@ def random_threshold_target(rng: np.random.Generator) -> ThresholdHypothesis:
     return ThresholdHypothesis(float(rng.random()))
 
 
+# Bit patterns of non-negative doubles lie below 2**63, so the wrapping
+# difference a - b of two of them is at least 2**63 exactly when a < b.
+_NEGATIVE_GAP = 1 << 63
+_MAX_GAP = (1 << 64) - 1
+
+
 def learn_threshold(points: np.ndarray, cuts) -> np.ndarray:
-    """ERM cut of each row of sample points in [0, 1) under that row's target cut.
+    """ERM cut of each row of sample points under that row's target cut.
 
     The points at or above the cut are labeled 0; the learned cut is the
     smallest of them, or 1.0 (the conservative consistent choice) if none.
+    Points and cuts must be non-negative doubles (``-0.0`` excluded), which
+    order like their bit patterns: the smallest wrapping difference of
+    bit patterns ``point - cut`` below 2**63 gives that point exactly,
+    where a difference of floats can round two points to one gap.
     """
-    return np.where(points >= np.expand_dims(cuts, -1), points, 1.0).min(axis=-1, initial=1.0)
+    cut_bits = np.asarray(cuts, dtype=np.float64).view(np.uint64)[..., None]
+    gap = (np.asarray(points, dtype=np.float64).view(np.uint64) - cut_bits).min(axis=-1, initial=_MAX_GAP)
+    return np.where(gap < _NEGATIVE_GAP, (gap + cut_bits[..., 0]).view(np.float64), 1.0)
 
 
 def threshold_loss_exact(target: ThresholdHypothesis, learned: ThresholdHypothesis) -> float:
@@ -308,15 +320,18 @@ class ConjunctionTask:
         fixed = None if target is None else np.array(target.states, dtype=np.int64)
         exact = np.float32 if m < 1 << 24 else np.float64
         codes, ones, positives = [], [], []
-        for raw in chunks:
-            code, bits = self.decode(m, raw, fixed is not None)
-            code = np.broadcast_to(fixed, (len(raw), self.n)) if fixed is not None else code
-            bits = bits.astype(exact)
-            checks = (bits @ _LITERAL_WEIGHT.astype(exact)[code][:, :, None])[:, :, 0]
-            accepted = checks == -np.count_nonzero(code == VariableState.POSITIVE, axis=1)[:, None]
-            codes.append(code)
-            ones.append((accepted.astype(exact)[:, None, :] @ bits)[:, 0, :])
-            positives.append(np.count_nonzero(accepted, axis=1))
+        # The operands are 0/1 bits and -1/0/+1 weights, so no result is
+        # invalid; BLAS kernels have still raised the flag now and then.
+        with np.errstate(invalid="ignore"):
+            for raw in chunks:
+                code, bits = self.decode(m, raw, fixed is not None)
+                code = np.broadcast_to(fixed, (len(raw), self.n)) if fixed is not None else code
+                bits = bits.astype(exact)
+                checks = (bits @ _LITERAL_WEIGHT.astype(exact)[code][:, :, None])[:, :, 0]
+                accepted = checks == -np.count_nonzero(code == VariableState.POSITIVE, axis=1)[:, None]
+                codes.append(code)
+                ones.append((accepted.astype(exact)[:, None, :] @ bits)[:, 0, :])
+                positives.append(np.count_nonzero(accepted, axis=1))
         return disagreement(np.concatenate(codes), eliminate_literals(np.concatenate(ones), np.concatenate(positives)))
 
 

@@ -374,6 +374,64 @@ class TestExitCodes:
         assert main(["kl", str(short), str(short)]) == 1
 
 
+def default_config(task, **overrides):
+    """The CLI's default experiment for ``task``, with overrides."""
+    m_start = 25 if isinstance(task, ConjunctionTask) else 20
+    fields = dict(task=task, num_slots=100, trials=1000, m_start=m_start, m_step=m_start, m_max=50 * m_start, master_seed=2024)
+    return ExperimentConfig(**(fields | overrides))
+
+
+class TestSizeBudget:
+    @pytest.mark.parametrize(
+        "config",
+        [
+            default_config(ConjunctionTask(10)),
+            default_config(ThresholdTask()),
+            default_config(ThresholdTask(), trials=20, num_slots=2000),
+        ],
+        ids=["conj-default", "thr-default", "wide-io"],
+    )
+    def test_default_runs_fit(self, config):
+        assert paclab.cli._experiment_bytes(config) < paclab.cli.SIZE_BUDGET_BYTES
+        assert paclab.cli._bound_bytes(50, config.num_slots) < paclab.cli.SIZE_BUDGET_BYTES
+
+    @pytest.mark.parametrize(
+        "overrides",
+        [dict(num_slots=100_000_000), dict(trials=100_000_000), dict(m_max=10**12), dict(n=10**8)],
+        ids=["slots", "trials", "m-max", "variables"],
+    )
+    def test_huge_runs_exceed_budget(self, overrides):
+        config = default_config(ConjunctionTask(overrides.pop("n", 10)), **overrides)
+        assert paclab.cli._experiment_bytes(config) > paclab.cli.SIZE_BUDGET_BYTES
+
+    def test_huge_bound_exceeds_budget(self):
+        assert paclab.cli._bound_bytes(3, 100_000_000) > paclab.cli.SIZE_BUDGET_BYTES
+        assert paclab.cli._bound_bytes(10**7, 100) > paclab.cli.SIZE_BUDGET_BYTES
+
+    @pytest.mark.parametrize("task", [ConjunctionTask(3), ThresholdTask()], ids=["conjunction", "threshold"])
+    def test_estimate_covers_written_bytes(self, tmp_path, task):
+        config = small_config(task=task, num_slots=50)
+        cmd_experiment(config, tmp_path)
+        written = sum(path.stat().st_size for path in tmp_path.iterdir())
+        assert paclab.cli._experiment_bytes(config) >= written
+        cmd_bound("vc", [5, 50, 500], tmp_path / "bound", vc_dim=1, slots=50)
+        written = sum(path.stat().st_size for path in (tmp_path / "bound").iterdir())
+        assert paclab.cli._bound_bytes(3, 50) >= written
+
+    def test_over_budget_fails_before_any_work(self, tmp_path, monkeypatch, capsys):
+        def no_trials(*args, **kwargs):
+            raise AssertionError("a trial ran")
+
+        monkeypatch.setattr(paclab.cli, "run_trials", no_trials)
+        monkeypatch.setattr(paclab.cli, "SIZE_BUDGET_BYTES", 1 << 20)
+        out = tmp_path / "out"
+        assert main(["experiment", "--task", "threshold", "--slots", "5000", "--out-dir", str(out)]) == 1
+        assert "budget" in capsys.readouterr().err
+        assert main(["bound", "--m", "5,9", "--slots", "5000", "--out-dir", str(out)]) == 1
+        assert "budget" in capsys.readouterr().err
+        assert not out.exists()
+
+
 class TestBoundCommand:
     def test_summary_cutoffs(self, tmp_path):
         cmd_bound("finite-h", [22, 35, 100], tmp_path, h_size=1e9)

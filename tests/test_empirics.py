@@ -1,5 +1,6 @@
 """Seed derivation, trial batches, determinism, and histogramming."""
 
+import itertools
 import math
 
 import numpy as np
@@ -111,17 +112,44 @@ class TestSeedDerivation:
                 assert empirics._trial_seeds(seed, m, 300).tolist() == expected
 
 
+NATIVE_ORDER, EMULATED_ORDER = [0, 1, 2, 3], [1, 0, 3, 2]
+
+
 class TestStreamSeeding:
     def test_states_match_numpy_pcg64(self):
         randoms = np.random.default_rng(20250).integers(0, 2**64, size=2000, dtype=np.uint64)
         seeds = np.concatenate([np.array(EDGE_SEEDS, dtype=np.uint64), randoms])
         expected = [np.random.PCG64(s).state["state"] for s in seeds.tolist()]
-        assert [{"state": state, "inc": inc} for state, inc in pcg64_states(seeds)] == expected
+        words = pcg64_states(seeds)
+        assert words.dtype == np.uint64 and words.shape == (len(seeds), 4)
+        got = [{"state": hi << 64 | lo, "inc": inc_hi << 64 | inc_lo} for lo, hi, inc_lo, inc_hi in words.tolist()]
+        assert got == expected
 
     def test_state_mismatch_raises(self, monkeypatch):
-        monkeypatch.setattr(empirics, "pcg64_states", lambda seeds: [(1, 1)] * len(seeds))
-        with pytest.raises(RuntimeError):
+        monkeypatch.setattr(empirics, "pcg64_states", lambda seeds: np.ones((len(seeds), 4), dtype=np.uint64))
+        with pytest.raises(RuntimeError, match="derived PCG64 state"):
             run_trials(ThresholdTask(), 5, 3, 2024)
+
+    @pytest.mark.parametrize("order", [NATIVE_ORDER, EMULATED_ORDER], ids=["native", "emulated"])
+    def test_word_order_accepts_both_layouts(self, order):
+        words = pcg64_states(np.array(EDGE_SEEDS, dtype=np.uint64))
+        for row in words:
+            assert empirics._word_order(row[order], row) == order
+
+    def test_word_order_rejects_other_readings(self):
+        row = pcg64_states(np.array([2024], dtype=np.uint64))[0]
+        orders = [list(order) for order in itertools.permutations(range(4))]
+        readings = [row[order] for order in orders if order not in (NATIVE_ORDER, EMULATED_ORDER)]
+        readings += [np.zeros(4, dtype=np.uint64), row ^ np.array([0, 0, 0, 1], dtype=np.uint64)]
+        for reading in readings:
+            with pytest.raises(RuntimeError, match="layout"):
+                empirics._word_order(reading, row)
+
+    @pytest.mark.parametrize("task", [ConjunctionTask(4), ThresholdTask()], ids=["conjunction", "threshold"])
+    def test_misread_state_view_raises(self, monkeypatch, task):
+        monkeypatch.setattr(empirics, "_state_view", lambda bit_generator: np.zeros(4, dtype=np.uint64))
+        with pytest.raises(RuntimeError, match="layout"):
+            run_trials(task, 5, 3, 2024)
 
     @pytest.mark.parametrize("fixed_target", [False, True])
     @pytest.mark.parametrize("seed", [2024, 7, -1, 0, 2**70])

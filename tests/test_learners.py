@@ -240,7 +240,47 @@ class TestThresholdSampling:
             ThresholdHypothesis(1.2)
 
 
+def erm_cut_reference(xs, cut):
+    """The smallest point at or above ``cut``, else 1.0, in plain Python."""
+    return min((x for x in xs if x >= cut), default=1.0)
+
+
+MIN_NORMAL = 2.2250738585072014e-308
+# 0.0, the two smallest subnormals, both sides of the smallest normal,
+# 0.5, and the largest double below 1.0.
+SPECIAL_POINTS = [0.0, 5e-324, 1e-323, float(np.nextafter(MIN_NORMAL, 0.0)), MIN_NORMAL, 0.5, float(np.nextafter(1.0, 0.0))]
+
+
 class TestLearnThreshold:
+    def test_matches_python_reference_exactly(self):
+        rng = np.random.default_rng(61)
+        rows = 200
+        for width in range(13):
+            points = rng.random((rows, width))
+            special = rng.random(points.shape) < 0.2
+            points[special] = rng.choice(SPECIAL_POINTS, size=int(special.sum()))
+            cuts = rng.random(rows)
+            kind = rng.integers(0, 4, size=rows)
+            cuts[kind == 1] = rng.choice(SPECIAL_POINTS, size=int((kind == 1).sum()))
+            cuts[kind == 2] = 1.0
+            if width:
+                on_point = np.flatnonzero(kind == 3)
+                cuts[on_point] = points[on_point, rng.integers(0, width, size=on_point.size)]
+            expected = [erm_cut_reference(xs, cut) for xs, cut in zip(points.tolist(), cuts.tolist())]
+            assert learn_threshold(points, cuts).tolist() == expected, width
+            for cut in [0.3, 1.0, *SPECIAL_POINTS]:
+                expected = [erm_cut_reference(xs, cut) for xs in points.tolist()]
+                assert learn_threshold(points, cut).tolist() == expected, (width, cut)
+
+    def test_points_whose_float_gaps_collide(self):
+        # The cut has a bit below the points' last place, and ties-to-even
+        # rounds both float differences to 0.625.
+        cut = 0.25 + 2**-54
+        points = np.array([0.875 + 2**-53, 0.875])
+        assert points[0] - cut == points[1] - cut
+        assert learn_threshold(points, cut) == 0.875
+        assert learn_threshold(points[::-1][None], np.array([cut])).tolist() == [0.875]
+
     def test_takes_smallest_negative(self):
         assert learn_threshold(np.array([0.2, 0.9, 0.7]), 0.5) == 0.7
 
