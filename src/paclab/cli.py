@@ -39,7 +39,7 @@ import numpy as np
 
 from . import __version__
 from .analysis import ExperimentRecord, build_curve, kl_divergence
-from .empirics import ExperimentConfig, Task, histogram, run_trials
+from .empirics import ExperimentConfig, Task, TrialWorkers, _range_count, histogram, run_trials
 from .learners import ConjunctionTask, ThresholdTask
 from .theory import (
     BoundSpec,
@@ -83,6 +83,8 @@ _GRID_TOP = 1.1
 # row held for writing and, for one sample size, about 240 bytes per trial
 # (seed and state words, losses) plus 45 per conjunction variable (code
 # and count arrays); the draw buffer holds a row and its decoded copies.
+# The trials of a sample size are split into ranges, one per process: each
+# process holds its range's per-trial arrays and a draw buffer of its own.
 SIZE_BUDGET_BYTES = 2 << 30
 _ROW_BYTES = 256
 _TRIAL_BYTES = 256
@@ -143,22 +145,34 @@ def task_bound_spec(task: Task, m: int) -> BoundSpec:
 
 
 def run_experiment(config: ExperimentConfig) -> list[ExperimentRecord]:
-    """Empirical and theoretical distributions for every scheduled m."""
+    """Empirical and theoretical distributions for every scheduled m.
+
+    The trials of each m are split between the usable CPUs by a worker
+    group that lives only for this loop; the workers are handed their
+    ranges of the whole schedule up front, so they never wait between
+    sample sizes.
+    """
     records = []
-    for m in config.schedule():
-        batch = run_trials(config.task, m, config.trials, config.master_seed, fixed_target=config.fixed_target)
-        empirical = histogram(batch.losses, config.num_slots)
-        theoretical = discretize_bound(task_bound_spec(config.task, m), config.num_slots)
-        records.append(ExperimentRecord(m=m, empirical=empirical, theoretical=theoretical))
+    with TrialWorkers() as pool:
+        pool.plan(config.task, config.schedule(), config.trials, config.master_seed, fixed_target=config.fixed_target)
+        for m in config.schedule():
+            batch = run_trials(
+                config.task, m, config.trials, config.master_seed, fixed_target=config.fixed_target, pool=pool
+            )
+            empirical = histogram(batch.losses, config.num_slots)
+            theoretical = discretize_bound(task_bound_spec(config.task, m), config.num_slots)
+            records.append(ExperimentRecord(m=m, empirical=empirical, theoretical=theoretical))
     return records
 
 
 def _experiment_bytes(config: ExperimentConfig) -> int:
-    """Estimated peak memory of ``cmd_experiment(config)``: its CSV rows and one sample size's trials."""
+    """Estimated peak memory of ``cmd_experiment(config)`` over its processes:
+    its CSV rows and one sample size's trials."""
     sizes = len(range(config.m_start, config.m_max + 1, config.m_step))
     per_trial = _TRIAL_BYTES + (_VARIABLE_BYTES * config.task.n if isinstance(config.task, ConjunctionTask) else 0)
-    draw_row = 8 * config.task.draw_width(config.m_max, config.fixed_target)
-    return sizes * (2 * config.num_slots + 1) * _ROW_BYTES + config.trials * per_trial + _DRAW_COPIES * draw_row
+    width = config.task.draw_width(config.m_max, config.fixed_target)
+    draw_buffers = _range_count(config.trials, width) * _DRAW_COPIES * 8 * width
+    return sizes * (2 * config.num_slots + 1) * _ROW_BYTES + config.trials * per_trial + draw_buffers
 
 
 def _bound_bytes(m_count: int, slots: int) -> int:

@@ -14,18 +14,24 @@ and one NumPy call per trial fills a row of a chunk buffer with the
 draws of ``Generator(PCG64(derive_trial_seed(...)))`` built per trial.
 Conjunction rows are raw outputs, decoded a chunk at a time.
 
-Three checks run once per call and raise ``RuntimeError``: trial 0's
-derived words must equal ``PCG64(seed).state``; the struct must read
-them in the order of a native ``__uint128_t`` or of NumPy's emulated
-``pcg128_t`` (high word first); and, for conjunctions, trial 0's decode
-must equal a ``Generator.integers`` replay.
+The trials of a call can be split into ranges of consecutive trials and
+computed by forked workers (:class:`TrialWorkers`), which can be handed
+the ranges of a whole schedule at once; the losses are concatenated in
+trial order, and they are the same bytes however the trials are split.
+Three checks run once per range and raise ``RuntimeError``: its first
+trial's derived words must equal ``PCG64(seed).state``; the struct must
+read them in the order of a native ``__uint128_t`` or of NumPy's
+emulated ``pcg128_t`` (high word first); and, for conjunctions, its
+first trial's decode must equal a ``Generator.integers`` replay.
 """
 
 from __future__ import annotations
 
 import ctypes
+import os
+from collections import deque
 from dataclasses import dataclass, field
-from typing import Iterator
+from typing import Iterator, NamedTuple, NoReturn
 
 import numpy as np
 
@@ -36,6 +42,7 @@ __all__ = [
     "ExperimentConfig",
     "FIXED_TARGET_INDEX",
     "TrialBatch",
+    "TrialWorkers",
     "derive_trial_seed",
     "histogram",
     "pcg64_states",
@@ -75,10 +82,10 @@ def derive_trial_seed(master_seed: int, m: int, trial_index: int) -> int:
     return h
 
 
-def _trial_seeds(master_seed: int, m: int, k: int) -> np.ndarray:
-    """``derive_trial_seed(master_seed, m, i)`` for i < k, as uint64 (wrapping) arithmetic."""
+def _trial_seeds(master_seed: int, m: int, start: int, stop: int) -> np.ndarray:
+    """``derive_trial_seed(master_seed, m, i)`` for start <= i < stop, as uint64 (wrapping) arithmetic."""
     h = _mix64(((master_seed & _MASK64) + _GOLDEN_GAMMA + (m & _MASK64)) & _MASK64)
-    return _mix64(np.arange(k, dtype=np.uint64) + np.uint64((h + _GOLDEN_GAMMA) & _MASK64))
+    return _mix64(np.arange(start, stop, dtype=np.uint64) + np.uint64((h + _GOLDEN_GAMMA) & _MASK64))
 
 
 # SeedSequence hash constants (O'Neill's seed_seq_fe, as in numpy.random.bit_generator).
@@ -181,18 +188,21 @@ def _word_order(reading: np.ndarray, words: np.ndarray) -> list[int]:
     raise RuntimeError(f"PCG64 state layout of NumPy {np.__version__} is neither native nor emulated 128-bit")
 
 
-def _trial_draws(task: Task, m: int, k: int, master_seed: int, fixed_target: bool) -> Iterator[np.ndarray]:
-    """Chunks of rows, row i filled by one NumPy call on trial i's stream:
-    raw PCG64 outputs for ``task.decode`` (the first checked against
+def _trial_draws(
+    task: Task, m: int, start: int, stop: int, master_seed: int, fixed_target: bool
+) -> Iterator[np.ndarray]:
+    """Chunks of rows for trials start <= i < stop, the row of trial i
+    filled by one NumPy call on its stream: raw PCG64 outputs for
+    ``task.decode`` (trial ``start``'s checked against
     ``Generator.integers``), or the doubles of ``Generator.random``.
 
     One PCG64 serves every trial: trial i is seated by writing its four
     state words into the generator's struct.  ``random_raw`` and
     ``Generator.random`` do not read NumPy's buffered-uint32 flag, which
     that write leaves alone; the ``Generator.integers`` replay does, so it
-    seats trial 0 through the ``state`` setter, which clears the flag.
+    seats trial ``start`` through the ``state`` setter, which clears the flag.
     """
-    seeds = _trial_seeds(master_seed, m, k)
+    seeds = _trial_seeds(master_seed, m, start, stop)
     words = pcg64_states(seeds)
     bit_generator = np.random.PCG64(int(seeds[0]))
     first = bit_generator.state
@@ -205,15 +215,15 @@ def _trial_draws(task: Task, m: int, k: int, master_seed: int, fixed_target: boo
     raw = isinstance(task, ConjunctionTask)
     width = task.draw_width(m, fixed_target)
     rows = max(1, _CHUNK_BYTES // (8 * width))
-    for start in range(0, k, rows):
-        chunk = np.empty((min(rows, k - start), width), dtype=np.uint64 if raw else np.float64)
-        for row, state in zip(chunk, words[start : start + rows]):
+    for first_row in range(0, len(words), rows):
+        chunk = np.empty((min(rows, len(words) - first_row), width), dtype=np.uint64 if raw else np.float64)
+        for row, state in zip(chunk, words[first_row : first_row + rows]):
             view[:] = state
             if raw:
                 row[:] = bit_generator.random_raw(width)
             else:
                 generator.random(out=row)
-        if raw and start == 0:
+        if raw and first_row == 0:
             bit_generator.state = first
             codes, bits = task.decode(m, chunk[:1], fixed_target)
             same = fixed_target or codes[0].tolist() == list(task.draw_target(generator).states)
@@ -270,21 +280,257 @@ class ExperimentConfig:
         return list(range(self.m_start, self.m_max + 1, self.m_step))
 
 
-def run_trials(task: Task, m: int, k: int, master_seed: int, *, fixed_target: bool = False) -> TrialBatch:
+def _range_losses(
+    task: Task, m: int, start: int, stop: int, master_seed: int, fixed_target: bool, target
+) -> np.ndarray:
+    """Losses of trials start <= i < stop: the unit of work a worker computes."""
+    return task.trial_losses(m, _trial_draws(task, m, start, stop, master_seed, fixed_target), target=target)
+
+
+# A range holds at least this many draws: below it, the fixed set-up of a
+# range and a worker's wake-up cost more than the split saves.
+_MIN_RANGE_DRAWS = 1 << 15
+# The split was measured with two processes on two CPUs; more ranges, each
+# paying the set-up on fewer trials, are unmeasured and so not made.
+_MAX_RANGES = 2
+# The first range, which this process computes beside its own work per
+# sample size (reading replies, the histogram, the bound), holds this many
+# times the trials of a worker's range: a planned worker whose CPU runs up
+# to a fifth slower still keeps ahead, so this process does not wait on it.
+_FIRST_RANGE_WEIGHT = 1.25
+
+
+def _usable_cpus() -> int:
+    """CPUs this process may run on; 1 where the platform cannot tell."""
+    return len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else 1
+
+
+def _range_count(k: int, width: int) -> int:
+    """How many ranges k trials of ``width`` draws are split into: at most
+    one per usable CPU and one per trial, each of at least
+    ``_MIN_RANGE_DRAWS`` draws, and no more than ``_MAX_RANGES``."""
+    return max(1, min(_usable_cpus(), _MAX_RANGES, k, k * width // _MIN_RANGE_DRAWS))
+
+
+def _read(fd: int, size: int) -> bytes:
+    """Exactly ``size`` bytes from ``fd``, or b"" if its writer closes first."""
+    chunks = []
+    while size:
+        chunk = os.read(fd, size)
+        if not chunk:
+            return b""
+        chunks.append(chunk)
+        size -= len(chunk)
+    return b"".join(chunks)
+
+
+def _send(fd: int, obj) -> bool:
+    """Write ``obj`` pickled, behind its 8-byte length; False if the reader is gone."""
+    import pickle
+
+    data = pickle.dumps(obj, protocol=pickle.HIGHEST_PROTOCOL)
+    view = memoryview(len(data).to_bytes(8, "little") + data)
+    try:
+        while view:
+            view = view[os.write(fd, view) :]
+    except BrokenPipeError:
+        return False
+    return True
+
+
+def _receive(fd: int):
+    """The next object :func:`_send` wrote to ``fd``, or None if the writer is gone."""
+    import pickle
+
+    size = _read(fd, 8)
+    data = _read(fd, int.from_bytes(size, "little")) if size else b""
+    return pickle.loads(data) if data else None
+
+
+def _work(requests: int, replies: int, inherited: list[int]) -> NoReturn:
+    """A worker's life: close ``inherited`` (the parent's ends of every
+    worker's pipes), then take lists of requests and reply to each request
+    in turn with its range's losses, or with the exception computing them
+    raised, until the parent closes the pipe.  It ends only through
+    ``os._exit``, so it never unwinds into the parent's copied stack or
+    runs its exit handlers."""
+    try:
+        for fd in inherited:
+            os.close(fd)
+        while (batch := _receive(requests)) is not None:
+            for request in batch:
+                try:
+                    reply = (True, _range_losses(*request))
+                except Exception as exc:
+                    reply = (False, exc)
+                if not _send(replies, reply):
+                    return
+    finally:
+        os._exit(0)
+
+
+class _Worker(NamedTuple):
+    pid: int
+    requests: int  # write end of the pipe the worker reads requests from
+    replies: int  # read end of the pipe it writes replies to
+    pending: deque  # requests sent whose replies are not read yet, in order
+
+
+class TrialWorkers:
+    """Forked processes that compute ranges of trials for :func:`run_trials`.
+
+    Use it as a context manager around one trial loop.  A worker is forked
+    (``os.fork``, so it shares the parent's modules and arguments) on the
+    first call that needs it, and serves every later call.  :meth:`plan`
+    hands the workers their ranges of a whole schedule at once, so they
+    compute them back to back instead of waiting for each call.  Leaving
+    the ``with`` block, or any error during a call, kills and reaps every
+    worker: no request stays outstanding and no process outlives the loop.
+    Workers keep SIGINT blocked, so Ctrl-C interrupts the parent alone.
+    """
+
+    def __init__(self) -> None:
+        self._workers: list[_Worker] = []
+
+    def __enter__(self) -> TrialWorkers:
+        return self
+
+    def __exit__(self, *exc) -> None:
+        self.close()
+
+    def plan(self, task: Task, ms: list[int], k: int, master_seed: int, *, fixed_target: bool = False) -> None:
+        """Send every worker, in one message, the ranges that
+        ``run_trials(task, m, k, master_seed, fixed_target=..., pool=self)``
+        will ask of it for each m in turn, so they are computed while this
+        process computes its own ranges.  A later call whose request is not
+        the next planned one discards the plan with its workers."""
+        batches: list[list[tuple]] = []
+        for m in ms:
+            for i, request in enumerate(_trial_requests(task, m, k, master_seed, fixed_target, self)[1:]):
+                if i == len(batches):
+                    batches.append([])
+                batches[i].append(request)
+        self._run(lambda: self._hand_out(batches))
+
+    def map(self, requests: list[tuple]) -> list[np.ndarray]:
+        """``_range_losses(*request)`` of every request, in order: the first
+        computed here while workers compute, or have computed, the others."""
+        return self._run(lambda: self._map(requests))
+
+    def _run(self, call):
+        """``call()``, killing every worker if it raises."""
+        try:
+            return call()
+        except BaseException:
+            self.close()
+            raise
+
+    def _hand_out(self, batches: list[list[tuple]]) -> None:
+        """Send worker i ``batches[i]``; workers with a request outstanding
+        are replaced first, so no reply is read for the wrong request."""
+        if any(worker.pending for worker in self._workers[: len(batches)]):
+            self.close()
+        while len(self._workers) < len(batches):
+            self._fork()
+        for worker, batch in zip(self._workers, batches):
+            if not _send(worker.requests, batch):
+                raise RuntimeError(f"trial worker {worker.pid} exited")
+            worker.pending.extend(batch)
+
+    def _map(self, requests: list[tuple]) -> list[np.ndarray]:
+        workers = self._workers[: len(requests) - 1]
+        planned = len(workers) == len(requests) - 1 and all(
+            worker.pending and worker.pending[0] == request for worker, request in zip(workers, requests[1:])
+        )
+        if not planned:
+            self._hand_out([[request] for request in requests[1:]])
+            workers = self._workers[: len(requests) - 1]
+        results = [_range_losses(*requests[0])]
+        for worker in workers:
+            worker.pending.popleft()
+            reply = _receive(worker.replies)
+            if reply is None:
+                raise RuntimeError(f"trial worker {worker.pid} exited mid-call")
+            ok, value = reply
+            if not ok:
+                raise value
+            results.append(value)
+        return results
+
+    def close(self) -> None:
+        """Kill and reap every worker."""
+        import signal
+
+        workers, self._workers = self._workers, []
+        for worker in workers:
+            os.close(worker.requests)
+            os.close(worker.replies)
+            os.kill(worker.pid, signal.SIGKILL)
+            os.waitpid(worker.pid, 0)
+
+    def _fork(self) -> None:
+        import gc
+        import signal
+
+        requests_r, requests_w = os.pipe()
+        replies_r, replies_w = os.pipe()
+        inherited = [requests_w, replies_r, *(fd for w in self._workers for fd in (w.requests, w.replies))]
+        # SIGINT is blocked until the worker is on the list close() reaps, and
+        # stays blocked in the worker.  Frozen objects are skipped by the
+        # worker's garbage collector, which so runs no finalizer of the parent's.
+        mask = signal.pthread_sigmask(signal.SIG_BLOCK, [signal.SIGINT])
+        gc.freeze()
+        try:
+            pid = os.fork()
+            if pid == 0:
+                _work(requests_r, replies_w, inherited)
+            self._workers.append(_Worker(pid, requests_w, replies_r, deque()))
+        except OSError:
+            os.close(requests_w)
+            os.close(replies_r)
+            raise
+        finally:
+            gc.unfreeze()
+            signal.pthread_sigmask(signal.SIG_SETMASK, mask)
+            os.close(requests_r)
+            os.close(replies_w)
+
+
+def _trial_requests(
+    task: Task, m: int, k: int, master_seed: int, fixed_target: bool, pool: TrialWorkers | None
+) -> list[tuple]:
+    """The ``_range_losses`` arguments of each range ``run_trials`` splits k trials into."""
+    target = None
+    if fixed_target:
+        shared = np.random.PCG64(derive_trial_seed(master_seed, m, FIXED_TARGET_INDEX))
+        target = task.draw_target(np.random.Generator(shared))
+    ranges = 1 if pool is None else _range_count(k, task.draw_width(m, fixed_target))
+    bounds = [0, k]
+    if ranges > 1:
+        head = k - int(k * (ranges - 1) / (ranges - 1 + _FIRST_RANGE_WEIGHT))
+        bounds = sorted({0, *(head + (k - head) * i // (ranges - 1) for i in range(ranges))})
+    return [(task, m, start, stop, master_seed, fixed_target, target) for start, stop in zip(bounds, bounds[1:])]
+
+
+def run_trials(
+    task: Task, m: int, k: int, master_seed: int, *, fixed_target: bool = False, pool: TrialWorkers | None = None
+) -> TrialBatch:
     """Run k independent trials at sample size m.
 
     Each trial draws a fresh ground truth from its own stream (or reuses
     the shared one in fixed-target mode), samples m labeled instances,
     learns, and records the exact loss.  Losses are ordered by trial
-    index, and trial i's loss does not depend on k.
+    index, and trial i's loss does not depend on k.  With a ``pool`` the
+    trials are split into ``_range_count`` ranges of consecutive trials,
+    the first the largest (``_FIRST_RANGE_WEIGHT``); its workers compute
+    all but the first, which this process computes, or have computed them
+    already if :meth:`TrialWorkers.plan` named this call.  A range's losses
+    are the same wherever it runs, so no byte changes.
     """
     if m < 1 or k < 1:
         raise ValueError(f"need m >= 1 and k >= 1, got m={m}, k={k}")
-    target = None
-    if fixed_target:
-        shared = np.random.PCG64(derive_trial_seed(master_seed, m, FIXED_TARGET_INDEX))
-        target = task.draw_target(np.random.Generator(shared))
-    losses = task.trial_losses(m, _trial_draws(task, m, k, master_seed, fixed_target), target=target)
+    requests = _trial_requests(task, m, k, master_seed, fixed_target, pool)
+    losses = _range_losses(*requests[0]) if len(requests) == 1 else np.concatenate(pool.map(requests))
     return TrialBatch(task=task, m=m, k=k, master_seed=master_seed, losses=losses)
 
 

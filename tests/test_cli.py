@@ -3,6 +3,9 @@
 import hashlib
 import json
 import math
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -10,6 +13,7 @@ import pytest
 
 from paclab.analysis import build_curve, kl_divergence
 import paclab.cli
+import paclab.empirics
 from paclab.cli import (
     DISTRIBUTIONS_HEADER,
     ConfigError,
@@ -381,6 +385,41 @@ def default_config(task, **overrides):
     return ExperimentConfig(**(fields | overrides))
 
 
+# Prints a split run's size estimate, the growth of the process's peak RSS
+# over a one-process warm-up run that paid the one-off costs (library pages,
+# BLAS buffers), and each worker's peak RSS growth from its first range on,
+# which the worker writes to a file; argv[1] is the output directory.
+RSS_SCRIPT = """
+import dataclasses, json, os, resource, sys
+from pathlib import Path
+import paclab.cli as cli
+import paclab.empirics as empirics
+from paclab.empirics import ExperimentConfig
+from paclab.learners import ConjunctionTask, ThresholdTask
+out = Path(sys.argv[1])
+def peak():
+    return resource.getrusage(resource.RUSAGE_SELF).ru_maxrss * 1024
+parent, starts, range_losses = os.getpid(), {{}}, empirics._range_losses
+def measured_range_losses(*args):
+    start = starts.setdefault(os.getpid(), peak())
+    losses = range_losses(*args)
+    if os.getpid() != parent:
+        (out / f"worker-{{os.getpid()}}.rss").write_text(str(peak() - start))
+    return losses
+empirics._range_losses = measured_range_losses
+config = ExperimentConfig(
+    task={task!r}, num_slots=50, trials=20000, m_start=1250, m_step=1, m_max=1250, master_seed=4242
+)
+empirics._usable_cpus = lambda: 1
+cli.cmd_experiment(dataclasses.replace(config, trials=200), out)
+empirics._usable_cpus = lambda: 2
+before = peak()
+cli.cmd_experiment(config, out)
+workers = [int(path.read_text()) for path in out.glob("worker-*.rss")]
+print(json.dumps({{"estimate": cli._experiment_bytes(config), "parent": peak() - before, "workers": workers}}))
+"""
+
+
 class TestSizeBudget:
     @pytest.mark.parametrize(
         "config",
@@ -417,6 +456,16 @@ class TestSizeBudget:
         cmd_bound("vc", [5, 50, 500], tmp_path / "bound", vc_dim=1, slots=50)
         written = sum(path.stat().st_size for path in (tmp_path / "bound").iterdir())
         assert paclab.cli._bound_bytes(3, 50) >= written
+        # Peak memory of a split run, in a fresh interpreter: the growth of the
+        # parent's peak RSS plus that of its worker's.
+        script = RSS_SCRIPT.format(task=task)
+        env = dict(os.environ, PYTHONPATH=str(Path(paclab.cli.__file__).parents[1]))
+        argv = [sys.executable, "-c", script, str(tmp_path / "rss")]
+        proc = subprocess.run(argv, env=env, capture_output=True, text=True, timeout=120)
+        assert proc.returncode == 0, proc.stderr
+        result = json.loads(proc.stdout)
+        assert len(result["workers"]) == 1, result
+        assert result["estimate"] >= result["parent"] + sum(result["workers"]), result
 
     def test_over_budget_fails_before_any_work(self, tmp_path, monkeypatch, capsys):
         def no_trials(*args, **kwargs):
@@ -695,6 +744,22 @@ def test_default_experiment_matches_golden_hashes(tmp_path, monkeypatch, task):
     assert main(["experiment", "--task", task, "--out-dir", str(tmp_path)]) == 0
     for name, want in GOLDEN_SHA256[task].items():
         assert hashlib.sha256((tmp_path / name).read_bytes()).hexdigest() == want, name
+
+
+@pytest.mark.skipif(
+    not np.__version__.startswith("2.4."),
+    reason="goldens were recorded with NumPy 2.4.x; NEP 19 does not promise Generator streams across versions",
+)
+@pytest.mark.parametrize("cpus", [1, 2, 3])
+@pytest.mark.parametrize("task", sorted(GOLDEN_SHA256))
+def test_golden_hashes_whatever_the_range_count(tmp_path, monkeypatch, task, cpus):
+    monkeypatch.setattr(paclab.empirics, "_usable_cpus", lambda: cpus)
+    monkeypatch.setattr(paclab.empirics, "_MAX_RANGES", cpus)
+    cmd_experiment(default_config(ConjunctionTask(10) if task == "conjunction" else ThresholdTask()), tmp_path)
+    for name, want in GOLDEN_SHA256[task].items():
+        assert hashlib.sha256((tmp_path / name).read_bytes()).hexdigest() == want, name
+    with pytest.raises(ChildProcessError):  # the worker group was reaped
+        os.waitpid(-1, os.WNOHANG)
 
 
 # sha256 of the outputs of the benchmark's wide-io workload at seed 2024, as

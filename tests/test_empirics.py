@@ -2,6 +2,13 @@
 
 import itertools
 import math
+import os
+import select
+import signal
+import subprocess
+import sys
+import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -12,6 +19,7 @@ from paclab.empirics import (
     FIXED_TARGET_INDEX,
     ExperimentConfig,
     TrialBatch,
+    TrialWorkers,
     derive_trial_seed,
     histogram,
     pcg64_states,
@@ -109,7 +117,8 @@ class TestSeedDerivation:
         for seed in (2024, 7, -1, 0, 2**70):
             for m in (1, 977, 10**6):
                 expected = [derive_trial_seed(seed, m, i) for i in range(300)]
-                assert empirics._trial_seeds(seed, m, 300).tolist() == expected
+                assert empirics._trial_seeds(seed, m, 0, 300).tolist() == expected
+                assert empirics._trial_seeds(seed, m, 120, 300).tolist() == expected[120:]
 
 
 NATIVE_ORDER, EMULATED_ORDER = [0, 1, 2, 3], [1, 0, 3, 2]
@@ -323,6 +332,324 @@ class TestRunTrials:
     def test_batch_validates_loss_range(self):
         with pytest.raises(ValueError):
             TrialBatch(task=ThresholdTask(), m=5, k=2, master_seed=1, losses=np.array([0.5, 1.5]))
+
+
+def assert_no_child_left():
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+@pytest.fixture
+def cpus(monkeypatch):
+    """Sets the usable CPU count that ``run_trials`` sees.  ``uncapped`` also
+    lifts the cap on the range count to it, so more than two ranges run."""
+    def set_cpus(count, uncapped=False):
+        monkeypatch.setattr(empirics, "_usable_cpus", lambda: count)
+        if uncapped:
+            monkeypatch.setattr(empirics, "_MAX_RANGES", count)
+
+    return set_cpus
+
+
+class TestTrialRanges:
+    @pytest.mark.parametrize("fixed_target", [False, True])
+    @pytest.mark.parametrize("task", [ConjunctionTask(10), ThresholdTask()], ids=["conjunction", "threshold"])
+    @pytest.mark.parametrize("m", [25, 1250])
+    def test_split_ranges_concatenate_to_the_whole(self, task, m, fixed_target):
+        k, seed = 13, 2024  # at m = 1250 a 64 KiB chunk holds 5 or 6 rows
+        target = task.draw_target(trial_rng(seed, m, FIXED_TARGET_INDEX)) if fixed_target else None
+        whole = empirics._range_losses(task, m, 0, k, seed, fixed_target, target)
+        assert whole.tolist() == reference_losses(task, m, k, seed, fixed_target)
+        for split in (1, k // 2, k - 1):
+            head = empirics._range_losses(task, m, 0, split, seed, fixed_target, target)
+            tail = empirics._range_losses(task, m, split, k, seed, fixed_target, target)
+            assert np.concatenate([head, tail]).tobytes() == whole.tobytes(), split
+
+    @pytest.mark.parametrize("fixed_target", [False, True])
+    @pytest.mark.parametrize("task", [ConjunctionTask(10), ThresholdTask()], ids=["conjunction", "threshold"])
+    @pytest.mark.parametrize("count", [2, 3])
+    def test_pooled_run_matches_one_process(self, cpus, task, count, fixed_target):
+        cpus(count, uncapped=True)
+        assert empirics._range_count(300, task.draw_width(400, fixed_target)) == count
+        with TrialWorkers() as pool:
+            for seed in (2024, 7):
+                pooled = run_trials(task, 400, 300, seed, fixed_target=fixed_target, pool=pool)
+                alone = run_trials(task, 400, 300, seed, fixed_target=fixed_target)
+                assert pooled.losses.tobytes() == alone.losses.tobytes()
+        assert_no_child_left()
+
+    @pytest.mark.parametrize("count", [2, 3, 4])
+    def test_ranges_cover_the_trials_and_the_first_is_largest(self, cpus, count):
+        cpus(count, uncapped=True)
+        for k in (1, 2, 3, 5, 100, 1000):
+            ranges = [request[2:4] for request in empirics._trial_requests(ThresholdTask(), 2**16, k, 2024, False, TrialWorkers())]
+            assert [start for start, _ in ranges] == [0, *(stop for _, stop in ranges[:-1])] and ranges[-1][1] == k
+            sizes = [stop - start for start, stop in ranges]
+            assert min(sizes) >= 1 and sizes[0] == max(sizes) and len(ranges) <= count, (k, ranges)
+        cpus(2)
+        assert [request[2:4] for request in empirics._trial_requests(ThresholdTask(), 1000, 1000, 2024, False, TrialWorkers())] == [
+            (0, 556),
+            (556, 1000),
+        ]
+
+    def test_range_count_gate(self, cpus):
+        cpus(4)
+        assert empirics._range_count(20, 1001) == 1  # wide-io: 20,020 draws stay in one process
+        assert empirics._range_count(1000, 21) == 1
+        assert empirics._range_count(1000, 66) == 2
+        assert empirics._range_count(1000, 1575) == 2  # no more than the two ranges measured
+        assert empirics._range_count(1, 2**16) == 1  # no more ranges than trials
+        cpus(4, uncapped=True)
+        assert empirics._range_count(1000, 1575) == 4
+        assert empirics._range_count(3, 2**16) == 3
+        cpus(1)
+        assert empirics._range_count(1000, 1575) == 1
+
+    @pytest.mark.parametrize("uncapped", [False, True])
+    @pytest.mark.parametrize("k", [1, 3])
+    def test_fewer_trials_than_cpus(self, cpus, k, uncapped):
+        # Trials of 2**16 draws pass the draw gate one by one, so only the
+        # trial count keeps a range from being empty.
+        cpus(4, uncapped)
+        m = 2**16 - 1
+        with TrialWorkers() as pool:
+            pooled = run_trials(ThresholdTask(), m, k, 2024, pool=pool)
+        assert pooled.losses.tobytes() == run_trials(ThresholdTask(), m, k, 2024).losses.tobytes()
+        assert_no_child_left()
+
+    def test_no_affinity_call_means_one_cpu(self, monkeypatch):
+        monkeypatch.delattr(os, "sched_getaffinity", raising=False)
+        assert empirics._usable_cpus() == 1
+
+    def test_one_cpu_forks_nothing(self, cpus, monkeypatch):
+        cpus(1)
+
+        def no_fork():
+            raise AssertionError("forked on one CPU")
+
+        monkeypatch.setattr(os, "fork", no_fork)
+        with TrialWorkers() as pool:
+            pooled = run_trials(ConjunctionTask(10), 1250, 100, 2024, pool=pool)
+        assert pooled.losses.tobytes() == run_trials(ConjunctionTask(10), 1250, 100, 2024).losses.tobytes()
+
+    def test_fork_emits_no_warning(self, cpus):
+        cpus(2)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with TrialWorkers() as pool:
+                run_trials(ConjunctionTask(10), 1250, 100, 2024, pool=pool)
+        assert_no_child_left()
+
+
+class TestPlannedTrials:
+    SCHEDULE = [400, 800, 1200]
+
+    @pytest.mark.parametrize("fixed_target", [False, True])
+    @pytest.mark.parametrize("task", [ConjunctionTask(10), ThresholdTask()], ids=["conjunction", "threshold"])
+    def test_planned_schedule_matches_one_process(self, cpus, task, fixed_target):
+        cpus(2)
+        with TrialWorkers() as pool:
+            pool.plan(task, self.SCHEDULE, 300, 2024, fixed_target=fixed_target)
+            for m in self.SCHEDULE:
+                pooled = run_trials(task, m, 300, 2024, fixed_target=fixed_target, pool=pool)
+                alone = run_trials(task, m, 300, 2024, fixed_target=fixed_target)
+                assert pooled.losses.tobytes() == alone.losses.tobytes()
+            assert not pool._workers[0].pending
+        assert_no_child_left()
+
+    def test_worker_computes_before_it_is_asked(self, cpus):
+        cpus(2)
+        with TrialWorkers() as pool:
+            pool.plan(ConjunctionTask(10), self.SCHEDULE, 300, 2024)
+            ready, _, _ = select.select([pool._workers[0].replies], [], [], 60)
+            assert ready  # a reply is waiting before run_trials asks for it
+            for m in self.SCHEDULE:
+                pooled = run_trials(ConjunctionTask(10), m, 300, 2024, pool=pool)
+                assert pooled.losses.tobytes() == run_trials(ConjunctionTask(10), m, 300, 2024).losses.tobytes()
+        assert_no_child_left()
+
+    def test_unplanned_call_discards_the_plan(self, cpus):
+        cpus(2)
+        with TrialWorkers() as pool:
+            pool.plan(ThresholdTask(), self.SCHEDULE, 300, 2024)
+            planned = pool._workers[0].pid
+            for m, seed in [(800, 2024), (400, 2024), (1200, 7)]:
+                pooled = run_trials(ThresholdTask(), m, 300, seed, pool=pool)
+                assert pooled.losses.tobytes() == run_trials(ThresholdTask(), m, 300, seed).losses.tobytes()
+            assert pool._workers[0].pid != planned and len(pool._workers) == 1
+        assert_no_child_left()
+
+    def test_plan_larger_than_a_pipe(self, cpus, monkeypatch):
+        # The plan and the replies each overflow a 64 KiB pipe: the worker
+        # reads the whole plan before it replies, so neither side waits on
+        # the other forever.
+        import pickle
+
+        cpus(2)
+        monkeypatch.setattr(empirics, "_MIN_RANGE_DRAWS", 1)
+        schedule = list(range(1, 3001))
+        pool = TrialWorkers()
+        plan = [empirics._trial_requests(ThresholdTask(), m, 3, 2024, False, pool)[1] for m in schedule]
+        assert len(pickle.dumps(plan, protocol=pickle.HIGHEST_PROTOCOL)) > 1 << 16
+        with pool:
+            pool.plan(ThresholdTask(), schedule, 3, 2024)
+            for m in schedule:
+                pooled = run_trials(ThresholdTask(), m, 3, 2024, pool=pool)
+                assert pooled.losses.tobytes() == run_trials(ThresholdTask(), m, 3, 2024).losses.tobytes()
+        assert_no_child_left()
+
+
+def fail_in(monkeypatch, where, action):
+    """Makes ``_range_losses`` run ``action`` on the ranges ``where`` selects by their start."""
+    original = empirics._range_losses
+
+    def range_losses(task, m, start, *args):
+        if where(start):
+            action(start)
+        return original(task, m, start, *args)
+
+    monkeypatch.setattr(empirics, "_range_losses", range_losses)
+
+
+class TestTrialWorkerFailures:
+    """Every failure ends with the workers reaped and nothing printed by them."""
+
+    @pytest.fixture(autouse=True)
+    def deadline(self):
+        """Fails a test whose worker call hangs instead of raising."""
+        def expire(signum, frame):
+            raise TimeoutError("a trial worker call hung")
+
+        previous = signal.signal(signal.SIGALRM, expire)
+        signal.alarm(60)
+        yield
+        signal.alarm(0)
+        signal.signal(signal.SIGALRM, previous)
+
+    def test_worker_exception_reaches_parent(self, cpus, monkeypatch, capfd):
+        cpus(3, uncapped=True)
+
+        def fail(start):
+            raise ValueError(f"range at {start} failed")
+
+        fail_in(monkeypatch, lambda start: start > 0, fail)
+        with TrialWorkers() as pool:
+            with pytest.raises(ValueError, match="range at 39 failed"):
+                run_trials(ThresholdTask(), 1000, 100, 2024, pool=pool)
+            assert_no_child_left()
+        assert capfd.readouterr().err == ""
+
+    def test_planned_worker_exception_surfaces_at_its_call(self, cpus, monkeypatch, capfd):
+        cpus(2)
+        original = empirics._range_losses
+
+        def range_losses(task, m, start, *args):
+            if m == 800 and start > 0:
+                raise ValueError(f"range at m={m} failed")
+            return original(task, m, start, *args)
+
+        monkeypatch.setattr(empirics, "_range_losses", range_losses)
+        with TrialWorkers() as pool:
+            pool.plan(ThresholdTask(), [400, 800, 1200], 300, 2024)
+            run_trials(ThresholdTask(), 400, 300, 2024, pool=pool)
+            with pytest.raises(ValueError, match="range at m=800 failed"):
+                run_trials(ThresholdTask(), 800, 300, 2024, pool=pool)
+            assert_no_child_left()
+        assert capfd.readouterr().err == ""
+
+    def test_leaving_with_planned_replies_unread(self, cpus):
+        cpus(2)
+        with TrialWorkers() as pool:
+            pool.plan(ConjunctionTask(10), list(range(400, 4001, 400)), 300, 2024)
+            run_trials(ConjunctionTask(10), 400, 300, 2024, pool=pool)
+        assert_no_child_left()
+
+    def test_killed_worker_raises_instead_of_hanging(self, cpus, monkeypatch, capfd):
+        cpus(2)
+        fail_in(monkeypatch, lambda start: start > 0, lambda start: os.kill(os.getpid(), signal.SIGKILL))
+        with TrialWorkers() as pool:
+            with pytest.raises(RuntimeError, match="exited mid-call"):
+                run_trials(ConjunctionTask(10), 1250, 100, 2024, pool=pool)
+        assert_no_child_left()
+        assert capfd.readouterr().err == ""
+
+    @pytest.mark.parametrize("error", [RuntimeError, KeyboardInterrupt])
+    def test_parent_error_tears_the_group_down(self, cpus, monkeypatch, capfd, error):
+        cpus(2)
+        expected = run_trials(ConjunctionTask(10), 1250, 100, 7).losses
+        with TrialWorkers() as pool:
+            run_trials(ConjunctionTask(10), 1250, 100, 2024, pool=pool)  # the worker is up
+            with monkeypatch.context() as patch:
+
+                def fail(start):
+                    raise error("parent range failed")
+
+                fail_in(patch, lambda start: start == 0, fail)
+                with pytest.raises(error, match="parent range failed"):
+                    run_trials(ConjunctionTask(10), 1250, 100, 2024, pool=pool)
+            assert_no_child_left()
+            # A fresh worker answers the next call, not the abandoned request.
+            assert run_trials(ConjunctionTask(10), 1250, 100, 7, pool=pool).losses.tobytes() == expected.tobytes()
+        assert_no_child_left()
+        assert capfd.readouterr().err == ""
+
+    def test_worker_never_unwinds_into_the_parent_stack(self):
+        # A BaseException escaping a worker's loop must end it through
+        # os._exit: unwinding would run the parent's code in the worker, print
+        # a traceback and flush the parent's buffered "start" a second time.
+        script = WORKER_SCRIPT + (
+            "original = empirics._range_losses\n"
+            "def range_losses(task, m, start, *args):\n"
+            "    if start > 0:\n"
+            "        raise KeyboardInterrupt\n"
+            "    return original(task, m, start, *args)\n"
+            "empirics._range_losses = range_losses\n"
+            "print('start')\n"
+            "try:\n"
+            "    with empirics.TrialWorkers() as pool:\n"
+            "        empirics.run_trials(ConjunctionTask(10), 1250, 100, 2024, pool=pool)\n"
+            "except RuntimeError as exc:\n"
+            "    print('parent:', exc)\n"
+        )
+        proc = subprocess.run([sys.executable, "-c", script], env=worker_env(), capture_output=True, text=True, timeout=60)
+        assert (proc.returncode, proc.stderr) == (0, "")
+        lines = proc.stdout.splitlines()
+        assert lines[0] == "start" and lines[1].startswith("parent: trial worker") and len(lines) == 2
+
+    def test_ctrl_c_leaves_no_process_and_one_traceback(self):
+        script = WORKER_SCRIPT + (
+            "with empirics.TrialWorkers() as pool:\n"
+            "    while True:\n"
+            "        empirics.run_trials(ConjunctionTask(10), 1250, 2000, 2024, pool=pool)\n"
+            "        print('split', flush=True)\n"
+        )
+        proc = subprocess.Popen(
+            [sys.executable, "-c", script], env=worker_env(), stdout=subprocess.PIPE, stderr=subprocess.PIPE,
+            text=True, start_new_session=True,
+        )
+        try:
+            assert proc.stdout.readline() == "split\n"
+            os.killpg(proc.pid, signal.SIGINT)  # what Ctrl-C sends to the foreground group
+            _, err = proc.communicate(timeout=60)
+        finally:
+            proc.kill()
+            proc.wait()
+        assert proc.returncode != 0
+        assert err.count("Traceback") == 1 and err.rstrip().endswith("KeyboardInterrupt")
+        with pytest.raises(ProcessLookupError):
+            os.killpg(proc.pid, 0)
+
+
+# Prelude of the scripts above: two usable CPUs, so a worker is forked.
+WORKER_SCRIPT = (
+    "import paclab.empirics as empirics\n"
+    "from paclab.learners import ConjunctionTask\n"
+    "empirics._usable_cpus = lambda: 2\n"
+)
+
+
+def worker_env():
+    return dict(os.environ, PYTHONPATH=str(Path(empirics.__file__).parents[1]))
 
 
 class TestThresholdLossLaw:
