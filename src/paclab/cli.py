@@ -148,14 +148,14 @@ def run_experiment(config: ExperimentConfig) -> list[ExperimentRecord]:
     """Empirical and theoretical distributions for every scheduled m.
 
     The trials of each m are split between the usable CPUs by a worker
-    group that lives only for this loop; the workers are handed their
-    ranges of the whole schedule up front, so they never wait between
-    sample sizes.
+    group built from the schedule, which lives only for this loop; each
+    worker is forked with its ranges of the whole schedule, so it never
+    waits between sample sizes.
     """
     records = []
-    with TrialWorkers() as pool:
-        pool.plan(config.task, config.schedule(), config.trials, config.master_seed, fixed_target=config.fixed_target)
-        for m in config.schedule():
+    schedule = config.schedule()
+    with TrialWorkers(config.task, schedule, config.trials, config.master_seed, fixed_target=config.fixed_target) as pool:
+        for m in schedule:
             batch = run_trials(
                 config.task, m, config.trials, config.master_seed, fixed_target=config.fixed_target, pool=pool
             )
@@ -168,7 +168,7 @@ def run_experiment(config: ExperimentConfig) -> list[ExperimentRecord]:
 def _experiment_bytes(config: ExperimentConfig) -> int:
     """Estimated peak memory of ``cmd_experiment(config)`` over its processes:
     its CSV rows and one sample size's trials."""
-    sizes = len(range(config.m_start, config.m_max + 1, config.m_step))
+    sizes = len(config.schedule())
     per_trial = _TRIAL_BYTES + (_VARIABLE_BYTES * config.task.n if isinstance(config.task, ConjunctionTask) else 0)
     width = config.task.draw_width(config.m_max, config.fixed_target)
     draw_buffers = _range_count(config.trials, width) * _DRAW_COPIES * 8 * width

@@ -15,9 +15,10 @@ draws of ``Generator(PCG64(derive_trial_seed(...)))`` built per trial.
 Conjunction rows are raw outputs, decoded a chunk at a time.
 
 The trials of a call can be split into ranges of consecutive trials and
-computed by forked workers (:class:`TrialWorkers`), which can be handed
-the ranges of a whole schedule at once; the losses are concatenated in
-trial order, and they are the same bytes however the trials are split.
+computed by forked workers (:class:`TrialWorkers`), built from the
+schedule of calls they serve and handed their ranges of all of it as they
+are forked; the losses are concatenated in trial order, and they are the
+same bytes however the trials are split.
 Three checks run once per range and raise ``RuntimeError``: its first
 trial's derived words must equal ``PCG64(seed).state``; the struct must
 read them in the order of a native ``__uint128_t`` or of NumPy's
@@ -31,7 +32,7 @@ import ctypes
 import os
 from collections import deque
 from dataclasses import dataclass, field
-from typing import Iterator, NamedTuple, NoReturn
+from typing import Iterable, Iterator, NamedTuple, NoReturn
 
 import numpy as np
 
@@ -276,8 +277,8 @@ class ExperimentConfig:
         if self.m_start < 1 or self.m_step < 1 or self.m_max < self.m_start:
             raise ValueError(f"bad sample-size schedule ({self.m_start}, {self.m_step}, {self.m_max})")
 
-    def schedule(self) -> list[int]:
-        return list(range(self.m_start, self.m_max + 1, self.m_step))
+    def schedule(self) -> range:
+        return range(self.m_start, self.m_max + 1, self.m_step)
 
 
 def _range_losses(
@@ -324,18 +325,14 @@ def _read(fd: int, size: int) -> bytes:
     return b"".join(chunks)
 
 
-def _send(fd: int, obj) -> bool:
-    """Write ``obj`` pickled, behind its 8-byte length; False if the reader is gone."""
+def _send(fd: int, obj) -> None:
+    """Write ``obj`` pickled, behind its 8-byte length."""
     import pickle
 
     data = pickle.dumps(obj, protocol=pickle.HIGHEST_PROTOCOL)
     view = memoryview(len(data).to_bytes(8, "little") + data)
-    try:
-        while view:
-            view = view[os.write(fd, view) :]
-    except BrokenPipeError:
-        return False
-    return True
+    while view:
+        view = view[os.write(fd, view) :]
 
 
 def _receive(fd: int):
@@ -347,115 +344,92 @@ def _receive(fd: int):
     return pickle.loads(data) if data else None
 
 
-def _work(requests: int, replies: int, inherited: list[int]) -> NoReturn:
-    """A worker's life: close ``inherited`` (the parent's ends of every
-    worker's pipes), then take lists of requests and reply to each request
-    in turn with its range's losses, or with the exception computing them
-    raised, until the parent closes the pipe.  It ends only through
-    ``os._exit``, so it never unwinds into the parent's copied stack or
+def _work(batch: list[tuple], replies: int, inherited: list[int]) -> NoReturn:
+    """A worker's life: close ``inherited`` (the parent's read ends of
+    every worker's reply pipe), then reply to each request of ``batch`` in
+    turn with its range's losses, or with the exception computing them
+    raised.  It ends only through ``os._exit``, also when the parent has
+    closed the pipe, so it never unwinds into the parent's copied stack or
     runs its exit handlers."""
     try:
         for fd in inherited:
             os.close(fd)
-        while (batch := _receive(requests)) is not None:
-            for request in batch:
-                try:
-                    reply = (True, _range_losses(*request))
-                except Exception as exc:
-                    reply = (False, exc)
-                if not _send(replies, reply):
-                    return
+        for request in batch:
+            try:
+                reply = (True, _range_losses(*request))
+            except Exception as exc:
+                reply = (False, exc)
+            _send(replies, reply)
     finally:
         os._exit(0)
 
 
 class _Worker(NamedTuple):
     pid: int
-    requests: int  # write end of the pipe the worker reads requests from
     replies: int  # read end of the pipe it writes replies to
-    pending: deque  # requests sent whose replies are not read yet, in order
+    pending: deque  # requests of its batch whose replies are not read yet, in order
 
 
 class TrialWorkers:
     """Forked processes that compute ranges of trials for :func:`run_trials`.
 
-    Use it as a context manager around one trial loop.  A worker is forked
-    (``os.fork``, so it shares the parent's modules and arguments) on the
-    first call that needs it, and serves every later call.  :meth:`plan`
-    hands the workers their ranges of a whole schedule at once, so they
-    compute them back to back instead of waiting for each call.  Leaving
-    the ``with`` block, or any error during a call, kills and reaps every
-    worker: no request stays outstanding and no process outlives the loop.
-    Workers keep SIGINT blocked, so Ctrl-C interrupts the parent alone.
+    It is built from the calls it will serve: ``run_trials(task, m, k,
+    master_seed, fixed_target=..., pool=self)`` for each m of ``ms`` in
+    turn.  Use it as a context manager around that loop.  Entering forks
+    one worker for each range after the first (``os.fork``, so a worker is
+    handed its batch of requests as an argument and shares the parent's
+    modules); it computes them back to back, replying to each in order,
+    while this process computes its own ranges.  A call whose ranges are
+    not the next planned ones raises ``RuntimeError``.  Leaving the
+    ``with`` block, or any error during a call, kills and reaps every
+    worker: no process outlives the loop.  Workers keep SIGINT blocked, so
+    Ctrl-C interrupts the parent alone.
     """
 
-    def __init__(self) -> None:
+    def __init__(self, task: Task, ms: Iterable[int], k: int, master_seed: int, *, fixed_target: bool = False) -> None:
+        self._batches: list[list[tuple]] = []
+        for m in ms:
+            for i, request in enumerate(_trial_requests(task, m, k, master_seed, fixed_target, True)[1:]):
+                if i == len(self._batches):
+                    self._batches.append([])
+                self._batches[i].append(request)
         self._workers: list[_Worker] = []
 
     def __enter__(self) -> TrialWorkers:
+        try:
+            for batch in self._batches:
+                self._fork(batch)
+        except BaseException:
+            self.close()
+            raise
         return self
 
     def __exit__(self, *exc) -> None:
         self.close()
 
-    def plan(self, task: Task, ms: list[int], k: int, master_seed: int, *, fixed_target: bool = False) -> None:
-        """Send every worker, in one message, the ranges that
-        ``run_trials(task, m, k, master_seed, fixed_target=..., pool=self)``
-        will ask of it for each m in turn, so they are computed while this
-        process computes its own ranges.  A later call whose request is not
-        the next planned one discards the plan with its workers."""
-        batches: list[list[tuple]] = []
-        for m in ms:
-            for i, request in enumerate(_trial_requests(task, m, k, master_seed, fixed_target, self)[1:]):
-                if i == len(batches):
-                    batches.append([])
-                batches[i].append(request)
-        self._run(lambda: self._hand_out(batches))
-
     def map(self, requests: list[tuple]) -> list[np.ndarray]:
         """``_range_losses(*request)`` of every request, in order: the first
-        computed here while workers compute, or have computed, the others."""
-        return self._run(lambda: self._map(requests))
-
-    def _run(self, call):
-        """``call()``, killing every worker if it raises."""
+        computed here, the others read from the workers they were planned for."""
         try:
-            return call()
+            workers = self._workers[: len(requests) - 1]
+            if len(workers) < len(requests) - 1 or any(
+                not worker.pending or worker.pending[0] != request for worker, request in zip(workers, requests[1:])
+            ):
+                raise RuntimeError(f"run_trials at m={requests[0][1]} is not the next call the trial workers planned")
+            results = [_range_losses(*requests[0])]
+            for worker in workers:
+                worker.pending.popleft()
+                reply = _receive(worker.replies)
+                if reply is None:
+                    raise RuntimeError(f"trial worker {worker.pid} exited mid-call")
+                ok, value = reply
+                if not ok:
+                    raise value
+                results.append(value)
+            return results
         except BaseException:
             self.close()
             raise
-
-    def _hand_out(self, batches: list[list[tuple]]) -> None:
-        """Send worker i ``batches[i]``; workers with a request outstanding
-        are replaced first, so no reply is read for the wrong request."""
-        if any(worker.pending for worker in self._workers[: len(batches)]):
-            self.close()
-        while len(self._workers) < len(batches):
-            self._fork()
-        for worker, batch in zip(self._workers, batches):
-            if not _send(worker.requests, batch):
-                raise RuntimeError(f"trial worker {worker.pid} exited")
-            worker.pending.extend(batch)
-
-    def _map(self, requests: list[tuple]) -> list[np.ndarray]:
-        workers = self._workers[: len(requests) - 1]
-        planned = len(workers) == len(requests) - 1 and all(
-            worker.pending and worker.pending[0] == request for worker, request in zip(workers, requests[1:])
-        )
-        if not planned:
-            self._hand_out([[request] for request in requests[1:]])
-            workers = self._workers[: len(requests) - 1]
-        results = [_range_losses(*requests[0])]
-        for worker in workers:
-            worker.pending.popleft()
-            reply = _receive(worker.replies)
-            if reply is None:
-                raise RuntimeError(f"trial worker {worker.pid} exited mid-call")
-            ok, value = reply
-            if not ok:
-                raise value
-            results.append(value)
-        return results
 
     def close(self) -> None:
         """Kill and reap every worker."""
@@ -463,18 +437,16 @@ class TrialWorkers:
 
         workers, self._workers = self._workers, []
         for worker in workers:
-            os.close(worker.requests)
             os.close(worker.replies)
             os.kill(worker.pid, signal.SIGKILL)
             os.waitpid(worker.pid, 0)
 
-    def _fork(self) -> None:
+    def _fork(self, batch: list[tuple]) -> None:
         import gc
         import signal
 
-        requests_r, requests_w = os.pipe()
         replies_r, replies_w = os.pipe()
-        inherited = [requests_w, replies_r, *(fd for w in self._workers for fd in (w.requests, w.replies))]
+        inherited = [replies_r, *(worker.replies for worker in self._workers)]
         # SIGINT is blocked until the worker is on the list close() reaps, and
         # stays blocked in the worker.  Frozen objects are skipped by the
         # worker's garbage collector, which so runs no finalizer of the parent's.
@@ -483,28 +455,25 @@ class TrialWorkers:
         try:
             pid = os.fork()
             if pid == 0:
-                _work(requests_r, replies_w, inherited)
-            self._workers.append(_Worker(pid, requests_w, replies_r, deque()))
+                _work(batch, replies_w, inherited)
+            self._workers.append(_Worker(pid, replies_r, deque(batch)))
         except OSError:
-            os.close(requests_w)
             os.close(replies_r)
             raise
         finally:
             gc.unfreeze()
             signal.pthread_sigmask(signal.SIG_SETMASK, mask)
-            os.close(requests_r)
             os.close(replies_w)
 
 
-def _trial_requests(
-    task: Task, m: int, k: int, master_seed: int, fixed_target: bool, pool: TrialWorkers | None
-) -> list[tuple]:
-    """The ``_range_losses`` arguments of each range ``run_trials`` splits k trials into."""
+def _trial_requests(task: Task, m: int, k: int, master_seed: int, fixed_target: bool, split: bool) -> list[tuple]:
+    """The ``_range_losses`` arguments of each range ``run_trials`` splits k
+    trials into: ``_range_count`` ranges if ``split``, else one."""
     target = None
     if fixed_target:
         shared = np.random.PCG64(derive_trial_seed(master_seed, m, FIXED_TARGET_INDEX))
         target = task.draw_target(np.random.Generator(shared))
-    ranges = 1 if pool is None else _range_count(k, task.draw_width(m, fixed_target))
+    ranges = _range_count(k, task.draw_width(m, fixed_target)) if split else 1
     bounds = [0, k]
     if ranges > 1:
         head = k - int(k * (ranges - 1) / (ranges - 1 + _FIRST_RANGE_WEIGHT))
@@ -522,14 +491,15 @@ def run_trials(
     learns, and records the exact loss.  Losses are ordered by trial
     index, and trial i's loss does not depend on k.  With a ``pool`` the
     trials are split into ``_range_count`` ranges of consecutive trials,
-    the first the largest (``_FIRST_RANGE_WEIGHT``); its workers compute
-    all but the first, which this process computes, or have computed them
-    already if :meth:`TrialWorkers.plan` named this call.  A range's losses
-    are the same wherever it runs, so no byte changes.
+    the first the largest (``_FIRST_RANGE_WEIGHT``); this process computes
+    the first, and the pool's workers, built for this call among others,
+    have computed or are computing the rest.  A call the pool was not
+    built for raises ``RuntimeError`` once it needs a worker.  A range's
+    losses are the same wherever it runs, so no byte changes.
     """
     if m < 1 or k < 1:
         raise ValueError(f"need m >= 1 and k >= 1, got m={m}, k={k}")
-    requests = _trial_requests(task, m, k, master_seed, fixed_target, pool)
+    requests = _trial_requests(task, m, k, master_seed, fixed_target, pool is not None)
     losses = _range_losses(*requests[0]) if len(requests) == 1 else np.concatenate(pool.map(requests))
     return TrialBatch(task=task, m=m, k=k, master_seed=master_seed, losses=losses)
 

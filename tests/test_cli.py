@@ -85,7 +85,7 @@ class TestExperimentCommand:
             assert math.fsum(dist.masses) == pytest.approx(1.0, abs=1e-9)
 
         curve = read_curve_csv(tmp_path / "curve.csv")
-        assert [row["m"] for row in curve] == schedule
+        assert [row["m"] for row in curve] == list(schedule)
         # curve statistics must be recomputable from the stored distributions
         for row in curve:
             p = groups[(row["m"], "P")]
