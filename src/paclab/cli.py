@@ -37,7 +37,7 @@ from typing import Iterator, Sequence, TextIO
 
 import numpy as np
 
-from . import __version__
+from . import __version__, empirics
 from .analysis import ExperimentRecord, build_curve, kl_divergence
 from .empirics import ExperimentConfig, Task, TrialWorkers, _range_count, histogram, run_trials
 from .learners import ConjunctionTask, ThresholdTask
@@ -171,7 +171,7 @@ def _experiment_bytes(config: ExperimentConfig) -> int:
     sizes = len(config.schedule())
     per_trial = _TRIAL_BYTES + (_VARIABLE_BYTES * config.task.n if isinstance(config.task, ConjunctionTask) else 0)
     width = config.task.draw_width(config.m_max, config.fixed_target)
-    draw_buffers = _range_count(config.trials, width) * _DRAW_COPIES * 8 * width
+    draw_buffers = _range_count(config.trials, width, empirics._usable_cpus()) * _DRAW_COPIES * 8 * width
     return sizes * (2 * config.num_slots + 1) * _ROW_BYTES + config.trials * per_trial + draw_buffers
 
 

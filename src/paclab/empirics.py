@@ -301,16 +301,43 @@ _MAX_RANGES = 2
 _FIRST_RANGE_WEIGHT = 1.25
 
 
+# The cgroup CPU quota: v2's "quota period" line ("max 100000" when there
+# is none), and v1's two files, whose quota is -1 when there is none.
+_CPU_MAX = "/sys/fs/cgroup/cpu.max"
+_CFS_QUOTA = "/sys/fs/cgroup/cpu/cpu.cfs_quota_us"
+_CFS_PERIOD = "/sys/fs/cgroup/cpu/cpu.cfs_period_us"
+
+
+def _words(path: str) -> list[str]:
+    """The whitespace-separated words of a file; none if it cannot be read."""
+    try:
+        with open(path) as file:
+            return file.read().split()
+    except OSError:
+        return []
+
+
+def _quota_cpus() -> int | None:
+    """Whole CPUs (at least 1) the cgroup CPU quota allows; None without a quota or its files."""
+    try:
+        quota, period = map(int, _words(_CPU_MAX) or _words(_CFS_QUOTA) + _words(_CFS_PERIOD))
+    except ValueError:  # "max", a missing or unreadable file, or anything else
+        return None
+    return max(1, quota // period) if quota > 0 and period > 0 else None
+
+
 def _usable_cpus() -> int:
-    """CPUs this process may run on; 1 where the platform cannot tell."""
-    return len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else 1
+    """CPUs this process may run on, capped by its cgroup CPU quota; 1 where the platform cannot tell."""
+    cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else 1
+    quota = _quota_cpus()
+    return cpus if quota is None else min(cpus, quota)
 
 
-def _range_count(k: int, width: int) -> int:
+def _range_count(k: int, width: int, cpus: int) -> int:
     """How many ranges k trials of ``width`` draws are split into: at most
-    one per usable CPU and one per trial, each of at least
+    one per CPU of ``cpus`` and one per trial, each of at least
     ``_MIN_RANGE_DRAWS`` draws, and no more than ``_MAX_RANGES``."""
-    return max(1, min(_usable_cpus(), _MAX_RANGES, k, k * width // _MIN_RANGE_DRAWS))
+    return max(1, min(cpus, _MAX_RANGES, k, k * width // _MIN_RANGE_DRAWS))
 
 
 def _read(fd: int, size: int) -> bytes:
@@ -375,7 +402,8 @@ class TrialWorkers:
 
     It is built from the calls it will serve: ``run_trials(task, m, k,
     master_seed, fixed_target=..., pool=self)`` for each m of ``ms`` in
-    turn.  Use it as a context manager around that loop.  Entering forks
+    turn, each split between ``cpus``, the usable CPUs read once here.
+    Use it as a context manager around that loop.  Entering forks
     one worker for each range after the first (``os.fork``, so a worker is
     handed its batch of requests as an argument and shares the parent's
     modules); it computes them back to back, replying to each in order,
@@ -387,9 +415,10 @@ class TrialWorkers:
     """
 
     def __init__(self, task: Task, ms: Iterable[int], k: int, master_seed: int, *, fixed_target: bool = False) -> None:
+        self.cpus = _usable_cpus()
         self._batches: list[list[tuple]] = []
         for m in ms:
-            for i, request in enumerate(_trial_requests(task, m, k, master_seed, fixed_target, True)[1:]):
+            for i, request in enumerate(_trial_requests(task, m, k, master_seed, fixed_target, self.cpus)[1:]):
                 if i == len(self._batches):
                     self._batches.append([])
                 self._batches[i].append(request)
@@ -466,14 +495,14 @@ class TrialWorkers:
             os.close(replies_w)
 
 
-def _trial_requests(task: Task, m: int, k: int, master_seed: int, fixed_target: bool, split: bool) -> list[tuple]:
-    """The ``_range_losses`` arguments of each range ``run_trials`` splits k
-    trials into: ``_range_count`` ranges if ``split``, else one."""
+def _trial_requests(task: Task, m: int, k: int, master_seed: int, fixed_target: bool, cpus: int) -> list[tuple]:
+    """The ``_range_losses`` arguments of each of the ``_range_count``
+    ranges ``run_trials`` splits k trials into between ``cpus`` CPUs."""
     target = None
     if fixed_target:
         shared = np.random.PCG64(derive_trial_seed(master_seed, m, FIXED_TARGET_INDEX))
         target = task.draw_target(np.random.Generator(shared))
-    ranges = _range_count(k, task.draw_width(m, fixed_target)) if split else 1
+    ranges = _range_count(k, task.draw_width(m, fixed_target), cpus)
     bounds = [0, k]
     if ranges > 1:
         head = k - int(k * (ranges - 1) / (ranges - 1 + _FIRST_RANGE_WEIGHT))
@@ -499,7 +528,7 @@ def run_trials(
     """
     if m < 1 or k < 1:
         raise ValueError(f"need m >= 1 and k >= 1, got m={m}, k={k}")
-    requests = _trial_requests(task, m, k, master_seed, fixed_target, pool is not None)
+    requests = _trial_requests(task, m, k, master_seed, fixed_target, 1 if pool is None else pool.cpus)
     losses = _range_losses(*requests[0]) if len(requests) == 1 else np.concatenate(pool.map(requests))
     return TrialBatch(task=task, m=m, k=k, master_seed=master_seed, losses=losses)
 

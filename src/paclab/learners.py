@@ -7,7 +7,7 @@ the same ones (:func:`eliminate_literals` and :func:`disagreement` on
 :class:`VariableState` code arrays, :func:`learn_threshold` on rows of
 points).  ``trial_losses`` takes chunks of draws, one row per trial;
 :meth:`ConjunctionTask.decode` turns raw PCG64 rows into the draws of
-``Generator.integers``.
+``Generator.integers``, its bits already the float matmul operand.
 Brute-force oracles (:func:`conjunction_loss_enumerate`,
 :func:`threshold_loss_monte_carlo`) exist so the closed forms never have
 to be taken on faith.
@@ -147,11 +147,17 @@ def eliminate_literals(ones: np.ndarray, positives: np.ndarray) -> np.ndarray:
     return np.where(positives == 0, VariableState.BOTH, np.where(ones == 0, VariableState.NEGATED, kept))
 
 
+# Literals each code puts in a conjunction; BOTH's count is so large that
+# 2**-literals underflows to exactly 0 for any row holding it.
+_LITERAL_COUNT = np.array([1, 1, 0, 2048])
+# Per-variable union of two literal sets, indexed by their two codes: a
+# code with itself or with ABSENT gives that code, any other pair BOTH.
+_UNION = np.array([[0, 3, 0, 3], [3, 1, 1, 3], [0, 1, 2, 3], [3, 3, 3, 3]])
+
+
 def _satisfying_fractions(states: np.ndarray) -> np.ndarray:
     """Fraction of the 2**n assignments each row of a (k, n) code array satisfies."""
-    both = states == VariableState.BOTH
-    literals = np.count_nonzero(states <= VariableState.NEGATED, axis=1) + 2 * np.count_nonzero(both, axis=1)
-    return np.where(both.any(axis=1), 0.0, np.ldexp(1.0, -literals))
+    return np.ldexp(1.0, -_LITERAL_COUNT[states].sum(axis=1))
 
 
 def disagreement(target_codes: np.ndarray, learned_codes: np.ndarray) -> np.ndarray:
@@ -161,15 +167,7 @@ def disagreement(target_codes: np.ndarray, learned_codes: np.ndarray) -> np.ndar
     ``2**-literals`` (0 if contradictory), with T-and-L the per-variable
     union of literal sets.  All quantities are dyadic, so it is exact.
     """
-    union = np.where(
-        target_codes == learned_codes,
-        target_codes,
-        np.where(
-            target_codes == VariableState.ABSENT,
-            learned_codes,
-            np.where(learned_codes == VariableState.ABSENT, target_codes, VariableState.BOTH),
-        ),
-    )
+    union = _UNION[target_codes, learned_codes]
     return _satisfying_fractions(target_codes) + _satisfying_fractions(learned_codes) - 2.0 * _satisfying_fractions(union)
 
 
@@ -255,8 +253,8 @@ def threshold_loss_monte_carlo(
 # ---------------------------------------------------------------------------
 
 # Per-variable weight of a bit in a row's literal check: with w = -1 on
-# positive literals and +1 on negated ones, bits @ w equals minus the
-# number of positive literals exactly when the row satisfies the target.
+# positive literals and +1 on negated ones, bits @ w equals the sum of the
+# negative weights exactly when the row satisfies the target.
 _LITERAL_WEIGHT = np.array([-1.0, 1.0, 0.0])
 # uint32 words reserved past the n target words for zero words, which the
 # target draw rejects; a trial needing more raises (odds about 2**-90).
@@ -283,28 +281,32 @@ class ConjunctionTask:
         return -(-(4 * (0 if fixed_target else self.n + _SPARE_WORDS) + m * self.n) // 8)
 
     def decode(self, m: int, raw: np.ndarray, fixed_target: bool) -> tuple[np.ndarray | None, np.ndarray]:
-        """Target codes (k, n) (None if fixed) and bits (k, m, n) of k trials from their raw outputs.
+        """Target codes (k, n) (None if fixed) and 0/1 bits (k, m, n) of k trials from their raw outputs.
 
         Equals ``rng.integers(0, 3, size=n)`` then ``rng.integers(0, 2,
         size=(m, n), dtype=np.uint8)`` on each trial's stream.  Both read
         uint32 words, the low half of each output first.  Lemire's method
         (ACM TOMACS 2019) maps word w to ``(3 * w) >> 32`` and, for range
         3, rejects exactly w = 0; a bit is the top bit of one byte of the
-        words after the target, low byte first.
+        words after the target, low byte first.  The bits are written
+        straight into the matmul operand of :meth:`trial_losses`: float32,
+        which holds every count below 2**24 exactly, else float64.
         """
-        n, bytes_ = self.n, raw.view(np.uint8)
+        n, bytes_, start = self.n, raw.view(np.uint8), 0 if fixed_target else 4 * self.n
+        bits = np.empty((len(raw), m, n), dtype=np.float32 if m < 1 << 24 else np.float64)
+        np.right_shift(bytes_[:, start : start + m * n].reshape(-1, m, n), 7, out=bits, casting="unsafe")
         if fixed_target:
-            return None, bytes_[:, : m * n].reshape(-1, m, n) >> 7
-        words = raw.view(np.uint32)[:, : n + _SPARE_WORDS].astype(np.int64)
-        codes = (3 * words[:, :n]) >> 32
-        bits = bytes_[:, 4 * n : 4 * n + m * n].reshape(-1, m, n) >> 7
-        for row in np.flatnonzero((words[:, :n] == 0).any(axis=1)):
-            kept = np.flatnonzero(words[row])[:n]
-            if kept.size < n:
-                raise RuntimeError(f"more than {_SPARE_WORDS} zero words in a conjunction target draw")
-            codes[row] = (3 * words[row, kept]) >> 32
-            start = 4 * (kept[-1] + 1)
-            bits[row] = bytes_[row, start : start + m * n].reshape(m, n) >> 7
+            return None, bits
+        words = raw.view(np.uint32)[:, : n + _SPARE_WORDS]
+        codes = np.multiply(words[:, :n], 3, dtype=np.int64) >> 32
+        if not words[:, :n].all():
+            for row in np.flatnonzero((words[:, :n] == 0).any(axis=1)):
+                kept = np.flatnonzero(words[row])[:n]
+                if kept.size < n:
+                    raise RuntimeError(f"more than {_SPARE_WORDS} zero words in a conjunction target draw")
+                codes[row] = np.multiply(words[row, kept], 3, dtype=np.int64) >> 32
+                start = 4 * (kept[-1] + 1)
+                bits[row] = bytes_[row, start : start + m * n].reshape(m, n) >> 7
         return codes, bits
 
     def trial_losses(
@@ -313,12 +315,11 @@ class ConjunctionTask:
         """Exact loss of each trial from chunks of rows of raw outputs, one row per trial (see :meth:`decode`).
 
         Batched matmuls reduce each chunk to the column sums of the rows
-        the target accepts, exact since float32 holds every count below
-        2**24; all trials are then learned by :func:`eliminate_literals`
+        the target accepts, exact in the float dtype of :meth:`decode`'s
+        bits; all trials are then learned by :func:`eliminate_literals`
         and scored by :func:`disagreement` at once.
         """
         fixed = None if target is None else np.array(target.states, dtype=np.int64)
-        exact = np.float32 if m < 1 << 24 else np.float64
         codes, ones, positives = [], [], []
         # The operands are 0/1 bits and -1/0/+1 weights, so no result is
         # invalid; BLAS kernels have still raised the flag now and then.
@@ -326,12 +327,11 @@ class ConjunctionTask:
             for raw in chunks:
                 code, bits = self.decode(m, raw, fixed is not None)
                 code = np.broadcast_to(fixed, (len(raw), self.n)) if fixed is not None else code
-                bits = bits.astype(exact)
-                checks = (bits @ _LITERAL_WEIGHT.astype(exact)[code][:, :, None])[:, :, 0]
-                accepted = checks == -np.count_nonzero(code == VariableState.POSITIVE, axis=1)[:, None]
+                weights = _LITERAL_WEIGHT.astype(bits.dtype)[code]
+                accepted = (bits @ weights[:, :, None])[:, :, 0] == np.minimum(weights, 0).sum(axis=1, keepdims=True)
                 codes.append(code)
-                ones.append((accepted.astype(exact)[:, None, :] @ bits)[:, 0, :])
-                positives.append(np.count_nonzero(accepted, axis=1))
+                ones.append((accepted.astype(bits.dtype)[:, None, :] @ bits)[:, 0, :])
+                positives.append(accepted.sum(axis=1))
         return disagreement(np.concatenate(codes), eliminate_literals(np.concatenate(ones), np.concatenate(positives)))
 
 

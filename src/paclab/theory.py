@@ -136,12 +136,13 @@ def _clamp01(x: float) -> float:
     return 0.0 if x < 0.0 else (1.0 if x > 1.0 else x)
 
 
-def _piecewise_cdf(log_weight: float, m: int, eps: float) -> float:
-    if eps >= 1.0:
-        return 1.0
-    if eps < log_weight / m:
-        return 0.0
-    return _clamp01(1.0 - math.exp(log_weight - m * eps))
+def _piecewise_cdfs(log_weight: float, m: int, eps_values: Sequence[float]) -> list[float]:
+    """The CDF at each eps: 0 below ``ln W / m`` (computed once), the ramp, 1 from 1 on."""
+    cut = log_weight / m
+    return [
+        1.0 if eps >= 1.0 else 0.0 if eps < cut else _clamp01(1.0 - math.exp(log_weight - m * eps))
+        for eps in eps_values
+    ]
 
 
 def cutoff(spec: BoundSpec) -> float:
@@ -156,7 +157,7 @@ def bound_cdf(spec: BoundSpec, eps: float) -> float:
     1.  The ramp is evaluated as ``1 - exp(ln W - m*eps)`` and clamped to
     [0, 1].
     """
-    return _piecewise_cdf(spec.log_weight(), spec.m, eps)
+    return _piecewise_cdfs(spec.log_weight(), spec.m, [eps])[0]
 
 
 def bound_density(spec: BoundSpec, eps: float) -> float:
@@ -179,7 +180,8 @@ def _piecewise_density(log_weight: float, m: int, eps: float) -> float:
 def bound_table(spec: BoundSpec, eps_values: Sequence[float]) -> list[tuple[float, float]]:
     """``(bound_cdf, bound_density)`` at each eps, with ``ln W`` computed once."""
     log_weight, m = spec.log_weight(), spec.m
-    return [(_piecewise_cdf(log_weight, m, eps), _piecewise_density(log_weight, m, eps)) for eps in eps_values]
+    cdfs = _piecewise_cdfs(log_weight, m, eps_values)
+    return [(cdf, _piecewise_density(log_weight, m, eps)) for eps, cdf in zip(eps_values, cdfs)]
 
 
 def bound_point_mass(spec: BoundSpec) -> float:
@@ -230,7 +232,5 @@ def discretize_bound(spec: BoundSpec, num_slots: int) -> DiscreteDistribution:
     """
     if num_slots < 2:
         raise ValueError("need at least 2 slots")
-    log_w = spec.log_weight()
-    edges = [_piecewise_cdf(log_w, spec.m, i / num_slots) for i in range(num_slots + 1)]
-    masses = tuple(edges[i + 1] - edges[i] for i in range(num_slots))
-    return DiscreteDistribution(masses)
+    edges = _piecewise_cdfs(spec.log_weight(), spec.m, [i / num_slots for i in range(num_slots + 1)])
+    return DiscreteDistribution(tuple(edges[i + 1] - edges[i] for i in range(num_slots)))

@@ -229,6 +229,33 @@ class TestRawDecode:
             expected.append(conjunction_loss_exact(target, learn_conjunction_bits(bits, label_conjunction_batch(target, bits))))
         assert task.trial_losses(m, [raw[:1], raw[1:]]).tolist() == expected
 
+    @pytest.mark.parametrize("fixed_target", [False, True])
+    @pytest.mark.parametrize("n", [1, 3, 10, 17])
+    def test_float_bits_of_a_mixed_chunk_equal_the_replay(self, n, fixed_target):
+        # Ordinary rows around rows whose target draw rejects zero words.
+        m, task = 40, ConjunctionTask(n)
+
+        def streams():
+            return [np.random.PCG64(5), pcg64_with_first_output(0), np.random.PCG64(6), pcg64_with_first_output(1 << 32)]
+
+        raw = np.stack([bg.random_raw(task.draw_width(m, fixed_target)) for bg in streams()])
+        codes, bits = task.decode(m, raw, fixed_target)
+        assert bits.dtype == np.float32 and bits.shape == (4, m, n)
+        assert set(np.unique(bits).tolist()) <= {0.0, 1.0}
+        for row, bg in enumerate(streams()):
+            expected_codes, expected_bits = replayed_draws(task, m, bg, fixed_target)
+            assert fixed_target or codes[row].tolist() == expected_codes.tolist()
+            assert np.array_equal(bits[row], expected_bits), row
+        assert codes is None if fixed_target else codes.shape == (4, n)
+
+    @pytest.mark.parametrize("fixed_target", [False, True])
+    def test_bits_are_float64_from_two_to_the_24(self, fixed_target):
+        # Zero rows allocate nothing, however wide a row is.
+        task = ConjunctionTask(1)
+        for m, dtype in ((2**24 - 1, np.float32), (2**24, np.float64)):
+            _, bits = task.decode(m, np.empty((0, task.draw_width(m, fixed_target)), dtype=np.uint64), fixed_target)
+            assert bits.dtype == dtype and bits.shape == (0, m, 1)
+
     def test_too_many_zero_words_raise(self):
         task = ConjunctionTask(4)
         with pytest.raises(RuntimeError):
@@ -262,7 +289,9 @@ class TestRawDecode:
             codes, bits = decode(self, m, raw, fixed)
             if broken == "codes":
                 return (codes + 1) % 3, bits
-            return codes, bits ^ (np.arange(self.n) == self.n - 1)  # flips the last variable
+            flipped = bits.copy()
+            flipped[..., -1] = 1 - bits[..., -1]  # flips the last variable
+            return codes, flipped
 
         monkeypatch.setattr(ConjunctionTask, "decode", bad_decode)
         with pytest.raises(RuntimeError, match="decode"):
@@ -351,6 +380,21 @@ def cpus(monkeypatch):
     return set_cpus
 
 
+@pytest.fixture
+def cgroup(monkeypatch, tmp_path):
+    """Points the cgroup quota files at ``tmp_path``, holding only the
+    named ones, and sets the affinity to ``affinity`` CPUs."""
+    def set_cgroup(files, affinity):
+        for name, text in files.items():
+            (tmp_path / name).write_text(text)
+        monkeypatch.setattr(empirics, "_CPU_MAX", str(tmp_path / "cpu.max"))
+        monkeypatch.setattr(empirics, "_CFS_QUOTA", str(tmp_path / "cpu.cfs_quota_us"))
+        monkeypatch.setattr(empirics, "_CFS_PERIOD", str(tmp_path / "cpu.cfs_period_us"))
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(affinity)), raising=False)
+
+    return set_cgroup
+
+
 def pooled_losses(task, ms, k, seed, fixed_target=False):
     """Losses of ``run_trials`` at each m of ``ms`` in turn, through a
     worker group built for those calls; no worker outlives them."""
@@ -379,7 +423,7 @@ class TestTrialRanges:
     @pytest.mark.parametrize("count", [2, 3])
     def test_pooled_run_matches_one_process(self, cpus, task, count, fixed_target):
         cpus(count, uncapped=True)
-        assert empirics._range_count(300, task.draw_width(400, fixed_target)) == count
+        assert empirics._range_count(300, task.draw_width(400, fixed_target), empirics._usable_cpus()) == count
         for seed in (2024, 7):
             [pooled] = pooled_losses(task, [400], 300, seed, fixed_target)
             assert pooled.tobytes() == run_trials(task, 400, 300, seed, fixed_target=fixed_target).losses.tobytes()
@@ -388,28 +432,25 @@ class TestTrialRanges:
     def test_ranges_cover_the_trials_and_the_first_is_largest(self, cpus, count):
         cpus(count, uncapped=True)
         for k in (1, 2, 3, 5, 100, 1000):
-            ranges = [request[2:4] for request in empirics._trial_requests(ThresholdTask(), 2**16, k, 2024, False, True)]
+            ranges = [request[2:4] for request in empirics._trial_requests(ThresholdTask(), 2**16, k, 2024, False, count)]
             assert [start for start, _ in ranges] == [0, *(stop for _, stop in ranges[:-1])] and ranges[-1][1] == k
             sizes = [stop - start for start, stop in ranges]
             assert min(sizes) >= 1 and sizes[0] == max(sizes) and len(ranges) <= count, (k, ranges)
-        cpus(2)
-        assert [request[2:4] for request in empirics._trial_requests(ThresholdTask(), 1000, 1000, 2024, False, True)] == [
+        assert [request[2:4] for request in empirics._trial_requests(ThresholdTask(), 1000, 1000, 2024, False, 2)] == [
             (0, 556),
             (556, 1000),
         ]
 
     def test_range_count_gate(self, cpus):
-        cpus(4)
-        assert empirics._range_count(20, 1001) == 1  # wide-io: 20,020 draws stay in one process
-        assert empirics._range_count(1000, 21) == 1
-        assert empirics._range_count(1000, 66) == 2
-        assert empirics._range_count(1000, 1575) == 2  # no more than the two ranges measured
-        assert empirics._range_count(1, 2**16) == 1  # no more ranges than trials
+        assert empirics._range_count(20, 1001, 4) == 1  # wide-io: 20,020 draws stay in one process
+        assert empirics._range_count(1000, 21, 4) == 1
+        assert empirics._range_count(1000, 66, 4) == 2
+        assert empirics._range_count(1000, 1575, 4) == 2  # no more than the two ranges measured
+        assert empirics._range_count(1, 2**16, 4) == 1  # no more ranges than trials
         cpus(4, uncapped=True)
-        assert empirics._range_count(1000, 1575) == 4
-        assert empirics._range_count(3, 2**16) == 3
-        cpus(1)
-        assert empirics._range_count(1000, 1575) == 1
+        assert empirics._range_count(1000, 1575, 4) == 4
+        assert empirics._range_count(3, 2**16, 4) == 3
+        assert empirics._range_count(1000, 1575, 1) == 1
 
     @pytest.mark.parametrize("uncapped", [False, True])
     @pytest.mark.parametrize("k", [1, 3])
@@ -424,6 +465,43 @@ class TestTrialRanges:
     def test_no_affinity_call_means_one_cpu(self, monkeypatch):
         monkeypatch.delattr(os, "sched_getaffinity", raising=False)
         assert empirics._usable_cpus() == 1
+
+    @pytest.mark.parametrize(
+        "files, usable",
+        [
+            ({"cpu.max": "max 100000\n"}, 4),
+            ({"cpu.max": "150000 100000\n"}, 1),
+            ({"cpu.max": "250000 100000\n"}, 2),
+            ({"cpu.max": "50000 100000\n"}, 1),
+            ({"cpu.max": "900000 100000\n"}, 4),
+            ({"cpu.cfs_quota_us": "-1\n", "cpu.cfs_period_us": "100000\n"}, 4),
+            ({"cpu.cfs_quota_us": "150000\n", "cpu.cfs_period_us": "100000\n"}, 1),
+            ({"cpu.cfs_quota_us": "300000\n", "cpu.cfs_period_us": "100000\n"}, 3),
+            ({"cpu.cfs_quota_us": "300000\n"}, 4),
+            ({"cpu.max": "garbage\n"}, 4),
+            ({}, 4),
+        ],
+    )
+    def test_cgroup_quota_caps_usable_cpus(self, cgroup, files, usable):
+        cgroup(files, affinity=4)
+        assert empirics._usable_cpus() == usable
+
+    def test_quota_of_one_cpu_forks_nothing(self, cgroup, monkeypatch):
+        cgroup({"cpu.max": "100000 100000\n"}, affinity=2)
+
+        def no_fork():
+            raise AssertionError("forked under a one-CPU quota")
+
+        monkeypatch.setattr(os, "fork", no_fork)
+        [pooled] = pooled_losses(ConjunctionTask(10), [1250], 100, 2024)
+        assert pooled.tobytes() == run_trials(ConjunctionTask(10), 1250, 100, 2024).losses.tobytes()
+
+    def test_usable_cpus_are_read_once_per_group(self, monkeypatch):
+        # Not once per call: the quota files cost a few reads each time.
+        reads = []
+        monkeypatch.setattr(empirics, "_usable_cpus", lambda: reads.append(1) or 2)
+        pooled_losses(ThresholdTask(), [500, 1000, 1500], 100, 2024)
+        assert len(reads) == 1
 
     def test_one_cpu_forks_nothing(self, cpus, monkeypatch):
         cpus(1)
@@ -491,7 +569,7 @@ class TestPlannedTrials:
         cpus(2)
         monkeypatch.setattr(empirics, "_MIN_RANGE_DRAWS", 1)
         schedule = list(range(1, 3001))
-        requests = [empirics._trial_requests(ThresholdTask(), m, 3, 2024, False, True)[1] for m in schedule]
+        requests = [empirics._trial_requests(ThresholdTask(), m, 3, 2024, False, 2)[1] for m in schedule]
         replies = [pickle.dumps((True, empirics._range_losses(*request)), pickle.HIGHEST_PROTOCOL) for request in requests]
         assert sum(8 + len(reply) for reply in replies) > 1 << 16
         with TrialWorkers(ThresholdTask(), schedule, 3, 2024) as pool:

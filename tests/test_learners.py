@@ -1,5 +1,7 @@
 """Targets, sampling, ERM learners, and exact-vs-oracle loss agreement."""
 
+import itertools
+
 import numpy as np
 import pytest
 
@@ -11,6 +13,7 @@ from paclab.learners import (
     VariableState,
     conjunction_loss_enumerate,
     conjunction_loss_exact,
+    disagreement,
     label_conjunction,
     label_conjunction_batch,
     learn_conjunction_bits,
@@ -188,6 +191,17 @@ class TestConjunctionLoss:
             left = hyp(*(states[i] for i in rng.integers(0, 4, size=n)))
             right = hyp(*(states[i] for i in rng.integers(0, 4, size=n)))
             assert conjunction_loss_exact(left, right) == conjunction_loss_enumerate(left, right)
+
+    @pytest.mark.parametrize("n", [1, 2])
+    def test_tables_match_enumeration_on_every_code_pair(self, n):
+        # One batched call over all 4**n x 4**n pairs, BOTH on either side included.
+        codes = np.array(list(itertools.product(VariableState, repeat=n)))
+        targets, learned = np.repeat(codes, len(codes), axis=0), np.tile(codes, (len(codes), 1))
+        expected = [
+            conjunction_loss_enumerate(hyp(*map(VariableState, t)), hyp(*map(VariableState, l)))
+            for t, l in zip(targets, learned)
+        ]
+        assert disagreement(targets, learned).tolist() == expected
 
     def test_losses_are_dyadic(self):
         rng = np.random.default_rng(23)
