@@ -83,8 +83,8 @@ _GRID_TOP = 1.1
 # row held for writing and, for one sample size, about 240 bytes per trial
 # (seed and state words, losses) plus 45 per conjunction variable (code
 # and count arrays); the draw buffer holds a row and its decoded copies.
-# The trials of a sample size are split into ranges, one per process: each
-# process holds its range's per-trial arrays and a draw buffer of its own.
+# Each process holds the per-trial arrays of its range of a sample size and a
+# draw buffer, and the losses of the whole schedule share one 8-byte-a-trial buffer.
 SIZE_BUDGET_BYTES = 2 << 30
 _ROW_BYTES = 256
 _TRIAL_BYTES = 256
@@ -147,10 +147,8 @@ def task_bound_spec(task: Task, m: int) -> BoundSpec:
 def run_experiment(config: ExperimentConfig) -> list[ExperimentRecord]:
     """Empirical and theoretical distributions for every scheduled m.
 
-    The trials of each m are split between the usable CPUs by a worker
-    group built from the schedule, which lives only for this loop; each
-    worker is forked with its ranges of the whole schedule, so it never
-    waits between sample sizes.
+    The trials of the whole schedule are shared between the usable CPUs by
+    a worker group built from it, which lives only for this loop.
     """
     records = []
     schedule = config.schedule()
@@ -167,12 +165,12 @@ def run_experiment(config: ExperimentConfig) -> list[ExperimentRecord]:
 
 def _experiment_bytes(config: ExperimentConfig) -> int:
     """Estimated peak memory of ``cmd_experiment(config)`` over its processes:
-    its CSV rows and one sample size's trials."""
+    its CSV rows, one sample size's trials and the schedule's losses."""
     sizes = len(config.schedule())
     per_trial = _TRIAL_BYTES + (_VARIABLE_BYTES * config.task.n if isinstance(config.task, ConjunctionTask) else 0)
     width = config.task.draw_width(config.m_max, config.fixed_target)
     draw_buffers = _range_count(config.trials, width, empirics._usable_cpus()) * _DRAW_COPIES * 8 * width
-    return sizes * (2 * config.num_slots + 1) * _ROW_BYTES + config.trials * per_trial + draw_buffers
+    return sizes * (2 * config.num_slots + 1) * _ROW_BYTES + config.trials * per_trial + draw_buffers + 8 * config.trials * sizes
 
 
 def _bound_bytes(m_count: int, slots: int) -> int:

@@ -14,11 +14,10 @@ and one NumPy call per trial fills a row of a chunk buffer with the
 draws of ``Generator(PCG64(derive_trial_seed(...)))`` built per trial.
 Conjunction rows are raw outputs, decoded a chunk at a time.
 
-The trials of a call can be split into ranges of consecutive trials and
-computed by forked workers (:class:`TrialWorkers`), built from the
-schedule of calls they serve and handed their ranges of all of it as they
-are forked; the losses are concatenated in trial order, and they are the
-same bytes however the trials are split.
+The trials of a schedule of calls can be shared with forked workers
+(:class:`TrialWorkers`): each process claims ranges of consecutive trials
+from one queue and writes their losses into one shared buffer, and the
+bytes are the same however the trials are split.
 Three checks run once per range and raise ``RuntimeError``: its first
 trial's derived words must equal ``PCG64(seed).state``; the struct must
 read them in the order of a native ``__uint128_t`` or of NumPy's
@@ -30,9 +29,9 @@ from __future__ import annotations
 
 import ctypes
 import os
-from collections import deque
 from dataclasses import dataclass, field
-from typing import Iterable, Iterator, NamedTuple, NoReturn
+from operator import itemgetter
+from typing import Iterable, Iterator, NoReturn
 
 import numpy as np
 
@@ -294,11 +293,6 @@ _MIN_RANGE_DRAWS = 1 << 15
 # The split was measured with two processes on two CPUs; more ranges, each
 # paying the set-up on fewer trials, are unmeasured and so not made.
 _MAX_RANGES = 2
-# The first range, which this process computes beside its own work per
-# sample size (reading replies, the histogram, the bound), holds this many
-# times the trials of a worker's range: a planned worker whose CPU runs up
-# to a fifth slower still keeps ahead, so this process does not wait on it.
-_FIRST_RANGE_WEIGHT = 1.25
 
 
 # The cgroup CPU quota: v2's "quota period" line ("max 100000" when there
@@ -340,174 +334,145 @@ def _range_count(k: int, width: int, cpus: int) -> int:
     return max(1, min(cpus, _MAX_RANGES, k, k * width // _MIN_RANGE_DRAWS))
 
 
-def _read(fd: int, size: int) -> bytes:
-    """Exactly ``size`` bytes from ``fd``, or b"" if its writer closes first."""
-    chunks = []
-    while size:
-        chunk = os.read(fd, size)
-        if not chunk:
-            return b""
-        chunks.append(chunk)
-        size -= len(chunk)
-    return b"".join(chunks)
+def _shared_target(task: Task, m: int, master_seed: int, fixed_target: bool):
+    """The ground truth every trial at m shares in fixed-target mode; None in per-trial mode."""
+    if not fixed_target:
+        return None
+    return task.draw_target(np.random.Generator(np.random.PCG64(derive_trial_seed(master_seed, m, FIXED_TARGET_INDEX))))
 
 
-def _send(fd: int, obj) -> None:
-    """Write ``obj`` pickled, behind its 8-byte length."""
-    import pickle
-
-    data = pickle.dumps(obj, protocol=pickle.HIGHEST_PROTOCOL)
-    view = memoryview(len(data).to_bytes(8, "little") + data)
-    while view:
-        view = view[os.write(fd, view) :]
-
-
-def _receive(fd: int):
-    """The next object :func:`_send` wrote to ``fd``, or None if the writer is gone."""
-    import pickle
-
-    size = _read(fd, 8)
-    data = _read(fd, int.from_bytes(size, "little")) if size else b""
-    return pickle.loads(data) if data else None
-
-
-def _work(batch: list[tuple], replies: int, inherited: list[int]) -> NoReturn:
-    """A worker's life: close ``inherited`` (the parent's read ends of
-    every worker's reply pipe), then reply to each request of ``batch`` in
-    turn with its range's losses, or with the exception computing them
-    raised.  It ends only through ``os._exit``, also when the parent has
-    closed the pipe, so it never unwinds into the parent's copied stack or
-    runs its exit handlers."""
-    try:
-        for fd in inherited:
-            os.close(fd)
-        for request in batch:
-            try:
-                reply = (True, _range_losses(*request))
-            except Exception as exc:
-                reply = (False, exc)
-            _send(replies, reply)
-    finally:
-        os._exit(0)
-
-
-class _Worker(NamedTuple):
-    pid: int
-    replies: int  # read end of the pipe it writes replies to
-    pending: deque  # requests of its batch whose replies are not read yet, in order
+# What a worker writes to the report pipe once the queue is empty.  A failed
+# worker writes its pickled exception instead (it starts with 0x80); a killed one, nothing.
+_DONE = b"\0"
 
 
 class TrialWorkers:
-    """Forked processes that compute ranges of trials for :func:`run_trials`.
+    """Forked processes that share the trials of a schedule with this one, for :func:`run_trials`.
 
-    It is built from the calls it will serve: ``run_trials(task, m, k,
+    It is built from the calls it serves, ``run_trials(task, m, k,
     master_seed, fixed_target=..., pool=self)`` for each m of ``ms`` in
-    turn, each split between ``cpus``, the usable CPUs read once here.
-    Use it as a context manager around that loop.  Entering forks
-    one worker for each range after the first (``os.fork``, so a worker is
-    handed its batch of requests as an argument and shares the parent's
-    modules); it computes them back to back, replying to each in order,
-    while this process computes its own ranges.  A call whose ranges are
-    not the next planned ones raises ``RuntimeError``.  Leaving the
-    ``with`` block, or any error during a call, kills and reaps every
-    worker: no process outlives the loop.  Workers keep SIGINT blocked, so
-    Ctrl-C interrupts the parent alone.
+    turn, and queues their ``_range_count`` equal ranges for the usable
+    CPUs (read once here), the most draws first.  Entering forks the
+    workers; they and the first call claim ranges until the queue is empty,
+    and that call then reads the workers' reports.  Each call copies its row
+    of losses; one not planned next raises ``RuntimeError``.  Leaving the
+    ``with`` block, or any error in a call, kills and reaps every worker.
+    Workers keep SIGINT blocked, so Ctrl-C interrupts the parent alone.
     """
 
     def __init__(self, task: Task, ms: Iterable[int], k: int, master_seed: int, *, fixed_target: bool = False) -> None:
-        self.cpus = _usable_cpus()
-        self._batches: list[list[tuple]] = []
-        for m in ms:
-            for i, request in enumerate(_trial_requests(task, m, k, master_seed, fixed_target, self.cpus)[1:]):
-                if i == len(self._batches):
-                    self._batches.append([])
-                self._batches[i].append(request)
-        self._workers: list[_Worker] = []
+        cpus = _usable_cpus()
+        self._k, self._calls, self._units, self._forks = k, [], [], 0
+        for row, m in enumerate(ms):
+            self._calls.append((task, m, k, master_seed, fixed_target))
+            width, target = task.draw_width(m, fixed_target), _shared_target(task, m, master_seed, fixed_target)
+            count = _range_count(k, width, cpus)
+            self._forks = max(self._forks, count - 1)
+            for start, stop in ((k * i // count, k * (i + 1) // count) for i in range(count)):
+                self._units.append(((stop - start) * width, row, (task, m, start, stop, master_seed, fixed_target, target)))
+        # The last ranges claimed are the shortest, so the processes run out of work together.
+        self._units.sort(key=itemgetter(0), reverse=True)
+        self._next = 0  # row of the next call
+        self._pids: list[int] = []
+        self._shared = None
 
     def __enter__(self) -> TrialWorkers:
+        import gc
+        import mmap
+        import signal
+
+        self._shared = mmap.mmap(-1, 8 * (1 + len(self._calls) * self._k))
+        self._counter = np.ndarray(1, np.int64, self._shared)
+        self._losses = np.ndarray((len(self._calls), self._k), np.float64, self._shared, 8)
+        # The one byte in the lock pipe is held by a process while it claims a range.
+        self._lock, (self._reports, report) = os.pipe(), os.pipe()
+        os.write(self._lock[1], _DONE)
+        # SIGINT is blocked until the workers are on the list close() reaps, and
+        # stays blocked in them.  Frozen objects are skipped by a worker's
+        # garbage collector, which so runs no finalizer of the parent's.
+        mask = signal.pthread_sigmask(signal.SIG_BLOCK, [signal.SIGINT])
+        gc.freeze()
         try:
-            for batch in self._batches:
-                self._fork(batch)
+            for _ in range(self._forks):
+                if (pid := os.fork()) == 0:
+                    self._serve(report)
+                self._pids.append(pid)
         except BaseException:
             self.close()
             raise
+        finally:
+            os.close(report)  # the report pipe ends once every worker has closed it
+            gc.unfreeze()
+            signal.pthread_sigmask(signal.SIG_SETMASK, mask)
         return self
 
     def __exit__(self, *exc) -> None:
         self.close()
 
-    def map(self, requests: list[tuple]) -> list[np.ndarray]:
-        """``_range_losses(*request)`` of every request, in order: the first
-        computed here, the others read from the workers they were planned for."""
+    def losses(self, call: tuple) -> np.ndarray:
+        """The losses of ``run_trials(*call)``, a copy of its row."""
         try:
-            workers = self._workers[: len(requests) - 1]
-            if len(workers) < len(requests) - 1 or any(
-                not worker.pending or worker.pending[0] != request for worker, request in zip(workers, requests[1:])
-            ):
-                raise RuntimeError(f"run_trials at m={requests[0][1]} is not the next call the trial workers planned")
-            results = [_range_losses(*requests[0])]
-            for worker in workers:
-                worker.pending.popleft()
-                reply = _receive(worker.replies)
-                if reply is None:
-                    raise RuntimeError(f"trial worker {worker.pid} exited mid-call")
-                ok, value = reply
-                if not ok:
-                    raise value
-                results.append(value)
-            return results
+            if self._shared is None or self._next == len(self._calls) or call != self._calls[self._next]:
+                raise RuntimeError(f"run_trials at m={call[1]} is not the next call the trial workers planned")
+            if self._next == 0:
+                self._drain()
+                reports = b"".join(iter(lambda: os.read(self._reports, 1 << 16), b""))
+                if reports != _DONE * len(self._pids):
+                    import pickle
+
+                    failure = reports.lstrip(_DONE)
+                    raise pickle.loads(failure) if failure else RuntimeError("trial worker exited mid-schedule")
+                self._reap()
+            self._next += 1
+            return self._losses[self._next - 1].copy()
         except BaseException:
             self.close()
             raise
 
     def close(self) -> None:
-        """Kill and reap every worker."""
+        """Kill and reap every worker, and release the queue."""
+        self._reap()
+        if self._shared is not None:
+            for fd in (*self._lock, self._reports):
+                os.close(fd)
+            self._shared = self._counter = self._losses = None
+
+    def _reap(self) -> None:
         import signal
 
-        workers, self._workers = self._workers, []
-        for worker in workers:
-            os.close(worker.replies)
-            os.kill(worker.pid, signal.SIGKILL)
-            os.waitpid(worker.pid, 0)
+        pids, self._pids = self._pids, []
+        for pid in pids:
+            os.kill(pid, signal.SIGKILL)
+            os.waitpid(pid, 0)
 
-    def _fork(self, batch: list[tuple]) -> None:
-        import gc
-        import signal
+    def _drain(self) -> None:
+        """Claim ranges and store their losses until the queue is empty."""
+        while True:
+            os.read(self._lock[0], 1)
+            unit = int(self._counter[0])
+            self._counter[0] = unit + 1
+            os.write(self._lock[1], _DONE)
+            if unit >= len(self._units):
+                return
+            _, row, request = self._units[unit]
+            self._losses[row, request[2] : request[3]] = _range_losses(*request)
 
-        replies_r, replies_w = os.pipe()
-        inherited = [replies_r, *(worker.replies for worker in self._workers)]
-        # SIGINT is blocked until the worker is on the list close() reaps, and
-        # stays blocked in the worker.  Frozen objects are skipped by the
-        # worker's garbage collector, which so runs no finalizer of the parent's.
-        mask = signal.pthread_sigmask(signal.SIG_BLOCK, [signal.SIGINT])
-        gc.freeze()
+    def _serve(self, report: int) -> NoReturn:
+        """A worker's life: drain the queue, then write its report to the fd
+        ``report``.  It ends only through ``os._exit``, so it never unwinds
+        into the parent's stack or runs its exit handlers."""
         try:
-            pid = os.fork()
-            if pid == 0:
-                _work(batch, replies_w, inherited)
-            self._workers.append(_Worker(pid, replies_r, deque(batch)))
-        except OSError:
-            os.close(replies_r)
-            raise
+            try:
+                os.close(self._reports)
+                self._drain()
+                data = _DONE
+            except Exception as exc:
+                import pickle
+
+                data = pickle.dumps(exc, protocol=pickle.HIGHEST_PROTOCOL)
+            os.write(report, data)
         finally:
-            gc.unfreeze()
-            signal.pthread_sigmask(signal.SIG_SETMASK, mask)
-            os.close(replies_w)
-
-
-def _trial_requests(task: Task, m: int, k: int, master_seed: int, fixed_target: bool, cpus: int) -> list[tuple]:
-    """The ``_range_losses`` arguments of each of the ``_range_count``
-    ranges ``run_trials`` splits k trials into between ``cpus`` CPUs."""
-    target = None
-    if fixed_target:
-        shared = np.random.PCG64(derive_trial_seed(master_seed, m, FIXED_TARGET_INDEX))
-        target = task.draw_target(np.random.Generator(shared))
-    ranges = _range_count(k, task.draw_width(m, fixed_target), cpus)
-    bounds = [0, k]
-    if ranges > 1:
-        head = k - int(k * (ranges - 1) / (ranges - 1 + _FIRST_RANGE_WEIGHT))
-        bounds = sorted({0, *(head + (k - head) * i // (ranges - 1) for i in range(ranges))})
-    return [(task, m, start, stop, master_seed, fixed_target, target) for start, stop in zip(bounds, bounds[1:])]
+            os._exit(0)
 
 
 def run_trials(
@@ -518,18 +483,16 @@ def run_trials(
     Each trial draws a fresh ground truth from its own stream (or reuses
     the shared one in fixed-target mode), samples m labeled instances,
     learns, and records the exact loss.  Losses are ordered by trial
-    index, and trial i's loss does not depend on k.  With a ``pool`` the
-    trials are split into ``_range_count`` ranges of consecutive trials,
-    the first the largest (``_FIRST_RANGE_WEIGHT``); this process computes
-    the first, and the pool's workers, built for this call among others,
-    have computed or are computing the rest.  A call the pool was not
-    built for raises ``RuntimeError`` once it needs a worker.  A range's
-    losses are the same wherever it runs, so no byte changes.
+    index, and trial i's loss does not depend on k.  With a ``pool``
+    built for this call they are read from its shared buffer, the same
+    bytes whichever of its processes computed them.
     """
     if m < 1 or k < 1:
         raise ValueError(f"need m >= 1 and k >= 1, got m={m}, k={k}")
-    requests = _trial_requests(task, m, k, master_seed, fixed_target, 1 if pool is None else pool.cpus)
-    losses = _range_losses(*requests[0]) if len(requests) == 1 else np.concatenate(pool.map(requests))
+    if pool is None:
+        losses = _range_losses(task, m, 0, k, master_seed, fixed_target, _shared_target(task, m, master_seed, fixed_target))
+    else:
+        losses = pool.losses((task, m, k, master_seed, fixed_target))
     return TrialBatch(task=task, m=m, k=k, master_seed=master_seed, losses=losses)
 
 

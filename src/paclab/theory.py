@@ -166,22 +166,21 @@ def bound_density(spec: BoundSpec, eps: float) -> float:
     Raises ValueError at ``eps == 1`` exactly; the atom there is not a
     density and must be read from :func:`bound_point_mass`.
     """
-    return _piecewise_density(spec.log_weight(), spec.m, eps)
+    return _piecewise_densities(spec.log_weight(), spec.m, [eps])[0]
 
 
-def _piecewise_density(log_weight: float, m: int, eps: float) -> float:
-    if eps == 1.0:
+def _piecewise_densities(log_weight: float, m: int, eps_values: Sequence[float]) -> list[float]:
+    """The density at each eps, ``exp((ln W + ln m) - m*eps)`` on [ln W / m, 1), with both per-m terms computed once."""
+    if 1.0 in eps_values:
         raise ValueError("density undefined at eps=1: the atom there is reported by the point-mass accessor")
-    if eps < log_weight / m or eps > 1.0:
-        return 0.0
-    return math.exp(log_weight + math.log(m) - m * eps)
+    cut, log_scale = log_weight / m, log_weight + math.log(m)
+    return [0.0 if eps < cut or eps > 1.0 else math.exp(log_scale - m * eps) for eps in eps_values]
 
 
 def bound_table(spec: BoundSpec, eps_values: Sequence[float]) -> list[tuple[float, float]]:
-    """``(bound_cdf, bound_density)`` at each eps, with ``ln W`` computed once."""
+    """``(bound_cdf, bound_density)`` at each eps, with the per-m terms computed once."""
     log_weight, m = spec.log_weight(), spec.m
-    cdfs = _piecewise_cdfs(log_weight, m, eps_values)
-    return [(cdf, _piecewise_density(log_weight, m, eps)) for eps, cdf in zip(eps_values, cdfs)]
+    return list(zip(_piecewise_cdfs(log_weight, m, eps_values), _piecewise_densities(log_weight, m, eps_values)))
 
 
 def bound_point_mass(spec: BoundSpec) -> float:

@@ -464,8 +464,26 @@ class TestSizeBudget:
         proc = subprocess.run(argv, env=env, capture_output=True, text=True, timeout=120)
         assert proc.returncode == 0, proc.stderr
         result = json.loads(proc.stdout)
-        assert len(result["workers"]) == 1, result
+        assert len(result["workers"]) <= 1, result  # a worker that claimed no range wrote none
         assert result["estimate"] >= result["parent"] + sum(result["workers"]), result
+
+    def test_estimate_counts_the_schedule_loss_buffer(self, tmp_path, monkeypatch, capsys):
+        # Every loss of the schedule is held at once: 8 bytes for each of a
+        # million trials at 300 sample sizes is over the budget by itself.
+        config = default_config(ConjunctionTask(10), trials=1_000_000, m_start=1, m_step=1, m_max=300)
+        buffer = 8 * config.trials * len(config.schedule())
+        assert buffer > paclab.cli.SIZE_BUDGET_BYTES > paclab.cli._experiment_bytes(config) - buffer
+        assert paclab.cli._experiment_bytes(config) > paclab.cli.SIZE_BUDGET_BYTES
+
+        def no_trials(*args, **kwargs):
+            raise AssertionError("a trial ran")
+
+        monkeypatch.setattr(paclab.cli, "TrialWorkers", no_trials)
+        out = tmp_path / "out"
+        argv = ["experiment", "--trials", "1000000", "--m-start", "1", "--m-step", "1", "--m-max", "300"]
+        assert main([*argv, "--out-dir", str(out)]) == 1
+        assert "budget" in capsys.readouterr().err
+        assert not out.exists()
 
     def test_over_budget_fails_before_any_work(self, tmp_path, monkeypatch, capsys):
         def no_trials(*args, **kwargs):

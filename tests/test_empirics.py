@@ -3,10 +3,10 @@
 import itertools
 import math
 import os
-import select
 import signal
 import subprocess
 import sys
+import time
 import warnings
 from pathlib import Path
 
@@ -15,6 +15,7 @@ import pytest
 
 import paclab.empirics as empirics
 from paclab.analysis import dist_mean
+from paclab.cli import run_experiment
 from paclab.empirics import (
     FIXED_TARGET_INDEX,
     ExperimentConfig,
@@ -429,16 +430,33 @@ class TestTrialRanges:
             assert pooled.tobytes() == run_trials(task, 400, 300, seed, fixed_target=fixed_target).losses.tobytes()
 
     @pytest.mark.parametrize("count", [2, 3, 4])
-    def test_ranges_cover_the_trials_and_the_first_is_largest(self, cpus, count):
+    def test_ranges_cover_the_trials_in_equal_parts(self, cpus, count):
         cpus(count, uncapped=True)
         for k in (1, 2, 3, 5, 100, 1000):
-            ranges = [request[2:4] for request in empirics._trial_requests(ThresholdTask(), 2**16, k, 2024, False, count)]
+            ranges = sorted(request[2:4] for _, _, request in TrialWorkers(ThresholdTask(), [2**16], k, 2024)._units)
             assert [start for start, _ in ranges] == [0, *(stop for _, stop in ranges[:-1])] and ranges[-1][1] == k
             sizes = [stop - start for start, stop in ranges]
-            assert min(sizes) >= 1 and sizes[0] == max(sizes) and len(ranges) <= count, (k, ranges)
-        assert [request[2:4] for request in empirics._trial_requests(ThresholdTask(), 1000, 1000, 2024, False, 2)] == [
-            (0, 556),
-            (556, 1000),
+            assert min(sizes) >= 1 and max(sizes) - min(sizes) <= 1 and len(ranges) == min(k, count), (k, ranges)
+        cpus(2)
+        assert sorted(request[2:4] for _, _, request in TrialWorkers(ThresholdTask(), [1000], 1000, 2024)._units) == [
+            (0, 500),
+            (500, 1000),
+        ]
+
+    def test_queue_holds_the_most_draws_first(self, cpus):
+        cpus(2)
+        pool = TrialWorkers(ConjunctionTask(10), [25, 1250, 100, 1250], 1000, 2024)
+        draws = [count for count, _, _ in pool._units]
+        assert draws == sorted(draws, reverse=True)
+        # m = 25 is one range; equal draws keep the schedule's order.
+        assert [(row, request[1:4]) for _, row, request in pool._units] == [
+            (1, (1250, 0, 500)),
+            (1, (1250, 500, 1000)),
+            (3, (1250, 0, 500)),
+            (3, (1250, 500, 1000)),
+            (2, (100, 0, 500)),
+            (2, (100, 500, 1000)),
+            (0, (25, 0, 1000)),
         ]
 
     def test_range_count_gate(self, cpus):
@@ -524,7 +542,21 @@ class TestTrialRanges:
         assert [str(warning.message) for warning in caught] == []
 
 
-class TestPlannedTrials:
+@pytest.fixture
+def deadline():
+    """Fails a test whose worker call hangs instead of raising."""
+    def expire(signum, frame):
+        raise TimeoutError("a trial worker call hung")
+
+    previous = signal.signal(signal.SIGALRM, expire)
+    signal.alarm(60)
+    yield
+    signal.alarm(0)
+    signal.signal(signal.SIGALRM, previous)
+
+
+@pytest.mark.usefixtures("deadline")
+class TestTrialQueue:
     SCHEDULE = [400, 800, 1200]
 
     @pytest.mark.parametrize("fixed_target", [False, True])
@@ -536,90 +568,132 @@ class TestPlannedTrials:
                 pooled = run_trials(task, m, 300, 2024, fixed_target=fixed_target, pool=pool)
                 alone = run_trials(task, m, 300, 2024, fixed_target=fixed_target)
                 assert pooled.losses.tobytes() == alone.losses.tobytes()
-            assert not pool._workers[0].pending
+            assert_no_child_left()  # the first call reaped the workers
         assert_no_child_left()
 
-    def test_worker_computes_before_it_is_asked(self, cpus):
+    def test_workers_claim_before_the_first_call(self, cpus):
         cpus(2)
         with TrialWorkers(ConjunctionTask(10), self.SCHEDULE, 300, 2024) as pool:
-            ready, _, _ = select.select([pool._workers[0].replies], [], [], 60)
-            assert ready  # a reply is waiting before run_trials asks for it
+            deadline = time.monotonic() + 60
+            while pool._counter[0] == 0 and time.monotonic() < deadline:
+                time.sleep(0.001)
+            assert pool._counter[0] > 0  # a worker claimed a range before run_trials asked
             for m in self.SCHEDULE:
                 pooled = run_trials(ConjunctionTask(10), m, 300, 2024, pool=pool)
                 assert pooled.losses.tobytes() == run_trials(ConjunctionTask(10), m, 300, 2024).losses.tobytes()
         assert_no_child_left()
 
     @pytest.mark.parametrize(
-        "m, seed, k",
-        [(800, 2024, 300), (400, 7, 300), (400, 2024, 301)],
-        ids=["out-of-order", "other-seed", "other-k"],
+        "task, m, seed, k, fixed_target",
+        [
+            (ThresholdTask(), 800, 2024, 300, False),
+            (ThresholdTask(), 400, 7, 300, False),
+            (ThresholdTask(), 400, 2024, 301, False),
+            (ThresholdTask(2), 400, 2024, 300, False),
+            (ConjunctionTask(10), 400, 2024, 300, False),
+            (ThresholdTask(), 400, 2024, 300, True),
+        ],
+        ids=["out-of-order", "other-seed", "other-k", "other-vc-dim", "other-task", "other-target-mode"],
     )
-    def test_off_plan_call_raises_and_leaves_no_child(self, cpus, m, seed, k):
+    def test_off_plan_call_raises_and_leaves_no_child(self, cpus, task, m, seed, k, fixed_target):
         cpus(2)
         with TrialWorkers(ThresholdTask(), self.SCHEDULE, 300, 2024) as pool:
             with pytest.raises(RuntimeError, match=f"m={m} is not the next call"):
-                run_trials(ThresholdTask(), m, k, seed, pool=pool)
+                run_trials(task, m, k, seed, fixed_target=fixed_target, pool=pool)
             assert_no_child_left()
 
     def test_plan_larger_than_a_pipe(self, cpus, monkeypatch):
-        # The worker's replies overflow a 64 KiB pipe before the parent reads
-        # the first: the worker waits on the parent, never the other way.
-        import pickle
-
+        # More ranges than a 64 KiB pipe could hold as 8-byte indices: the
+        # queue is a counter in the shared buffer, not a pipe.
         cpus(2)
         monkeypatch.setattr(empirics, "_MIN_RANGE_DRAWS", 1)
-        schedule = list(range(1, 3001))
-        requests = [empirics._trial_requests(ThresholdTask(), m, 3, 2024, False, 2)[1] for m in schedule]
-        replies = [pickle.dumps((True, empirics._range_losses(*request)), pickle.HIGHEST_PROTOCOL) for request in requests]
-        assert sum(8 + len(reply) for reply in replies) > 1 << 16
+        schedule = list(range(1, 5001))
         with TrialWorkers(ThresholdTask(), schedule, 3, 2024) as pool:
+            assert 8 * len(pool._units) > 1 << 16
             for m in schedule:
                 pooled = run_trials(ThresholdTask(), m, 3, 2024, pool=pool)
                 assert pooled.losses.tobytes() == run_trials(ThresholdTask(), m, 3, 2024).losses.tobytes()
         assert_no_child_left()
 
+    def test_each_range_is_claimed_once_by_more_processes_than_cpus(self, cpus, monkeypatch, tmp_path):
+        # Four processes on at most two CPUs claim 8,000 short ranges; a lost
+        # update of the shared counter would hand one range to two of them.
+        cpus(4, uncapped=True)
+        monkeypatch.setattr(empirics, "_MIN_RANGE_DRAWS", 1)
+        schedule = list(range(1, 2001))
+        alone = [run_trials(ThresholdTask(), m, 4, 2024).losses.tobytes() for m in schedule]
+        original, log = empirics._range_losses, os.open(tmp_path / "claims", os.O_WRONLY | os.O_CREAT | os.O_APPEND)
 
-def fail_in(monkeypatch, where, action):
-    """Makes ``_range_losses`` run ``action`` on the ranges ``where`` selects by their start."""
-    original = empirics._range_losses
+        def range_losses(task, m, start, *args):
+            os.write(log, f"{m} {start}\n".encode())
+            return original(task, m, start, *args)
+
+        with monkeypatch.context() as patch:
+            patch.setattr(empirics, "_range_losses", range_losses)
+            try:
+                pooled = pooled_losses(ThresholdTask(), schedule, 4, 2024)
+            finally:
+                os.close(log)
+        claims = (tmp_path / "claims").read_text().splitlines()
+        assert sorted(claims) == sorted(f"{m} {start}" for m in schedule for start in range(4))
+        assert [losses.tobytes() for losses in pooled] == alone
+
+    def test_slow_worker_leaves_the_parent_most_ranges(self, cpus, monkeypatch):
+        cpus(2)
+        schedule = list(range(400, 8001, 400))
+        original, parent, claimed = empirics._range_losses, os.getpid(), []
+
+        def range_losses(*args):
+            if os.getpid() == parent:
+                claimed.append(args[1:4])
+            else:
+                time.sleep(0.2)
+            return original(*args)
+
+        monkeypatch.setattr(empirics, "_range_losses", range_losses)
+        pooled = pooled_losses(ThresholdTask(), schedule, 300, 2024)
+        assert len(claimed) > len(schedule), claimed  # more than half of the two ranges per m
+        for m, losses in zip(schedule, pooled):
+            assert losses.tobytes() == run_trials(ThresholdTask(), m, 300, 2024).losses.tobytes()
+
+
+def in_workers(monkeypatch, action):
+    """Makes ``_range_losses`` run ``action`` on the start of every range a
+    worker claims.  A range of this process first waits until a second
+    range of its pool is claimed, so a worker claims one whatever the timing."""
+    original, parent, pools, enter = empirics._range_losses, os.getpid(), [], TrialWorkers.__enter__
 
     def range_losses(task, m, start, *args):
-        if where(start):
+        if os.getpid() != parent:
             action(start)
+        while pools[-1]._counter[0] < 2:
+            time.sleep(0.001)
         return original(task, m, start, *args)
 
     monkeypatch.setattr(empirics, "_range_losses", range_losses)
+    monkeypatch.setattr(TrialWorkers, "__enter__", lambda pool: enter(pools.append(pool) or pool))
 
 
+@pytest.mark.usefixtures("deadline")
 class TestTrialWorkerFailures:
     """Every failure ends with the workers reaped and nothing printed by them."""
-
-    @pytest.fixture(autouse=True)
-    def deadline(self):
-        """Fails a test whose worker call hangs instead of raising."""
-        def expire(signum, frame):
-            raise TimeoutError("a trial worker call hung")
-
-        previous = signal.signal(signal.SIGALRM, expire)
-        signal.alarm(60)
-        yield
-        signal.alarm(0)
-        signal.signal(signal.SIGALRM, previous)
 
     def test_worker_exception_reaches_parent(self, cpus, monkeypatch, capfd):
         cpus(3, uncapped=True)
 
         def fail(start):
-            raise ValueError(f"range at {start} failed")
+            raise ValueError(f"range at {start} failed in a worker")
 
-        fail_in(monkeypatch, lambda start: start > 0, fail)
+        in_workers(monkeypatch, fail)
         with TrialWorkers(ThresholdTask(), [1000], 100, 2024) as pool:
-            with pytest.raises(ValueError, match="range at 39 failed"):
+            with pytest.raises(ValueError, match="range at (0|33|66) failed in a worker"):
                 run_trials(ThresholdTask(), 1000, 100, 2024, pool=pool)
             assert_no_child_left()
         assert capfd.readouterr().err == ""
 
-    def test_planned_worker_exception_surfaces_at_its_call(self, cpus, monkeypatch, capfd):
+    def test_exception_surfaces_at_the_first_call(self, cpus, monkeypatch, capfd):
+        # The first call computes the whole queue, so a range of a later m
+        # that fails, in either process, fails it.
         cpus(2)
         original = empirics._range_losses
 
@@ -630,24 +704,24 @@ class TestTrialWorkerFailures:
 
         monkeypatch.setattr(empirics, "_range_losses", range_losses)
         with TrialWorkers(ThresholdTask(), [400, 800, 1200], 300, 2024) as pool:
-            run_trials(ThresholdTask(), 400, 300, 2024, pool=pool)
             with pytest.raises(ValueError, match="range at m=800 failed"):
-                run_trials(ThresholdTask(), 800, 300, 2024, pool=pool)
+                run_trials(ThresholdTask(), 400, 300, 2024, pool=pool)
             assert_no_child_left()
         assert capfd.readouterr().err == ""
 
-    def test_leaving_with_planned_replies_unread(self, cpus):
+    def test_leaving_before_the_first_call(self, cpus):
         cpus(2)
-        with TrialWorkers(ConjunctionTask(10), list(range(400, 4001, 400)), 300, 2024) as pool:
-            run_trials(ConjunctionTask(10), 400, 300, 2024, pool=pool)
+        with TrialWorkers(ConjunctionTask(10), list(range(400, 4001, 400)), 300, 2024):
+            pass
         assert_no_child_left()
 
     def test_killed_worker_raises_instead_of_hanging(self, cpus, monkeypatch, capfd):
+        # The range it claimed is never written: the run raises instead of
+        # histogramming the zeros the buffer holds there.
         cpus(2)
-        fail_in(monkeypatch, lambda start: start > 0, lambda start: os.kill(os.getpid(), signal.SIGKILL))
-        with TrialWorkers(ConjunctionTask(10), [1250], 100, 2024) as pool:
-            with pytest.raises(RuntimeError, match="exited mid-call"):
-                run_trials(ConjunctionTask(10), 1250, 100, 2024, pool=pool)
+        in_workers(monkeypatch, lambda start: os.kill(os.getpid(), signal.SIGKILL))
+        with pytest.raises(RuntimeError, match="exited mid-schedule"):
+            run_experiment(ExperimentConfig(ConjunctionTask(10), 10, 100, 250, 250, 1250, 2024))
         assert_no_child_left()
         assert capfd.readouterr().err == ""
 
@@ -655,17 +729,15 @@ class TestTrialWorkerFailures:
     def test_parent_error_tears_the_group_down(self, cpus, monkeypatch, capfd, error):
         cpus(2)
         with TrialWorkers(ConjunctionTask(10), [1250] * 3, 100, 2024) as pool:
-            run_trials(ConjunctionTask(10), 1250, 100, 2024, pool=pool)  # the worker is up
-            with monkeypatch.context() as patch:
 
-                def fail(start):
-                    raise error("parent range failed")
+            def fail():
+                raise error("parent range failed")
 
-                fail_in(patch, lambda start: start == 0, fail)
-                with pytest.raises(error, match="parent range failed"):
-                    run_trials(ConjunctionTask(10), 1250, 100, 2024, pool=pool)
+            monkeypatch.setattr(pool, "_drain", fail)  # here only: the worker keeps draining
+            with pytest.raises(error, match="parent range failed"):
+                run_trials(ConjunctionTask(10), 1250, 100, 2024, pool=pool)
             assert_no_child_left()
-            # The next call raises instead of reading the abandoned call's losses.
+            # The next call raises instead of reading the abandoned buffer.
             with pytest.raises(RuntimeError, match="is not the next call"):
                 run_trials(ConjunctionTask(10), 1250, 100, 2024, pool=pool)
         assert_no_child_left()
@@ -676,10 +748,13 @@ class TestTrialWorkerFailures:
         # os._exit: unwinding would run the parent's code in the worker, print
         # a traceback and flush the parent's buffered "start" a second time.
         script = WORKER_SCRIPT + (
-            "original = empirics._range_losses\n"
+            "import os, time\n"
+            "original, parent = empirics._range_losses, os.getpid()\n"
             "def range_losses(task, m, start, *args):\n"
-            "    if start > 0:\n"
+            "    if os.getpid() != parent:\n"
             "        raise KeyboardInterrupt\n"
+            "    while pool._counter[0] < 2:\n"
+            "        time.sleep(0.001)\n"
             "    return original(task, m, start, *args)\n"
             "empirics._range_losses = range_losses\n"
             "print('start')\n"
@@ -695,11 +770,13 @@ class TestTrialWorkerFailures:
         assert lines[0] == "start" and lines[1].startswith("parent: trial worker") and len(lines) == 2
 
     def test_ctrl_c_leaves_no_process_and_one_traceback(self):
+        # The signal lands while the first call and the worker share a
+        # queue of about 20 s of trials.
         script = WORKER_SCRIPT + (
             "with empirics.TrialWorkers(ConjunctionTask(10), [1250] * 1000, 2000, 2024) as pool:\n"
+            "    print('split', flush=True)\n"
             "    for _ in range(1000):\n"
             "        empirics.run_trials(ConjunctionTask(10), 1250, 2000, 2024, pool=pool)\n"
-            "        print('split', flush=True)\n"
         )
         proc = subprocess.Popen(
             [sys.executable, "-c", script], env=worker_env(), stdout=subprocess.PIPE, stderr=subprocess.PIPE,
@@ -707,6 +784,7 @@ class TestTrialWorkerFailures:
         )
         try:
             assert proc.stdout.readline() == "split\n"
+            time.sleep(0.5)
             os.killpg(proc.pid, signal.SIGINT)  # what Ctrl-C sends to the foreground group
             _, err = proc.communicate(timeout=60)
         finally:

@@ -186,6 +186,19 @@ class TestBoundTable:
         with pytest.raises(ValueError):
             bound_table(VC_1_20, [0.5, 1.0])
 
+    def test_density_equals_direct_evaluation_on_default_schedules(self):
+        # The bound command's grid, for the bounds of both default experiments.
+        grid = np.linspace(0.0, 1.1, 1000).tolist()
+        specs = [BoundSpec.finite_h(m=m, log_h_size=10 * math.log(3.0)) for m in range(25, 1251, 25)]
+        specs += [BoundSpec.finite_vc(m=m, vc_dim=1) for m in range(20, 1001, 20)]
+        for spec in specs:
+            log_weight, m = spec.log_weight(), spec.m
+            direct = [
+                0.0 if eps < log_weight / m or eps > 1.0 else math.exp(log_weight + math.log(m) - m * eps) for eps in grid
+            ]
+            assert [density for _, density in bound_table(spec, grid)] == direct, m
+            assert [bound_density(spec, eps) for eps in grid] == direct, m
+
 
 class TestSampleComplexity:
     def test_finite_hand_values(self):
