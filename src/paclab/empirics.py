@@ -386,7 +386,7 @@ class TrialWorkers:
         self._losses = np.ndarray((len(self._calls), self._k), np.float64, self._shared, 8)
         # The one byte in the lock pipe is held by a process while it claims a range.
         self._lock, (self._reports, report) = os.pipe(), os.pipe()
-        os.write(self._lock[1], _DONE)
+        os.write(self._lock[1], b"\0")
         # SIGINT is blocked until the workers are on the list close() reaps, and
         # stays blocked in them.  Frozen objects are skipped by a worker's
         # garbage collector, which so runs no finalizer of the parent's.
@@ -451,7 +451,7 @@ class TrialWorkers:
             os.read(self._lock[0], 1)
             unit = int(self._counter[0])
             self._counter[0] = unit + 1
-            os.write(self._lock[1], _DONE)
+            os.write(self._lock[1], b"\0")
             if unit >= len(self._units):
                 return
             _, row, request = self._units[unit]

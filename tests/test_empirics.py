@@ -602,25 +602,13 @@ class TestTrialQueue:
                 run_trials(task, m, k, seed, fixed_target=fixed_target, pool=pool)
             assert_no_child_left()
 
-    def test_plan_larger_than_a_pipe(self, cpus, monkeypatch):
-        # More ranges than a 64 KiB pipe could hold as 8-byte indices: the
-        # queue is a counter in the shared buffer, not a pipe.
-        cpus(2)
-        monkeypatch.setattr(empirics, "_MIN_RANGE_DRAWS", 1)
-        schedule = list(range(1, 5001))
-        with TrialWorkers(ThresholdTask(), schedule, 3, 2024) as pool:
-            assert 8 * len(pool._units) > 1 << 16
-            for m in schedule:
-                pooled = run_trials(ThresholdTask(), m, 3, 2024, pool=pool)
-                assert pooled.losses.tobytes() == run_trials(ThresholdTask(), m, 3, 2024).losses.tobytes()
-        assert_no_child_left()
-
-    def test_each_range_is_claimed_once_by_more_processes_than_cpus(self, cpus, monkeypatch, tmp_path):
-        # Four processes on at most two CPUs claim 8,000 short ranges; a lost
-        # update of the shared counter would hand one range to two of them.
+    def test_plan_larger_than_a_pipe(self, cpus, monkeypatch, tmp_path):
+        # Four processes on at most two CPUs claim 8,400 one-trial ranges,
+        # more than a 64 KiB pipe could hold as 8-byte indices.  A lost update
+        # of the shared counter would hand one range to two of them.
         cpus(4, uncapped=True)
         monkeypatch.setattr(empirics, "_MIN_RANGE_DRAWS", 1)
-        schedule = list(range(1, 2001))
+        schedule = list(range(1, 2101))
         alone = [run_trials(ThresholdTask(), m, 4, 2024).losses.tobytes() for m in schedule]
         original, log = empirics._range_losses, os.open(tmp_path / "claims", os.O_WRONLY | os.O_CREAT | os.O_APPEND)
 
@@ -631,12 +619,15 @@ class TestTrialQueue:
         with monkeypatch.context() as patch:
             patch.setattr(empirics, "_range_losses", range_losses)
             try:
-                pooled = pooled_losses(ThresholdTask(), schedule, 4, 2024)
+                with TrialWorkers(ThresholdTask(), schedule, 4, 2024) as pool:
+                    assert 8 * len(pool._units) > 1 << 16
+                    pooled = [run_trials(ThresholdTask(), m, 4, 2024, pool=pool).losses.tobytes() for m in schedule]
             finally:
                 os.close(log)
+        assert_no_child_left()
         claims = (tmp_path / "claims").read_text().splitlines()
         assert sorted(claims) == sorted(f"{m} {start}" for m in schedule for start in range(4))
-        assert [losses.tobytes() for losses in pooled] == alone
+        assert pooled == alone
 
     def test_slow_worker_leaves_the_parent_most_ranges(self, cpus, monkeypatch):
         cpus(2)
