@@ -30,8 +30,8 @@ import json
 import math
 import os
 import sys
+import warnings
 from dataclasses import asdict, dataclass
-from operator import itemgetter
 from pathlib import Path
 from typing import Iterator, Sequence, TextIO
 
@@ -326,58 +326,72 @@ def cmd_bound(
 # Stored-distribution KL
 # ---------------------------------------------------------------------------
 
-def _csv_columns(fh: TextIO, path: str | Path, header: Sequence[str], columns: Sequence[str]) -> Iterator[tuple]:
-    """Rows of an open CSV as tuples of ``columns``, found by name in its header.
+_DISTRIBUTION_DTYPE = np.dtype([("m", np.int64), ("source", object), ("slot_index", np.int64), ("mass", np.float64)])
+_CURVE_DTYPE = np.dtype([("m", np.int64)] + [(name, np.float64) for name in CURVE_HEADER[1:]])
 
-    The file must have every column of ``header``, in any order; blank lines
-    are skipped, and a short row raises IndexError.
+
+def _checked_lines(fh: TextIO) -> Iterator[str]:
+    """The lines of ``fh``; one long enough to hold a cell over ``csv.field_size_limit()`` is split to check."""
+    limit = csv.field_size_limit()
+    for line in fh:
+        if len(line) > limit:
+            next(csv.reader([line]))  # csv.Error on a cell over the limit
+        yield line
+
+
+def _read_columns(path: str | Path, header: Sequence[str], dtype: np.dtype, what: str) -> np.ndarray:
+    """The columns of a CSV named by ``dtype``'s fields, found by name in its header, in one ``np.loadtxt`` pass.
+
+    The file must have every column of ``header``, in any order.  Cells may
+    be quoted, ``#`` is data, blank lines are skipped and extra cells are
+    ignored; a short row or a cell that does not parse raises ConfigError.
     """
-    reader = csv.reader(fh)
-    index = {name: i for i, name in enumerate(next(reader, []))}
-    if not set(header) <= index.keys():
-        raise ConfigError(f"{path}: expected columns {list(header)}")
-    return map(itemgetter(*(index[name] for name in columns)), filter(None, reader))
+    try:
+        with open(path, newline="", encoding="utf-8") as fh, warnings.catch_warnings():
+            index = {name: i for i, name in enumerate(next(csv.reader(fh), []))}
+            if not set(header) <= index.keys():
+                raise ConfigError(f"{path}: expected columns {list(header)}")
+            warnings.filterwarnings("ignore", "loadtxt: input contained no data", UserWarning)  # the caller's to judge
+            return np.loadtxt(
+                _checked_lines(fh), dtype=dtype, delimiter=",", quotechar='"', comments=None,
+                usecols=[index[name] for name in dtype.names], ndmin=1,
+            )
+    except (ValueError, csv.Error) as exc:
+        raise ConfigError(f"{path}: malformed {what} row ({exc!r})") from exc
 
 
 def read_distributions_csv(path: str | Path) -> dict[tuple[int, str], DiscreteDistribution]:
-    """Load every (m, source) group from a distributions-schema CSV."""
-    groups: dict[tuple[int, str], dict[int, float]] = {}
-    columns = ("m", "source", "slot_index", "mass")
-    group_cells = None
-    try:
-        with open(path, newline="", encoding="utf-8") as fh:
-            for m, source, index, mass in _csv_columns(fh, path, DISTRIBUTIONS_HEADER, columns):
-                # A group's rows are usually consecutive: parse its m once per run of rows.
-                if (m, source) != group_cells:
-                    group_cells = (m, source)
-                    key = (int(m), source)
-                    slots = groups.setdefault(key, {})
-                i = int(index)
-                if i in slots:
-                    raise ConfigError(f"{path}: duplicate slot {i} in group {key}")
-                slots[i] = float(mass)
-    except (IndexError, ValueError, csv.Error) as exc:  # IndexError: a short row
-        raise ConfigError(f"{path}: malformed distribution row ({exc!r})") from exc
-    out = {}
-    for key, slots in groups.items():
-        if sorted(slots) != list(range(len(slots))):
-            raise ConfigError(f"{path}: group {key} has non-contiguous slot indices")
-        out[key] = DiscreteDistribution(tuple(slots[i] for i in range(len(slots))))
-    if not out:
+    """Load every (m, source) group from a distributions-schema CSV, in order of first appearance."""
+    rows = _read_columns(path, DISTRIBUTIONS_HEADER, _DISTRIBUTION_DTYPE, "distribution")
+    if not len(rows):
         raise ConfigError(f"{path}: no distributions found")
-    return out
+    m, source, slot = rows["m"], rows["source"], rows["slot_index"]
+    # Runs of rows of one group: usually one run per group.
+    starts = np.flatnonzero(np.r_[True, (m[1:] != m[:-1]) | (source[1:] != source[:-1])])
+    ids: dict[tuple[int, str], int] = {}
+    runs = [ids.setdefault(key, len(ids)) for key in zip(m[starts].tolist(), source[starts].tolist())]
+    keys, row_group = list(ids), np.repeat(runs, np.diff(np.r_[starts, len(rows)]))
+    sizes = np.bincount(row_group)
+    ends = np.cumsum(sizes)
+    # Each row's place once its group is sorted by slot; with no repeated slot,
+    # the slots of a group of l rows run 0..l-1 when none lies outside them.
+    outside = (slot < 0) | (slot >= sizes[row_group])
+    place = (ends - sizes)[row_group] + slot
+    if outside.any() or np.bincount(place, minlength=len(rows)).max() > 1:
+        _, first, pair = np.unique(np.c_[row_group, slot], axis=0, return_index=True, return_inverse=True)
+        repeats = np.flatnonzero(first[pair] != np.arange(len(rows)))
+        if len(repeats):
+            raise ConfigError(f"{path}: duplicate slot {slot[repeats[0]]} in group {keys[row_group[repeats[0]]]}")
+        raise ConfigError(f"{path}: group {keys[row_group[outside].min()]} has non-contiguous slot indices")
+    by_slot = np.empty(len(rows))
+    by_slot[place] = rows["mass"]
+    masses, bounds = by_slot.tolist(), [0, *ends.tolist()]
+    return {key: DiscreteDistribution(tuple(masses[a:b])) for key, a, b in zip(keys, bounds, bounds[1:])}
 
 
 def read_curve_csv(path: str | Path) -> list[dict]:
     """Load curve.csv rows as dicts with typed values."""
-    try:
-        with open(path, newline="", encoding="utf-8") as fh:
-            return [
-                {"m": int(row[0])} | {name: float(cell) for name, cell in zip(CURVE_HEADER[1:], row[1:])}
-                for row in _csv_columns(fh, path, CURVE_HEADER, CURVE_HEADER)
-            ]
-    except (IndexError, ValueError, csv.Error) as exc:  # IndexError: a short row
-        raise ConfigError(f"{path}: malformed curve row ({exc!r})") from exc
+    return [dict(zip(CURVE_HEADER, row)) for row in _read_columns(path, CURVE_HEADER, _CURVE_DTYPE, "curve").tolist()]
 
 
 def _select_distribution(

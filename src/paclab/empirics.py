@@ -381,12 +381,15 @@ class TrialWorkers:
         import mmap
         import signal
 
-        self._shared = mmap.mmap(-1, 8 * (1 + len(self._calls) * self._k))
+        # A process claims a range under a record lock on the buffer's memfd,
+        # which the kernel releases if the process dies holding it.
+        size = 8 * (1 + len(self._calls) * self._k)
+        self._fd = os.memfd_create("paclab-trials")
+        os.ftruncate(self._fd, size)
+        self._shared = mmap.mmap(self._fd, size)
         self._counter = np.ndarray(1, np.int64, self._shared)
         self._losses = np.ndarray((len(self._calls), self._k), np.float64, self._shared, 8)
-        # The one byte in the lock pipe is held by a process while it claims a range.
-        self._lock, (self._reports, report) = os.pipe(), os.pipe()
-        os.write(self._lock[1], b"\0")
+        self._reports, report = os.pipe()
         # SIGINT is blocked until the workers are on the list close() reaps, and
         # stays blocked in them.  Frozen objects are skipped by a worker's
         # garbage collector, which so runs no finalizer of the parent's.
@@ -433,7 +436,7 @@ class TrialWorkers:
         """Kill and reap every worker, and release the queue."""
         self._reap()
         if self._shared is not None:
-            for fd in (*self._lock, self._reports):
+            for fd in (self._fd, self._reports):
                 os.close(fd)
             self._shared = self._counter = self._losses = None
 
@@ -448,10 +451,10 @@ class TrialWorkers:
     def _drain(self) -> None:
         """Claim ranges and store their losses until the queue is empty."""
         while True:
-            os.read(self._lock[0], 1)
+            os.lockf(self._fd, os.F_LOCK, 1)
             unit = int(self._counter[0])
             self._counter[0] = unit + 1
-            os.write(self._lock[1], b"\0")
+            os.lockf(self._fd, os.F_ULOCK, 1)
             if unit >= len(self._units):
                 return
             _, row, request = self._units[unit]

@@ -111,7 +111,7 @@ class DiscreteDistribution:
     def __post_init__(self) -> None:
         if len(self.masses) < 2:
             raise ValueError("need at least 2 slots")
-        if any(mass < 0.0 for mass in self.masses):
+        if not all(mass >= 0.0 for mass in self.masses):  # also NaN, which fsum would carry past the sum check
             raise ValueError("slot masses must be non-negative")
         total = math.fsum(self.masses)
         if abs(total - 1.0) > 1e-9:

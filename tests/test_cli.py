@@ -1,11 +1,13 @@
 """Command-line behavior: config handling, outputs, reproducibility, exit codes."""
 
+import csv
 import hashlib
 import json
 import math
 import os
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -613,8 +615,12 @@ class TestReadDistributionsCsv:
             dist_text(newline="\r\n"),
             dist_text().replace("\n7,Q", "\n\n7,Q") + "\n",
             dist_text().replace(",0.75", ',"0.75"').replace(",P,", ',"P",'),
+            dist_text((*DISTRIBUTIONS_HEADER, "note"), [(*row, "#x") for row in DIST_ROWS]),
+            dist_text((*DISTRIBUTIONS_HEADER, "note"), [(*row, '"a,""b"""') for row in DIST_ROWS]),
+            dist_text(rows=[(*row, "x", "y") for row in DIST_ROWS]),
         ],
-        ids=["plain", "reordered", "extra-column", "crlf", "blank-lines", "quoted-cells"],
+        ids=["plain", "reordered", "extra-column", "crlf", "blank-lines", "quoted-cells", "hash-in-cell",
+             "quoted-comma-and-quote", "more-cells-than-header"],
     )
     def test_layouts_read_to_same_masses(self, tmp_path, text):
         path = tmp_path / "d.csv"
@@ -631,9 +637,21 @@ class TestReadDistributionsCsv:
             (dist_text(rows=[*DIST_ROWS, DIST_ROWS[1]]), "duplicate slot 1 in group (7, 'P')"),
             (dist_text(rows=[*DIST_ROWS, ("7", "P", "1", "0.5", "1", "0.5")]), "duplicate slot 1 in group (7, 'P')"),
             (dist_text(rows=[*DIST_ROWS, ("7", "P", "1", "0.5", "1", "0" * 200_000)]), "malformed distribution row"),
+            (dist_text(rows=[*DIST_ROWS[:-1], ("7", "Q", "2", "0.5", "1", "0.5")]), "group (7, 'Q') has non-contiguous slot indices"),
+            (dist_text(rows=[*DIST_ROWS[:-1], ("7", "Q", "-1", "0.5", "1", "0.5")]), "group (7, 'Q') has non-contiguous slot indices"),
+            # Groups whose rows interleave: the first repeat in file order is named.
+            (dist_text(rows=[DIST_ROWS[2], DIST_ROWS[0], DIST_ROWS[3], DIST_ROWS[1], DIST_ROWS[2], DIST_ROWS[0]]),
+             "duplicate slot 0 in group (7, 'Q')"),
+            (dist_text(rows=[DIST_ROWS[0], DIST_ROWS[2], DIST_ROWS[1], DIST_ROWS[0], DIST_ROWS[3], DIST_ROWS[3]]),
+             "duplicate slot 0 in group (7, 'P')"),
+            # Python's int() takes these; the int64 reader does not.
+            (dist_text(rows=[(str(2**63), *row[1:]) for row in DIST_ROWS]), "malformed distribution row"),
+            (dist_text(rows=[("1_000", *row[1:]) for row in DIST_ROWS]), "malformed distribution row"),
+            (dist_text(rows=[("7", "P", "1_0", *DIST_ROWS[0][3:]), *DIST_ROWS[1:]]), "malformed distribution row"),
         ],
         ids=["short-row", "missing-column", "non-numeric-mass", "non-numeric-index", "duplicate-row",
-             "conflicting-row", "oversized-cell"],
+             "conflicting-row", "oversized-cell", "slot-gap", "negative-slot", "interleaved-repeat",
+             "interleaved-repeat-later-group", "m-above-int64", "underscored-m", "underscored-slot"],
     )
     def test_malformed_file_exits_1(self, tmp_path, capsys, text, message):
         path = tmp_path / "d.csv"
@@ -667,6 +685,56 @@ class TestReadDistributionsCsv:
         reads.clear()
         assert cmd_kl(a, b) == kl_divergence(DiscreteDistribution((0.25, 0.25, 0.5)), DiscreteDistribution((0.5, 0.25, 0.25)))
         assert reads == [a, b]
+
+
+class TestReaderDialect:
+    """The CSV dialect the reader accepts: comments off, double quotes, int64 m and slot."""
+
+    def test_hash_in_a_source_tag_is_data(self, tmp_path):
+        path = tmp_path / "d.csv"
+        path.write_text(dist_text(rows=[(row[0], f"#{row[1]}", *row[2:]) for row in DIST_ROWS]))
+        assert read_distributions_csv(path) == {(m, f"#{source}"): dist for (m, source), dist in DIST_GROUPS.items()}
+
+    def test_header_only_file_exits_1_without_a_warning(self, tmp_path, capsys):
+        path = tmp_path / "d.csv"
+        path.write_text(dist_text(rows=[]))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert main(["kl", str(path), str(path)]) == 1
+        assert capsys.readouterr().err == f"paclab: error: {path}: no distributions found\n"
+
+    @pytest.mark.parametrize("mass", ["nan", "-0.25", "inf"])
+    def test_mass_that_is_not_finite_and_non_negative_exits_1(self, tmp_path, capsys, mass):
+        path = tmp_path / "d.csv"
+        path.write_text(dist_text(rows=[(*DIST_ROWS[0][:5], mass), *DIST_ROWS[1:]]))
+        assert main(["kl", str(path), str(path), "--m", "7"]) == 1
+        assert "slot masses must" in capsys.readouterr().err
+
+    def test_experiment_output_equals_a_dict_reader_rebuild(self, tmp_path):
+        cmd_experiment(small_config(ConjunctionTask(10), m_start=25, m_step=25, m_max=100), tmp_path)
+        path = tmp_path / "distributions.csv"
+        rebuilt: dict = {}
+        with open(path, newline="") as fh:
+            for row in csv.DictReader(fh):
+                rebuilt.setdefault((int(row["m"]), row["source"]), {})[int(row["slot_index"])] = float(row["mass"])
+        groups = read_distributions_csv(path)
+        assert list(groups) == list(rebuilt) and len(groups) == 8
+        for key, slots in rebuilt.items():
+            assert groups[key].masses == tuple(slots[i] for i in range(len(slots))), key
+
+    def test_both_readers_share_one_parser(self, tmp_path, monkeypatch):
+        cmd_experiment(small_config(), tmp_path)
+        calls = []
+        original = paclab.cli._read_columns
+
+        def spy(path, *args):
+            calls.append(Path(path).name)
+            return original(path, *args)
+
+        monkeypatch.setattr(paclab.cli, "_read_columns", spy)
+        read_curve_csv(tmp_path / "curve.csv")
+        read_distributions_csv(tmp_path / "distributions.csv")
+        assert calls == ["curve.csv", "distributions.csv"]
 
 
 class TestReadCurveCsv:

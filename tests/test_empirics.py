@@ -716,6 +716,26 @@ class TestTrialWorkerFailures:
         assert_no_child_left()
         assert capfd.readouterr().err == ""
 
+    def test_worker_killed_holding_the_queue_lock_raises(self, cpus, monkeypatch, capfd):
+        # It dies after taking a range and before releasing the lock; the
+        # kernel releases it, so the parent claims the rest instead of waiting.
+        cpus(2)
+        in_workers(monkeypatch, lambda start: None)
+        parent, lockf, released = os.getpid(), os.lockf, []
+
+        def dying_lockf(fd, command, length):
+            if command == os.F_ULOCK and os.getpid() != parent:
+                os.kill(os.getpid(), signal.SIGKILL)
+            released.append(command == os.F_ULOCK)
+            return lockf(fd, command, length)
+
+        monkeypatch.setattr(os, "lockf", dying_lockf)
+        with pytest.raises(RuntimeError, match="exited mid-schedule"):
+            run_experiment(ExperimentConfig(ConjunctionTask(10), 10, 100, 250, 250, 1250, 2024))
+        assert any(released)  # the parent went on claiming under the lock
+        assert_no_child_left()
+        assert capfd.readouterr().err == ""
+
     @pytest.mark.parametrize("error", [RuntimeError, KeyboardInterrupt])
     def test_parent_error_tears_the_group_down(self, cpus, monkeypatch, capfd, error):
         cpus(2)

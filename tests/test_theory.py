@@ -265,6 +265,12 @@ class TestDiscreteDistribution:
         with pytest.raises(ValueError):
             DiscreteDistribution((1.5, -0.5))
 
+    @pytest.mark.parametrize("masses", [(math.nan, 1.0), (1.0, math.nan), (0.5, 0.5, math.nan)])
+    def test_rejects_nan_mass(self, masses):
+        # fsum of a NaN is NaN, which no tolerance comparison catches.
+        with pytest.raises(ValueError, match="non-negative"):
+            DiscreteDistribution(masses)
+
     def test_validates_slot_count(self):
         with pytest.raises(ValueError):
             DiscreteDistribution((1.0,))
