@@ -148,18 +148,16 @@ def run_experiment(config: ExperimentConfig) -> list[ExperimentRecord]:
     """Empirical and theoretical distributions for every scheduled m.
 
     The trials of the whole schedule are shared between the usable CPUs by
-    a worker group built from it, which lives only for this loop.
+    workers forked and reaped inside its first ``run_trials`` call.
     """
     records = []
     schedule = config.schedule()
-    with TrialWorkers(config.task, schedule, config.trials, config.master_seed, fixed_target=config.fixed_target) as pool:
-        for m in schedule:
-            batch = run_trials(
-                config.task, m, config.trials, config.master_seed, fixed_target=config.fixed_target, pool=pool
-            )
-            empirical = histogram(batch.losses, config.num_slots)
-            theoretical = discretize_bound(task_bound_spec(config.task, m), config.num_slots)
-            records.append(ExperimentRecord(m=m, empirical=empirical, theoretical=theoretical))
+    pool = TrialWorkers(config.task, schedule, config.trials, config.master_seed, fixed_target=config.fixed_target)
+    for m in schedule:
+        batch = run_trials(config.task, m, config.trials, config.master_seed, fixed_target=config.fixed_target, pool=pool)
+        empirical = histogram(batch.losses, config.num_slots)
+        theoretical = discretize_bound(task_bound_spec(config.task, m), config.num_slots)
+        records.append(ExperimentRecord(m=m, empirical=empirical, theoretical=theoretical))
     return records
 
 
@@ -385,8 +383,13 @@ def read_distributions_csv(path: str | Path) -> dict[tuple[int, str], DiscreteDi
         raise ConfigError(f"{path}: group {keys[row_group[outside].min()]} has non-contiguous slot indices")
     by_slot = np.empty(len(rows))
     by_slot[place] = rows["mass"]
-    masses, bounds = by_slot.tolist(), [0, *ends.tolist()]
-    return {key: DiscreteDistribution(tuple(masses[a:b])) for key, a, b in zip(keys, bounds, bounds[1:])}
+    masses, bounds, groups = by_slot.tolist(), [0, *ends.tolist()], {}
+    for key, a, b in zip(keys, bounds, bounds[1:]):
+        try:
+            groups[key] = DiscreteDistribution(tuple(masses[a:b]))
+        except ValueError as exc:
+            raise ConfigError(f"{path}: group {key}: {exc}") from exc
+    return groups
 
 
 def read_curve_csv(path: str | Path) -> list[dict]:

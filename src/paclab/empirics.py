@@ -16,8 +16,9 @@ Conjunction rows are raw outputs, decoded a chunk at a time.
 
 The trials of a schedule of calls can be shared with forked workers
 (:class:`TrialWorkers`): each process claims ranges of consecutive trials
-from one queue and writes their losses into one shared buffer, and the
-bytes are the same however the trials are split.
+from one queue and writes their losses into one shared buffer, the parent
+computes any range a worker leaves unfinished, and the bytes are the same
+however the trials are split.
 Three checks run once per range and raise ``RuntimeError``: its first
 trial's derived words must equal ``PCG64(seed).state``; the struct must
 read them in the order of a native ``__uint128_t`` or of NumPy's
@@ -31,7 +32,7 @@ import ctypes
 import os
 from dataclasses import dataclass, field
 from operator import itemgetter
-from typing import Iterable, Iterator, NoReturn
+from typing import Iterable, Iterator
 
 import numpy as np
 
@@ -245,7 +246,7 @@ class TrialBatch:
     def __post_init__(self) -> None:
         if len(self.losses) != self.k:
             raise ValueError(f"expected {self.k} losses, got {len(self.losses)}")
-        if self.losses.size and (self.losses.min() < 0.0 or self.losses.max() > 1.0):
+        if not np.all((self.losses >= 0.0) & (self.losses <= 1.0)):  # NaN fails both
             raise ValueError("losses must lie in [0, 1]")
 
 
@@ -341,23 +342,19 @@ def _shared_target(task: Task, m: int, master_seed: int, fixed_target: bool):
     return task.draw_target(np.random.Generator(np.random.PCG64(derive_trial_seed(master_seed, m, FIXED_TARGET_INDEX))))
 
 
-# What a worker writes to the report pipe once the queue is empty.  A failed
-# worker writes its pickled exception instead (it starts with 0x80); a killed one, nothing.
-_DONE = b"\0"
-
-
 class TrialWorkers:
     """Forked processes that share the trials of a schedule with this one, for :func:`run_trials`.
 
     It is built from the calls it serves, ``run_trials(task, m, k,
     master_seed, fixed_target=..., pool=self)`` for each m of ``ms`` in
     turn, and queues their ``_range_count`` equal ranges for the usable
-    CPUs (read once here), the most draws first.  Entering forks the
-    workers; they and the first call claim ranges until the queue is empty,
-    and that call then reads the workers' reports.  Each call copies its row
-    of losses; one not planned next raises ``RuntimeError``.  Leaving the
-    ``with`` block, or any error in a call, kills and reaps every worker.
-    Workers keep SIGINT blocked, so Ctrl-C interrupts the parent alone.
+    CPUs (read once here), the most draws first.  The first call forks the
+    workers, claims ranges beside them until the queue is empty, waits for
+    them and computes any range they left; whatever happens, it reaps them
+    and closes its descriptor.  Each call copies its row of losses, and the
+    last unmaps the buffer; a call not planned next, or any after a failed
+    call, raises ``RuntimeError``.  Workers keep SIGINT blocked, so Ctrl-C
+    interrupts the parent alone.
     """
 
     def __init__(self, task: Task, ms: Iterable[int], k: int, master_seed: int, *, fixed_target: bool = False) -> None:
@@ -373,83 +370,69 @@ class TrialWorkers:
         # The last ranges claimed are the shortest, so the processes run out of work together.
         self._units.sort(key=itemgetter(0), reverse=True)
         self._next = 0  # row of the next call
-        self._pids: list[int] = []
-        self._shared = None
 
-    def __enter__(self) -> TrialWorkers:
+    def losses(self, call: tuple) -> np.ndarray:
+        """The losses of ``run_trials(*call)``, a copy of its row."""
+        row, self._next = self._next, len(self._calls)  # until this call succeeds, no later one is on plan
+        if row == len(self._calls) or call != self._calls[row]:
+            raise RuntimeError(f"run_trials at m={call[1]} is not the next call the trial workers planned")
+        if row == 0:
+            self._run()
+        self._next = row + 1
+        losses = self._losses[row].copy()
+        if self._next == len(self._calls):  # unmaps the buffer
+            self._counter = self._losses = self._done = None
+        return losses
+
+    def _run(self) -> None:
+        """Fill ``self._losses`` from the queue.  The processes share a memfd: a
+        claim counter, the losses, and a done byte per range; a range is claimed
+        under a record lock on it, which the kernel releases if its holder dies."""
         import gc
         import mmap
         import signal
 
-        # A process claims a range under a record lock on the buffer's memfd,
-        # which the kernel releases if the process dies holding it.
-        size = 8 * (1 + len(self._calls) * self._k)
-        self._fd = os.memfd_create("paclab-trials")
-        os.ftruncate(self._fd, size)
-        self._shared = mmap.mmap(self._fd, size)
-        self._counter = np.ndarray(1, np.int64, self._shared)
-        self._losses = np.ndarray((len(self._calls), self._k), np.float64, self._shared, 8)
-        self._reports, report = os.pipe()
-        # SIGINT is blocked until the workers are on the list close() reaps, and
-        # stays blocked in them.  Frozen objects are skipped by a worker's
-        # garbage collector, which so runs no finalizer of the parent's.
-        mask = signal.pthread_sigmask(signal.SIG_BLOCK, [signal.SIGINT])
-        gc.freeze()
+        size = 8 * (1 + len(self._calls) * self._k) + len(self._units)
+        self._fd, pids = os.memfd_create("paclab-trials"), []
         try:
-            for _ in range(self._forks):
-                if (pid := os.fork()) == 0:
-                    self._serve(report)
-                self._pids.append(pid)
+            os.ftruncate(self._fd, size)
+            # The views alone own the mapping: dropping them unmaps it and closes its descriptor.
+            self._counter = np.ndarray(1, np.int64, mmap.mmap(self._fd, size))
+            self._losses = np.ndarray((len(self._calls), self._k), np.float64, self._counter.base, 8)
+            self._done = np.ndarray(len(self._units), np.uint8, self._counter.base, size - len(self._units))
+            # SIGINT is blocked until each worker is on the list the finally reaps, and
+            # stays blocked in them.  Frozen objects are skipped by a worker's
+            # garbage collector, which so runs no finalizer of the parent's.
+            mask = signal.pthread_sigmask(signal.SIG_BLOCK, [signal.SIGINT])
+            gc.freeze()
+            try:
+                for _ in range(self._forks):
+                    if (pid := os.fork()) == 0:
+                        try:  # os._exit: a worker never unwinds into the parent's stack
+                            self._drain()
+                        finally:
+                            os._exit(0)
+                    pids.append(pid)
+            finally:
+                gc.unfreeze()
+                signal.pthread_sigmask(signal.SIG_SETMASK, mask)
+            self._drain()
+            for pid in pids:  # wait for it to exit, leaving it to be reaped below
+                os.waitid(os.P_PID, pid, os.WEXITED | os.WNOWAIT)
+            for unit in np.flatnonzero(self._done == 0).tolist():  # ranges a worker left
+                _, row, request = self._units[unit]
+                self._losses[row, request[2] : request[3]] = _range_losses(*request)
         except BaseException:
-            self.close()
+            self._counter = self._losses = self._done = None
             raise
         finally:
-            os.close(report)  # the report pipe ends once every worker has closed it
-            gc.unfreeze()
-            signal.pthread_sigmask(signal.SIG_SETMASK, mask)
-        return self
-
-    def __exit__(self, *exc) -> None:
-        self.close()
-
-    def losses(self, call: tuple) -> np.ndarray:
-        """The losses of ``run_trials(*call)``, a copy of its row."""
-        try:
-            if self._shared is None or self._next == len(self._calls) or call != self._calls[self._next]:
-                raise RuntimeError(f"run_trials at m={call[1]} is not the next call the trial workers planned")
-            if self._next == 0:
-                self._drain()
-                reports = b"".join(iter(lambda: os.read(self._reports, 1 << 16), b""))
-                if reports != _DONE * len(self._pids):
-                    import pickle
-
-                    failure = reports.lstrip(_DONE)
-                    raise pickle.loads(failure) if failure else RuntimeError("trial worker exited mid-schedule")
-                self._reap()
-            self._next += 1
-            return self._losses[self._next - 1].copy()
-        except BaseException:
-            self.close()
-            raise
-
-    def close(self) -> None:
-        """Kill and reap every worker, and release the queue."""
-        self._reap()
-        if self._shared is not None:
-            for fd in (self._fd, self._reports):
-                os.close(fd)
-            self._shared = self._counter = self._losses = None
-
-    def _reap(self) -> None:
-        import signal
-
-        pids, self._pids = self._pids, []
-        for pid in pids:
-            os.kill(pid, signal.SIGKILL)
-            os.waitpid(pid, 0)
+            for pid in pids:
+                os.kill(pid, signal.SIGKILL)
+                os.waitpid(pid, 0)
+            os.close(self._fd)
 
     def _drain(self) -> None:
-        """Claim ranges and store their losses until the queue is empty."""
+        """Claim ranges and compute them until the queue is empty; mark each done once written."""
         while True:
             os.lockf(self._fd, os.F_LOCK, 1)
             unit = int(self._counter[0])
@@ -459,23 +442,7 @@ class TrialWorkers:
                 return
             _, row, request = self._units[unit]
             self._losses[row, request[2] : request[3]] = _range_losses(*request)
-
-    def _serve(self, report: int) -> NoReturn:
-        """A worker's life: drain the queue, then write its report to the fd
-        ``report``.  It ends only through ``os._exit``, so it never unwinds
-        into the parent's stack or runs its exit handlers."""
-        try:
-            try:
-                os.close(self._reports)
-                self._drain()
-                data = _DONE
-            except Exception as exc:
-                import pickle
-
-                data = pickle.dumps(exc, protocol=pickle.HIGHEST_PROTOCOL)
-            os.write(report, data)
-        finally:
-            os._exit(0)
+            self._done[unit] = 1
 
 
 def run_trials(
@@ -511,7 +478,7 @@ def histogram(losses: np.ndarray, num_slots: int) -> DiscreteDistribution:
         raise ValueError("cannot histogram an empty loss list")
     if num_slots < 2:
         raise ValueError("need at least 2 slots")
-    if losses.min() < 0.0 or losses.max() > 1.0:
+    if not np.all((losses >= 0.0) & (losses <= 1.0)):  # NaN fails both
         raise ValueError("losses must lie in [0, 1]")
     edges = np.arange(1, num_slots) / num_slots
     idx = np.searchsorted(edges, losses, side="right")

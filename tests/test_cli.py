@@ -703,12 +703,21 @@ class TestReaderDialect:
             assert main(["kl", str(path), str(path)]) == 1
         assert capsys.readouterr().err == f"paclab: error: {path}: no distributions found\n"
 
-    @pytest.mark.parametrize("mass", ["nan", "-0.25", "inf"])
-    def test_mass_that_is_not_finite_and_non_negative_exits_1(self, tmp_path, capsys, mass):
+    @pytest.mark.parametrize(
+        "rows, error",
+        [
+            ([(*DIST_ROWS[0][:5], "nan"), *DIST_ROWS[1:]], "slot masses must be non-negative"),
+            ([(*DIST_ROWS[0][:5], "-0.25"), *DIST_ROWS[1:]], "slot masses must be non-negative"),
+            ([(*DIST_ROWS[0][:5], "inf"), *DIST_ROWS[1:]], "slot masses must sum to 1 (got inf)"),
+            ([(*DIST_ROWS[0][:5], "1"), *DIST_ROWS[2:]], "need at least 2 slots"),
+        ],
+        ids=["nan", "negative", "inf", "one-row"],
+    )
+    def test_bad_group_exits_1_naming_file_and_group(self, tmp_path, capsys, rows, error):
         path = tmp_path / "d.csv"
-        path.write_text(dist_text(rows=[(*DIST_ROWS[0][:5], mass), *DIST_ROWS[1:]]))
+        path.write_text(dist_text(rows=rows))
         assert main(["kl", str(path), str(path), "--m", "7"]) == 1
-        assert "slot masses must" in capsys.readouterr().err
+        assert capsys.readouterr().err == f"paclab: error: {path}: group (7, 'P'): {error}\n"
 
     def test_experiment_output_equals_a_dict_reader_rebuild(self, tmp_path):
         cmd_experiment(small_config(ConjunctionTask(10), m_start=25, m_step=25, m_max=100), tmp_path)

@@ -1,5 +1,7 @@
 """Seed derivation, trial batches, determinism, and histogramming."""
 
+import contextlib
+import errno
 import itertools
 import math
 import os
@@ -359,9 +361,10 @@ class TestRunTrials:
         with pytest.raises(ValueError):
             TrialBatch(task=ThresholdTask(), m=5, k=3, master_seed=1, losses=np.zeros(2))
 
-    def test_batch_validates_loss_range(self):
-        with pytest.raises(ValueError):
-            TrialBatch(task=ThresholdTask(), m=5, k=2, master_seed=1, losses=np.array([0.5, 1.5]))
+    @pytest.mark.parametrize("bad", [1.5, -0.25, math.nan])
+    def test_batch_validates_loss_range(self, bad):
+        with pytest.raises(ValueError, match="losses must lie in"):
+            TrialBatch(task=ThresholdTask(), m=5, k=2, master_seed=1, losses=np.array([0.5, bad]))
 
 
 def assert_no_child_left():
@@ -398,9 +401,9 @@ def cgroup(monkeypatch, tmp_path):
 
 def pooled_losses(task, ms, k, seed, fixed_target=False):
     """Losses of ``run_trials`` at each m of ``ms`` in turn, through a
-    worker group built for those calls; no worker outlives them."""
-    with TrialWorkers(task, ms, k, seed, fixed_target=fixed_target) as pool:
-        losses = [run_trials(task, m, k, seed, fixed_target=fixed_target, pool=pool).losses for m in ms]
+    pool built for those calls; no worker outlives them."""
+    pool = TrialWorkers(task, ms, k, seed, fixed_target=fixed_target)
+    losses = [run_trials(task, m, k, seed, fixed_target=fixed_target, pool=pool).losses for m in ms]
     assert_no_child_left()
     return losses
 
@@ -563,25 +566,24 @@ class TestTrialQueue:
     @pytest.mark.parametrize("task", [ConjunctionTask(10), ThresholdTask()], ids=["conjunction", "threshold"])
     def test_planned_schedule_matches_one_process(self, cpus, task, fixed_target):
         cpus(2)
-        with TrialWorkers(task, self.SCHEDULE, 300, 2024, fixed_target=fixed_target) as pool:
-            for m in self.SCHEDULE:
-                pooled = run_trials(task, m, 300, 2024, fixed_target=fixed_target, pool=pool)
-                alone = run_trials(task, m, 300, 2024, fixed_target=fixed_target)
-                assert pooled.losses.tobytes() == alone.losses.tobytes()
+        pool = TrialWorkers(task, self.SCHEDULE, 300, 2024, fixed_target=fixed_target)
+        for m in self.SCHEDULE:
+            pooled = run_trials(task, m, 300, 2024, fixed_target=fixed_target, pool=pool)
+            alone = run_trials(task, m, 300, 2024, fixed_target=fixed_target)
+            assert pooled.losses.tobytes() == alone.losses.tobytes()
             assert_no_child_left()  # the first call reaped the workers
-        assert_no_child_left()
 
-    def test_workers_claim_before_the_first_call(self, cpus):
+    def test_the_first_call_forks_and_reaps(self, cpus, monkeypatch):
         cpus(2)
-        with TrialWorkers(ConjunctionTask(10), self.SCHEDULE, 300, 2024) as pool:
-            deadline = time.monotonic() + 60
-            while pool._counter[0] == 0 and time.monotonic() < deadline:
-                time.sleep(0.001)
-            assert pool._counter[0] > 0  # a worker claimed a range before run_trials asked
-            for m in self.SCHEDULE:
-                pooled = run_trials(ConjunctionTask(10), m, 300, 2024, pool=pool)
-                assert pooled.losses.tobytes() == run_trials(ConjunctionTask(10), m, 300, 2024).losses.tobytes()
-        assert_no_child_left()
+        fork, forks = os.fork, []
+        monkeypatch.setattr(os, "fork", lambda: forks.append(1) or fork())
+        pool = TrialWorkers(ConjunctionTask(10), self.SCHEDULE, 300, 2024)
+        assert forks == []
+        for m in self.SCHEDULE:
+            pooled = run_trials(ConjunctionTask(10), m, 300, 2024, pool=pool)
+            assert forks == [1]
+            assert_no_child_left()
+            assert pooled.losses.tobytes() == run_trials(ConjunctionTask(10), m, 300, 2024).losses.tobytes()
 
     @pytest.mark.parametrize(
         "task, m, seed, k, fixed_target",
@@ -597,10 +599,12 @@ class TestTrialQueue:
     )
     def test_off_plan_call_raises_and_leaves_no_child(self, cpus, task, m, seed, k, fixed_target):
         cpus(2)
-        with TrialWorkers(ThresholdTask(), self.SCHEDULE, 300, 2024) as pool:
-            with pytest.raises(RuntimeError, match=f"m={m} is not the next call"):
-                run_trials(task, m, k, seed, fixed_target=fixed_target, pool=pool)
-            assert_no_child_left()
+        pool = TrialWorkers(ThresholdTask(), self.SCHEDULE, 300, 2024)
+        with pytest.raises(RuntimeError, match=f"m={m} is not the next call"):
+            run_trials(task, m, k, seed, fixed_target=fixed_target, pool=pool)
+        assert_no_child_left()
+        with pytest.raises(RuntimeError, match="m=400 is not the next call"):  # nor is the planned one after it
+            run_trials(ThresholdTask(), 400, 300, 2024, pool=pool)
 
     def test_plan_larger_than_a_pipe(self, cpus, monkeypatch, tmp_path):
         # Four processes on at most two CPUs claim 8,400 one-trial ranges,
@@ -619,9 +623,9 @@ class TestTrialQueue:
         with monkeypatch.context() as patch:
             patch.setattr(empirics, "_range_losses", range_losses)
             try:
-                with TrialWorkers(ThresholdTask(), schedule, 4, 2024) as pool:
-                    assert 8 * len(pool._units) > 1 << 16
-                    pooled = [run_trials(ThresholdTask(), m, 4, 2024, pool=pool).losses.tobytes() for m in schedule]
+                pool = TrialWorkers(ThresholdTask(), schedule, 4, 2024)
+                assert 8 * len(pool._units) > 1 << 16
+                pooled = [run_trials(ThresholdTask(), m, 4, 2024, pool=pool).losses.tobytes() for m in schedule]
             finally:
                 os.close(log)
         assert_no_child_left()
@@ -652,7 +656,7 @@ def in_workers(monkeypatch, action):
     """Makes ``_range_losses`` run ``action`` on the start of every range a
     worker claims.  A range of this process first waits until a second
     range of its pool is claimed, so a worker claims one whatever the timing."""
-    original, parent, pools, enter = empirics._range_losses, os.getpid(), [], TrialWorkers.__enter__
+    original, parent, pools, init = empirics._range_losses, os.getpid(), [], TrialWorkers.__init__
 
     def range_losses(task, m, start, *args):
         if os.getpid() != parent:
@@ -662,29 +666,50 @@ def in_workers(monkeypatch, action):
         return original(task, m, start, *args)
 
     monkeypatch.setattr(empirics, "_range_losses", range_losses)
-    monkeypatch.setattr(TrialWorkers, "__enter__", lambda pool: enter(pools.append(pool) or pool))
+    monkeypatch.setattr(TrialWorkers, "__init__", lambda pool, *args, **kwargs: init(pools.append(pool) or pool, *args, **kwargs))
+
+
+def fail_in_parent(monkeypatch, error):
+    """Makes the parent's ``TrialWorkers._drain`` raise ``error``; a worker's still drains."""
+    original, parent = TrialWorkers._drain, os.getpid()
+
+    def drain(pool):
+        if os.getpid() == parent:
+            raise error("parent range failed")
+        original(pool)
+
+    monkeypatch.setattr(TrialWorkers, "_drain", drain)
+
+
+# A run of five sample sizes whose every range holds enough draws to be split.
+SMALL_RUN = ExperimentConfig(ConjunctionTask(10), 10, 100, 250, 250, 1250, 2024)
+
+
+def empirical_masses(records):
+    return [record.empirical.masses for record in records]
 
 
 @pytest.mark.usefixtures("deadline")
 class TestTrialWorkerFailures:
-    """Every failure ends with the workers reaped and nothing printed by them."""
+    """A range that fails or is killed only in a worker gives the one-process
+    bytes, and one that fails in the parent raises there.  Either way the
+    workers are reaped and print nothing."""
 
-    def test_worker_exception_reaches_parent(self, cpus, monkeypatch, capfd):
+    def test_worker_exception_leaves_the_range_to_the_parent(self, cpus, monkeypatch, capfd):
         cpus(3, uncapped=True)
+        alone = run_trials(ThresholdTask(), 1000, 100, 2024).losses
 
         def fail(start):
             raise ValueError(f"range at {start} failed in a worker")
 
         in_workers(monkeypatch, fail)
-        with TrialWorkers(ThresholdTask(), [1000], 100, 2024) as pool:
-            with pytest.raises(ValueError, match="range at (0|33|66) failed in a worker"):
-                run_trials(ThresholdTask(), 1000, 100, 2024, pool=pool)
-            assert_no_child_left()
+        [pooled] = pooled_losses(ThresholdTask(), [1000], 100, 2024)
+        assert pooled.tobytes() == alone.tobytes()
         assert capfd.readouterr().err == ""
 
     def test_exception_surfaces_at_the_first_call(self, cpus, monkeypatch, capfd):
         # The first call computes the whole queue, so a range of a later m
-        # that fails, in either process, fails it.
+        # that fails in both processes fails it.
         cpus(2)
         original = empirics._range_losses
 
@@ -694,31 +719,38 @@ class TestTrialWorkerFailures:
             return original(task, m, start, *args)
 
         monkeypatch.setattr(empirics, "_range_losses", range_losses)
-        with TrialWorkers(ThresholdTask(), [400, 800, 1200], 300, 2024) as pool:
-            with pytest.raises(ValueError, match="range at m=800 failed"):
-                run_trials(ThresholdTask(), 400, 300, 2024, pool=pool)
-            assert_no_child_left()
+        pool = TrialWorkers(ThresholdTask(), [400, 800, 1200], 300, 2024)
+        with pytest.raises(ValueError, match="range at m=800 failed"):
+            run_trials(ThresholdTask(), 400, 300, 2024, pool=pool)
+        assert_no_child_left()
         assert capfd.readouterr().err == ""
 
-    def test_leaving_before_the_first_call(self, cpus):
+    def test_a_pool_never_called_forks_nothing(self, cpus, monkeypatch):
         cpus(2)
-        with TrialWorkers(ConjunctionTask(10), list(range(400, 4001, 400)), 300, 2024):
-            pass
+
+        def no_fork():
+            raise AssertionError("forked before the first call")
+
+        monkeypatch.setattr(os, "fork", no_fork)
+        TrialWorkers(ConjunctionTask(10), list(range(400, 4001, 400)), 300, 2024)
         assert_no_child_left()
 
-    def test_killed_worker_raises_instead_of_hanging(self, cpus, monkeypatch, capfd):
-        # The range it claimed is never written: the run raises instead of
-        # histogramming the zeros the buffer holds there.
+    def test_killed_worker_leaves_the_one_process_bytes(self, cpus, monkeypatch, capfd):
+        # The range it claimed is never marked done, so the parent computes
+        # it instead of histogramming the zeros the buffer holds there.
+        cpus(1)
+        alone = empirical_masses(run_experiment(SMALL_RUN))
         cpus(2)
         in_workers(monkeypatch, lambda start: os.kill(os.getpid(), signal.SIGKILL))
-        with pytest.raises(RuntimeError, match="exited mid-schedule"):
-            run_experiment(ExperimentConfig(ConjunctionTask(10), 10, 100, 250, 250, 1250, 2024))
+        assert empirical_masses(run_experiment(SMALL_RUN)) == alone
         assert_no_child_left()
         assert capfd.readouterr().err == ""
 
-    def test_worker_killed_holding_the_queue_lock_raises(self, cpus, monkeypatch, capfd):
+    def test_worker_killed_holding_the_queue_lock_leaves_the_one_process_bytes(self, cpus, monkeypatch, capfd):
         # It dies after taking a range and before releasing the lock; the
         # kernel releases it, so the parent claims the rest instead of waiting.
+        cpus(1)
+        alone = empirical_masses(run_experiment(SMALL_RUN))
         cpus(2)
         in_workers(monkeypatch, lambda start: None)
         parent, lockf, released = os.getpid(), os.lockf, []
@@ -730,8 +762,7 @@ class TestTrialWorkerFailures:
             return lockf(fd, command, length)
 
         monkeypatch.setattr(os, "lockf", dying_lockf)
-        with pytest.raises(RuntimeError, match="exited mid-schedule"):
-            run_experiment(ExperimentConfig(ConjunctionTask(10), 10, 100, 250, 250, 1250, 2024))
+        assert empirical_masses(run_experiment(SMALL_RUN)) == alone
         assert any(released)  # the parent went on claiming under the lock
         assert_no_child_left()
         assert capfd.readouterr().err == ""
@@ -739,25 +770,44 @@ class TestTrialWorkerFailures:
     @pytest.mark.parametrize("error", [RuntimeError, KeyboardInterrupt])
     def test_parent_error_tears_the_group_down(self, cpus, monkeypatch, capfd, error):
         cpus(2)
-        with TrialWorkers(ConjunctionTask(10), [1250] * 3, 100, 2024) as pool:
-
-            def fail():
-                raise error("parent range failed")
-
-            monkeypatch.setattr(pool, "_drain", fail)  # here only: the worker keeps draining
-            with pytest.raises(error, match="parent range failed"):
-                run_trials(ConjunctionTask(10), 1250, 100, 2024, pool=pool)
-            assert_no_child_left()
-            # The next call raises instead of reading the abandoned buffer.
+        fail_in_parent(monkeypatch, error)
+        pool = TrialWorkers(ConjunctionTask(10), [1250] * 3, 100, 2024)
+        with pytest.raises(error, match="parent range failed"):
+            run_trials(ConjunctionTask(10), 1250, 100, 2024, pool=pool)
+        assert_no_child_left()
+        # Every later call raises instead of reading the abandoned buffer.
+        for _ in range(3):
             with pytest.raises(RuntimeError, match="is not the next call"):
                 run_trials(ConjunctionTask(10), 1250, 100, 2024, pool=pool)
-        assert_no_child_left()
         assert capfd.readouterr().err == ""
+
+    @pytest.mark.parametrize("case", ["success", "killed-worker", "parent-error", "ftruncate-error"])
+    def test_no_descriptor_or_child_outlives_run_experiment(self, cpus, monkeypatch, case):
+        cpus(2)
+        before, raises = sorted(os.listdir("/proc/self/fd")), contextlib.nullcontext()
+        if case == "killed-worker":
+            in_workers(monkeypatch, lambda start: os.kill(os.getpid(), signal.SIGKILL))
+        elif case == "parent-error":
+            fail_in_parent(monkeypatch, RuntimeError)
+            raises = pytest.raises(RuntimeError, match="parent range failed")
+        elif case == "ftruncate-error":
+
+            def no_space(fd, size):
+                raise OSError(errno.ENOSPC, "no space for the loss buffer")
+
+            monkeypatch.setattr(os, "ftruncate", no_space)
+            raises = pytest.raises(OSError, match="no space")
+        with raises as failure:
+            run_experiment(SMALL_RUN)
+        # Checked while ``failure`` holds the traceback, and so the frames of the failed call.
+        assert sorted(os.listdir("/proc/self/fd")) == before, failure
+        assert_no_child_left()
 
     def test_worker_never_unwinds_into_the_parent_stack(self):
         # A BaseException escaping a worker's loop must end it through
         # os._exit: unwinding would run the parent's code in the worker, print
         # a traceback and flush the parent's buffered "start" a second time.
+        # The parent then computes the range the worker left.
         script = WORKER_SCRIPT + (
             "import os, time\n"
             "original, parent = empirics._range_losses, os.getpid()\n"
@@ -769,25 +819,22 @@ class TestTrialWorkerFailures:
             "    return original(task, m, start, *args)\n"
             "empirics._range_losses = range_losses\n"
             "print('start')\n"
-            "try:\n"
-            "    with empirics.TrialWorkers(ConjunctionTask(10), [1250], 100, 2024) as pool:\n"
-            "        empirics.run_trials(ConjunctionTask(10), 1250, 100, 2024, pool=pool)\n"
-            "except RuntimeError as exc:\n"
-            "    print('parent:', exc)\n"
+            "pool = empirics.TrialWorkers(ConjunctionTask(10), [1250], 100, 2024)\n"
+            "pooled = empirics.run_trials(ConjunctionTask(10), 1250, 100, 2024, pool=pool).losses\n"
+            "print('one-process bytes:', pooled.tobytes() == original(ConjunctionTask(10), 1250, 0, 100, 2024, False, None).tobytes())\n"
         )
         proc = subprocess.run([sys.executable, "-c", script], env=worker_env(), capture_output=True, text=True, timeout=60)
         assert (proc.returncode, proc.stderr) == (0, "")
-        lines = proc.stdout.splitlines()
-        assert lines[0] == "start" and lines[1].startswith("parent: trial worker") and len(lines) == 2
+        assert proc.stdout.splitlines() == ["start", "one-process bytes: True"]
 
     def test_ctrl_c_leaves_no_process_and_one_traceback(self):
         # The signal lands while the first call and the worker share a
         # queue of about 20 s of trials.
         script = WORKER_SCRIPT + (
-            "with empirics.TrialWorkers(ConjunctionTask(10), [1250] * 1000, 2000, 2024) as pool:\n"
-            "    print('split', flush=True)\n"
-            "    for _ in range(1000):\n"
-            "        empirics.run_trials(ConjunctionTask(10), 1250, 2000, 2024, pool=pool)\n"
+            "pool = empirics.TrialWorkers(ConjunctionTask(10), [1250] * 1000, 2000, 2024)\n"
+            "print('split', flush=True)\n"
+            "for _ in range(1000):\n"
+            "    empirics.run_trials(ConjunctionTask(10), 1250, 2000, 2024, pool=pool)\n"
         )
         proc = subprocess.Popen(
             [sys.executable, "-c", script], env=worker_env(), stdout=subprocess.PIPE, stderr=subprocess.PIPE,
@@ -971,9 +1018,10 @@ class TestHistogram:
         with pytest.raises(ValueError):
             histogram(np.array([]), 10)
 
-    def test_rejects_out_of_range(self):
-        with pytest.raises(ValueError):
-            histogram(np.array([0.5, 1.0001]), 10)
+    @pytest.mark.parametrize("bad", [1.0001, -0.25, math.nan])
+    def test_rejects_out_of_range(self, bad):
+        with pytest.raises(ValueError, match="losses must lie in"):
+            histogram(np.array([bad, 0.5]), 4)
 
 
 class TestExperimentConfig:
