@@ -48,28 +48,35 @@ def kl_divergence(p: DiscreteDistribution, q: DiscreteDistribution, floor: float
     if floor <= 0.0:
         raise ValueError("floor must be positive")
     total = 0.0
-    for p_i, q_i in zip(p.masses, q.masses):
-        if p_i > 0.0:
-            total += p_i * math.log2(p_i / max(q_i, floor))
+    # Only the slots with p_i > 0 add a term, visited in slot order: the running sum is rounded.
+    for i in np.flatnonzero(np.fromiter(p.masses, float, p.num_slots) > 0.0).tolist():
+        p_i = p.masses[i]
+        total += p_i * math.log2(p_i / max(q.masses[i], floor))
     return total
 
 
-def _midpoints(num_slots: int) -> np.ndarray:
-    return (np.arange(num_slots) + 0.5) / num_slots
+def _carried(d: DiscreteDistribution) -> tuple[np.ndarray, np.ndarray]:
+    """The non-zero masses of ``d`` and their slot midpoints (i + 0.5)/l.  A
+    zero mass adds an exact zero to an ``fsum``, so the moments skip it."""
+    masses = np.fromiter(d.masses, float, d.num_slots)
+    slots = np.flatnonzero(masses)
+    return masses[slots], (slots + 0.5) / d.num_slots
 
 
 def dist_mean(d: DiscreteDistribution) -> float:
     """Mass-weighted mean of slot midpoints (i + 0.5)/l."""
-    return math.fsum((np.asarray(d.masses) * _midpoints(d.num_slots)).tolist())
+    masses, midpoints = _carried(d)
+    return math.fsum((masses * midpoints).tolist())
 
 
 def dist_std(d: DiscreteDistribution) -> float:
     """Mass-weighted standard deviation around :func:`dist_mean`."""
     mean = dist_mean(d)
+    masses, midpoints = _carried(d)
     # Python's x ** 2 is libm pow(x, 2.0), which can differ from NumPy's x * x
     # in the last bit; fsum is exact, so only the elementwise results matter.
-    squares = np.fromiter(map(pow, (_midpoints(d.num_slots) - mean).tolist(), repeat(2)), float, d.num_slots)
-    var = math.fsum((np.asarray(d.masses) * squares).tolist())
+    squares = np.fromiter(map(pow, (midpoints - mean).tolist(), repeat(2)), float, len(masses))
+    var = math.fsum((masses * squares).tolist())
     return math.sqrt(max(var, 0.0))
 
 

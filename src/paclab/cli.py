@@ -33,7 +33,7 @@ import sys
 import warnings
 from dataclasses import asdict, dataclass
 from pathlib import Path
-from typing import Iterator, Sequence, TextIO
+from typing import Iterable, Iterator, Sequence, TextIO
 
 import numpy as np
 
@@ -79,10 +79,14 @@ _GRID_TOP = 1.1
 
 # A run whose estimated peak memory is above this exits 1 before it creates
 # a directory or runs a trial.  The per-item costs are rounded up from
-# peaks measured on CPython 3.11 with NumPy 2.4: about 200 bytes per CSV
-# row held for writing and, for one sample size, about 240 bytes per trial
-# (seed and state words, losses) plus 45 per conjunction variable (code
-# and count arrays); the draw buffer holds a row and its decoded copies.
+# peaks measured on CPython 3.11 with NumPy 2.4.  A CSV row costs about
+# 110 bytes in an experiment (its text and the slot masses it is formatted
+# from) and 45 in the bound tables; ``_ROW_BYTES`` keeps the figure of when
+# each file was also held as one string and its encoded copy (about 200),
+# an over-estimate that refuses nothing that fits.  For one sample size a
+# trial costs about 240 bytes (seed and state words, losses) plus 45 per
+# conjunction variable (code and count arrays); the draw buffer holds a row
+# and its decoded copies.
 # Each process holds the per-trial arrays of its range of a sample size and a
 # draw buffer, and the losses of the whole schedule share one 8-byte-a-trial buffer.
 SIZE_BUDGET_BYTES = 2 << 30
@@ -116,18 +120,20 @@ class RunManifest:
 # Formatting and atomic file output
 # ---------------------------------------------------------------------------
 
-def _atomic_write_text(path: Path, text: str) -> None:
+def _atomic_write(path: Path, blocks: Iterable[str]) -> None:
+    """Streams ``blocks`` into a temp file next to ``path``, then renames it to ``path``."""
     tmp = path.with_name(path.name + ".tmp")
-    tmp.write_text(text, encoding="utf-8")
+    with open(tmp, "w", encoding="utf-8") as fh:
+        fh.writelines(blocks)
     os.replace(tmp, path)
 
 
-def _write_csv(path: Path, header: Sequence[str], lines: Sequence[str]) -> None:
-    """Header plus rows pre-formatted with ``%d``/``%.17g``, each ending in a newline.
+def _write_csv(path: Path, header: Sequence[str], blocks: Sequence[str]) -> None:
+    """Header plus blocks of pre-formatted rows, each row ending in a newline.
 
     No cell needs quoting: every cell is a number or a P/Q source tag.
     """
-    _atomic_write_text(path, ",".join(header) + "\n" + "".join(lines))
+    _atomic_write(path, [",".join(header) + "\n", *blocks])
 
 
 # ---------------------------------------------------------------------------
@@ -184,14 +190,24 @@ def _check_size(estimate: int) -> None:
         )
 
 
-def _slot_prefixes(num_slots: int) -> list[str]:
-    """The ``slot_index,slot_lo,slot_hi,`` cells of every slot, edges as ``slot_bounds`` computes them."""
-    return [f"{i},{i / num_slots:.17g},{(i + 1) / num_slots:.17g}," for i in range(num_slots)]
+def _slot_cells(num_slots: int) -> tuple[list[str], list[str]]:
+    """The ``slot_index,slot_lo,slot_hi,`` cells of every slot, edges as ``slot_bounds``
+    computes them, and each slot's row body for a mass of +0.0."""
+    prefixes = [f"{i},{i / num_slots:.17g},{(i + 1) / num_slots:.17g}," for i in range(num_slots)]
+    return prefixes, [f"{prefix}0\n" for prefix in prefixes]
 
 
-def _distribution_lines(m: int, source: str, dist: DiscreteDistribution, prefixes: list[str]) -> str:
+def _distribution_lines(
+    m: int, source: str, dist: DiscreteDistribution, prefixes: list[str], zero_rows: list[str]
+) -> str:
+    """The rows of one (m, source) group.  A mass of +0.0 takes its slot's
+    precomputed body; only the others, -0.0 among them, are formatted."""
+    masses = np.fromiter(dist.masses, float, dist.num_slots)
+    rows = zero_rows.copy()
+    for i in np.flatnonzero((masses != 0.0) | np.signbit(masses)).tolist():
+        rows[i] = f"{prefixes[i]}{dist.masses[i]:.17g}\n"
     head = f"{m},{source},"
-    return "".join([f"{head}{prefix}{mass:.17g}\n" for prefix, mass in zip(prefixes, dist.masses, strict=True)])
+    return head + head.join(rows)
 
 
 def cmd_experiment(config: ExperimentConfig, out_dir: str | Path) -> RunManifest:
@@ -205,11 +221,11 @@ def cmd_experiment(config: ExperimentConfig, out_dir: str | Path) -> RunManifest
     records = run_experiment(config)
     curve = build_curve(records)
 
-    prefixes = _slot_prefixes(config.num_slots)
+    cells = _slot_cells(config.num_slots)
     dist_lines = []
     for rec in records:
-        dist_lines.append(_distribution_lines(rec.m, "P", rec.empirical, prefixes))
-        dist_lines.append(_distribution_lines(rec.m, "Q", rec.theoretical, prefixes))
+        dist_lines.append(_distribution_lines(rec.m, "P", rec.empirical, *cells))
+        dist_lines.append(_distribution_lines(rec.m, "Q", rec.theoretical, *cells))
     curve_lines = [
         "%d,%.17g,%.17g,%.17g,%.17g,%.17g\n" % (pt.m, pt.mean_p, pt.std_p, pt.mean_q, pt.std_q, pt.kl) for pt in curve
     ]
@@ -233,7 +249,7 @@ def cmd_experiment(config: ExperimentConfig, out_dir: str | Path) -> RunManifest
     )
     _write_csv(out / "distributions.csv", DISTRIBUTIONS_HEADER, dist_lines)
     _write_csv(out / "curve.csv", CURVE_HEADER, curve_lines)
-    _atomic_write_text(out / "manifest.json", manifest.to_json())
+    _atomic_write(out / "manifest.json", [manifest.to_json()])
     return manifest
 
 
@@ -281,16 +297,20 @@ def cmd_bound(
     specs = [_bound_spec_from_params(kind, m, h_size, log_h_size, vc_dim) for m in m_list]
 
     grid = np.linspace(0.0, _GRID_TOP, _GRID_POINTS).tolist()
-    prefixes = _slot_prefixes(slots)
+    eps_cells = [f"{eps:.17g}," for eps in grid]
+    cells = _slot_cells(slots)
     grid_lines = []
     summary_lines = []
     q_lines = []
     for m, spec in zip(m_list, specs):
-        grid_lines += [
-            "%d,%.17g,%.17g,%.17g\n" % (m, eps, cdf, density) for eps, (cdf, density) in zip(grid, bound_table(spec, grid))
+        rows = [
+            f"{eps}1,{density:.17g}\n" if cdf == 1.0 else f"{eps}{cdf:.17g},{density:.17g}\n"
+            for eps, (cdf, density) in zip(eps_cells, bound_table(spec, grid))
         ]
+        head = f"{m},"
+        grid_lines.append(head + head.join(rows))
         summary_lines.append("%d,%.17g,%.17g\n" % (m, cutoff(spec), bound_point_mass(spec)))
-        q_lines.append(_distribution_lines(m, "Q", discretize_bound(spec, slots), prefixes))
+        q_lines.append(_distribution_lines(m, "Q", discretize_bound(spec, slots), *cells))
 
     echo: dict = {"kind": kind, "slots": slots, "m": list(m_list)}
     if kind == "finite-h":
@@ -316,7 +336,7 @@ def cmd_bound(
     _write_csv(out / "bound_grid.csv", ["m", "eps", "cdf", "density"], grid_lines)
     _write_csv(out / "bound_summary.csv", ["m", "cutoff", "point_mass"], summary_lines)
     _write_csv(out / "bound_q.csv", DISTRIBUTIONS_HEADER, q_lines)
-    _atomic_write_text(out / "manifest.json", manifest.to_json())
+    _atomic_write(out / "manifest.json", [manifest.to_json()])
     return manifest
 
 

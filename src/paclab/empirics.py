@@ -349,8 +349,9 @@ class TrialWorkers:
     master_seed, fixed_target=..., pool=self)`` for each m of ``ms`` in
     turn, and queues their ``_range_count`` equal ranges for the usable
     CPUs (read once here), the most draws first.  The first call forks the
-    workers, claims ranges beside them until the queue is empty, waits for
-    them and computes any range they left; whatever happens, it reaps them
+    workers (as many as the system grants: a fork refused with ``OSError``
+    stops the forking), claims ranges beside them until the queue is empty,
+    waits for them and computes any range they left; whatever happens, it reaps them
     and closes its descriptor.  Each call copies its row of losses, and the
     last unmaps the buffer; a call not planned next, or any after a failed
     call, raises ``RuntimeError``.  Workers keep SIGINT blocked, so Ctrl-C
@@ -407,7 +408,11 @@ class TrialWorkers:
             gc.freeze()
             try:
                 for _ in range(self._forks):
-                    if (pid := os.fork()) == 0:
+                    try:
+                        pid = os.fork()
+                    except OSError:  # EAGAIN or ENOMEM: the processes already running drain the queue
+                        break
+                    if pid == 0:
                         try:  # os._exit: a worker never unwinds into the parent's stack
                             self._drain()
                         finally:

@@ -137,10 +137,17 @@ def _clamp01(x: float) -> float:
 
 
 def _piecewise_cdfs(log_weight: float, m: int, eps_values: Sequence[float]) -> list[float]:
-    """The CDF at each eps: 0 below ``ln W / m`` (computed once), the ramp, 1 from 1 on."""
+    """The CDF at each eps: 0 below ``ln W / m`` (computed once), the ramp, 1 from 1 on.
+
+    The ramp ``1 - exp(x)``, ``x = ln W - m*eps``, is 1.0 without an ``exp``
+    where x < -40: there exp(x) < 4.3e-18 < 2**-54, so ``1 - exp(x)`` rounds to
+    1.0.  The test is on x itself; a cut on eps, ``(ln W + 40) / m``, loses the
+    40 to rounding once ln W reaches 2**59.
+    """
     cut = log_weight / m
     return [
-        1.0 if eps >= 1.0 else 0.0 if eps < cut else _clamp01(1.0 - math.exp(log_weight - m * eps))
+        1.0 if eps >= 1.0 else 0.0 if eps < cut
+        else 1.0 if (x := log_weight - m * eps) < -40.0 else _clamp01(1.0 - math.exp(x))
         for eps in eps_values
     ]
 

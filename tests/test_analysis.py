@@ -74,6 +74,25 @@ class TestKlDivergence:
             q = DiscreteDistribution(tuple(q_raw / q_raw.sum()))
             assert kl_divergence(p, q) >= -1e-9
 
+    def test_matches_the_every_slot_loop_bit_for_bit(self):
+        # kl_divergence visits only the slots with p_i > 0, in slot order, so
+        # its rounded running sum is the loop's over every slot.
+        def loop_kl(p, q):
+            total = 0.0
+            for p_i, q_i in zip(p.masses, q.masses):
+                if p_i > 0.0:
+                    total += p_i * math.log2(p_i / max(q_i, 2e-16))
+            return total
+
+        rng = np.random.default_rng(73)
+        for slots in (3, 100, 2000):
+            qs = [discretize_bound(conj_bound(m), slots) for m in (25, 400, 1250)]
+            ps = [histogram(rng.random(k), slots) for k in (1, 20, 1000)] + qs
+            ps.append(DiscreteDistribution((-0.0, 5e-324, 1.0) + (0.0,) * (slots - 3)))
+            for p in ps:
+                for q in qs:
+                    assert kl_divergence(p, q) == loop_kl(p, q)
+
     def test_rejects_slot_mismatch(self):
         with pytest.raises(ValueError):
             kl_divergence(point_mass_dist(0, 10), point_mass_dist(0, 20))
@@ -114,6 +133,9 @@ class TestMoments:
         # In a two-slot variance each rounded square shows; pow(x, 2) and x * x
         # differ in the last bit for about one x in a thousand.
         dists += [DiscreteDistribution((p, 1.0 - p)) for p in rng.random(20_000).tolist()]
+        # The moments visit only the slots with non-zero mass.
+        dists += [point_mass_dist(slot, 2000) for slot in (0, 777, 1999)]
+        dists += [DiscreteDistribution((-0.0, 1.0)), DiscreteDistribution((5e-324, 1.0, -0.0, 0.0))]
         for d in dists:
             assert dist_mean(d) == loop_mean(d)
             assert dist_std(d) == loop_std(d)

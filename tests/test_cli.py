@@ -1,6 +1,7 @@
 """Command-line behavior: config handling, outputs, reproducibility, exit codes."""
 
 import csv
+import errno
 import hashlib
 import json
 import math
@@ -29,9 +30,9 @@ from paclab.cli import (
     run_experiment,
     task_bound_spec,
 )
-from paclab.empirics import ExperimentConfig, run_trials
+from paclab.empirics import ExperimentConfig, histogram, run_trials
 from paclab.learners import ConjunctionTask, ThresholdTask
-from paclab.theory import BoundKind, BoundSpec, DiscreteDistribution, discretize_bound
+from paclab.theory import BoundKind, BoundSpec, DiscreteDistribution, bound_table, discretize_bound
 
 
 def small_config(task=None, **overrides):
@@ -587,6 +588,86 @@ class TestBoundCommand:
         assert groups[(10, "Q")].masses[-1] == 1.0
 
 
+# The per-row formatters the writer replaced: every cell through %d/%.17g.
+def reference_distribution_lines(m, source, masses, num_slots):
+    return "".join(
+        f"{m},{source},{i},{i / num_slots:.17g},{(i + 1) / num_slots:.17g},{mass:.17g}\n" for i, mass in enumerate(masses)
+    )
+
+
+def reference_grid_lines(spec):
+    grid = np.linspace(0.0, 1.1, 1000).tolist()
+    table = bound_table(spec, grid)
+    return "".join("%d,%.17g,%.17g,%.17g\n" % (spec.m, eps, cdf, density) for eps, (cdf, density) in zip(grid, table))
+
+
+def one_mass(num_slots, slot):
+    return tuple(1.0 if i == slot else 0.0 for i in range(num_slots))
+
+
+class TestWriterMatchesPerRowFormatting:
+    """The writer skips formatting for a mass of +0.0 and a CDF of 1.0; its
+    bytes must still be those of formatting every cell."""
+
+    @pytest.mark.parametrize(
+        "masses",
+        [
+            (-0.0, 5e-324, 1.0, 0.0),
+            (0.1 + 0.2, 0.0, 0.7, -0.0),
+            (0.25, 0.75),
+            (1.0, 0.0),
+            (0.0, 1.0),
+            one_mass(2000, 0),
+            one_mass(2000, 1234),
+            one_mass(2000, 1999),
+            histogram(np.random.default_rng(7).random(20), 2000).masses,
+            discretize_bound(BoundSpec.finite_vc(m=1000, vc_dim=1), 2000).masses,
+            discretize_bound(BoundSpec.finite_h(m=1250, log_h_size=10 * math.log(3.0)), 2000).masses,
+        ],
+        ids=["signed-zero-subnormal-one", "inexact-sum", "two-slots", "two-slots-first", "two-slots-last",
+             "one-of-2000-first", "one-of-2000", "one-of-2000-last", "histogram-2000", "vc-bound-2000", "finite-h-2000"],
+    )
+    def test_distribution_group(self, masses):
+        dist = DiscreteDistribution(masses)
+        for m, source in [(7, "P"), (1000, "Q")]:
+            got = paclab.cli._distribution_lines(m, source, dist, *paclab.cli._slot_cells(len(masses)))
+            assert got == reference_distribution_lines(m, source, masses, len(masses))
+
+    @pytest.mark.parametrize(
+        "spec",
+        [
+            BoundSpec.finite_h(m=22, h_size=1e9),
+            BoundSpec.finite_h(m=1, h_size=1.0),
+            BoundSpec.finite_h(m=2 * 10**18, log_h_size=1e18),
+            BoundSpec.finite_vc(m=20, vc_dim=1),
+            BoundSpec.finite_vc(m=1000, vc_dim=1),
+            BoundSpec.finite_vc(m=10**6, vc_dim=3),
+        ],
+        ids=["finite-h-22", "finite-h-m1", "finite-h-extreme", "vc-20", "vc-1000", "vc-million"],
+    )
+    def test_grid_and_q_rows(self, tmp_path, spec):
+        # Every grid holds rows with CDF 1.0 and density 0.0 past eps = 1.
+        if spec.kind is BoundKind.FINITE_H:
+            cmd_bound("finite-h", [spec.m], tmp_path, log_h_size=spec.log_h_size, slots=2000)
+        else:
+            cmd_bound("vc", [spec.m], tmp_path, vc_dim=spec.vc_dim, slots=2000)
+        grid = reference_grid_lines(spec)
+        assert ",1,0\n" in grid
+        assert (tmp_path / "bound_grid.csv").read_text() == "m,eps,cdf,density\n" + grid
+        q = reference_distribution_lines(spec.m, "Q", discretize_bound(spec, 2000).masses, 2000)
+        assert (tmp_path / "bound_q.csv").read_text() == ",".join(DISTRIBUTIONS_HEADER) + "\n" + q
+
+    def test_experiment_files(self, tmp_path):
+        config = small_config(task=ThresholdTask(), num_slots=300)
+        cmd_experiment(config, tmp_path)
+        want = [",".join(DISTRIBUTIONS_HEADER) + "\n"]
+        for record in run_experiment(config):
+            want.append(reference_distribution_lines(record.m, "P", record.empirical.masses, 300))
+            want.append(reference_distribution_lines(record.m, "Q", record.theoretical.masses, 300))
+        assert (tmp_path / "distributions.csv").read_text() == "".join(want)
+        assert not list(tmp_path.glob("*.tmp"))
+
+
 DIST_ROWS = [
     # m, source, slot_index, slot_lo, slot_hi, mass
     ("7", "P", "0", "0", "0.5", "0.25"),
@@ -855,6 +936,53 @@ def test_golden_hashes_whatever_the_range_count(tmp_path, monkeypatch, task, cpu
         assert hashlib.sha256((tmp_path / name).read_bytes()).hexdigest() == want, name
     with pytest.raises(ChildProcessError):  # the worker group was reaped
         os.waitpid(-1, os.WNOHANG)
+
+
+@pytest.mark.skipif(
+    not np.__version__.startswith("2.4."),
+    reason="goldens were recorded with NumPy 2.4.x; NEP 19 does not promise Generator streams across versions",
+)
+@pytest.mark.parametrize("cpus, refused", [(2, 1), (3, 2)], ids=["first-fork", "second-of-three"])
+@pytest.mark.parametrize("task", sorted(GOLDEN_SHA256))
+def test_golden_hashes_when_a_fork_is_refused(tmp_path, monkeypatch, task, cpus, refused):
+    # A fork refused under a process limit stops the forking; the processes
+    # already running drain the queue and the run writes the golden bytes.
+    monkeypatch.delenv("PACLAB_SEED", raising=False)
+    monkeypatch.setattr(paclab.empirics, "_usable_cpus", lambda: cpus)
+    monkeypatch.setattr(paclab.empirics, "_MAX_RANGES", cpus)
+    fork, forks = os.fork, []
+
+    def refusing_fork():
+        forks.append(1)
+        if len(forks) == refused:
+            raise BlockingIOError(errno.EAGAIN, "Resource temporarily unavailable")
+        return fork()
+
+    monkeypatch.setattr(os, "fork", refusing_fork)
+    before = sorted(os.listdir("/proc/self/fd"))
+    assert main(["experiment", "--task", task, "--out-dir", str(tmp_path)]) == 0
+    assert len(forks) == refused
+    for name, want in GOLDEN_SHA256[task].items():
+        assert hashlib.sha256((tmp_path / name).read_bytes()).hexdigest() == want, name
+    assert sorted(os.listdir("/proc/self/fd")) == before
+    with pytest.raises(ChildProcessError):  # the worker forked before the refusal was reaped
+        os.waitpid(-1, os.WNOHANG)
+
+
+# sha256 of the outputs of ``paclab bound`` at its defaults: the finite-h bound
+# with |H| = 1e9 at m = 22, 35 and 100, 100 slots.
+DEFAULT_BOUND_SHA256 = {
+    "bound_grid.csv": "3dcd2deb45fd5c3689523e4d026deb51227b248e5ad3b028df73e5ce39e9587e",
+    "bound_q.csv": "6f83a3e0cc2d118bb5fcf8aaa8b6fcd853bcd02226890c7e780f6af983274291",
+    "bound_summary.csv": "bf837d1486e81a51515489b723f1975e5772f08c496d5e929ec8e3b67f41c4c5",
+    "manifest.json": "635a8b6239d95a8c707259ea159906a81f53084ee97ed7fed4a6a6dd0af4826f",
+}
+
+
+def test_default_bound_matches_golden_hashes(tmp_path):
+    assert main(["bound", "--out-dir", str(tmp_path)]) == 0
+    for name, want in DEFAULT_BOUND_SHA256.items():
+        assert hashlib.sha256((tmp_path / name).read_bytes()).hexdigest() == want, name
 
 
 # sha256 of the outputs of the benchmark's wide-io workload at seed 2024, as

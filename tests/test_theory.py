@@ -18,6 +18,7 @@ from paclab.theory import (
     sample_complexity_finite,
     sample_complexity_vc,
 )
+from paclab.theory import _clamp01, _piecewise_cdfs
 
 LN_1E9 = 9 * math.log(10.0)
 FH_59049_25 = BoundSpec.finite_h(m=25, h_size=59049)
@@ -281,6 +282,69 @@ class TestDiscreteDistribution:
         assert d.slot_bounds(0) == (0.0, 0.25)
         assert d.slot_bounds(3) == (0.75, 1.0)
         assert d.slot_midpoint(1) == pytest.approx(0.375)
+
+
+def plain_cdfs(log_weight, m, eps_values):
+    """The CDF with ``exp`` evaluated on every ramp cell, as before the saturation shortcut."""
+    cut = log_weight / m
+    return [1.0 if eps >= 1 else 0.0 if eps < cut else _clamp01(1 - math.exp(log_weight - m * eps)) for eps in eps_values]
+
+
+def bits(values):
+    return [float.hex(v) for v in values]  # tells -0.0 from 0.0
+
+
+class TestRampSaturation:
+    """``_piecewise_cdfs`` returns 1.0 without ``exp`` where ln W - m*eps < -40;
+    it must give the plain formula's bits everywhere."""
+
+    DEFAULT_SPECS = [BoundSpec.finite_h(m=m, log_h_size=10 * math.log(3.0)) for m in range(25, 1251, 25)]
+    DEFAULT_SPECS += [BoundSpec.finite_vc(m=m, vc_dim=1) for m in range(20, 1001, 20)]
+
+    @pytest.mark.parametrize(
+        "eps_values",
+        [
+            [i / 100 for i in range(101)],
+            [i / 2000 for i in range(2001)],
+            np.linspace(0.0, 1.1, 1000).tolist(),
+        ],
+        ids=["100-slot-edges", "2000-slot-edges", "bound-grid"],
+    )
+    def test_default_schedules(self, eps_values):
+        for spec in self.DEFAULT_SPECS:
+            log_weight = spec.log_weight()
+            assert bits(_piecewise_cdfs(log_weight, spec.m, eps_values)) == bits(plain_cdfs(log_weight, spec.m, eps_values))
+
+    def test_either_side_of_minus_40(self):
+        # ln W = 10, m = 100: x = -40 exactly at eps = 0.5.  Steps of single
+        # ulps around it, and a sweep of x from -45 to -30, where 1 - exp(x)
+        # leaves 1.0 near x = -37.4.
+        eps_values, eps = [], 0.5
+        for _ in range(50):
+            eps = math.nextafter(eps, 0.0)
+        for _ in range(100):
+            eps_values.append(eps)
+            eps = math.nextafter(eps, 1.0)
+        xs = [10.0 - 100 * e for e in eps_values]
+        assert min(xs) < -40.0 < max(xs) and -40.0 in xs
+        eps_values += np.linspace(0.4, 0.55, 20001).tolist()
+        got = _piecewise_cdfs(10.0, 100, eps_values)
+        assert bits(got) == bits(plain_cdfs(10.0, 100, eps_values))
+        assert 1.0 in got and any(0.0 < cdf < 1.0 for cdf in got)
+
+    @pytest.mark.parametrize(
+        "log_weight, m",
+        [(1e18, 2 * 10**18), (2.0**60, 2**61), (0.0, 1), (0.5, 1), (LN_1E9, 1), (30.0, 1)],
+        ids=["ln-w-1e18", "ln-w-2-to-60", "m1-h1", "m1", "m1-h1e9", "m1-cut-above-one"],
+    )
+    def test_extreme_specs(self, log_weight, m):
+        cut = log_weight / m
+        eps_values = np.linspace(0.0, 1.1, 1000).tolist() + [cut, math.nextafter(cut, 2.0), math.nextafter(cut, -1.0)]
+        near = cut
+        for _ in range(200):  # the ramp just past the cutoff, where x falls fastest relative to eps
+            near = math.nextafter(near, 2.0)
+            eps_values.append(near)
+        assert bits(_piecewise_cdfs(log_weight, m, eps_values)) == bits(plain_cdfs(log_weight, m, eps_values))
 
 
 class TestDiscretizeBound:
