@@ -128,12 +128,21 @@ def _atomic_write(path: Path, blocks: Iterable[str]) -> None:
     os.replace(tmp, path)
 
 
-def _write_csv(path: Path, header: Sequence[str], blocks: Sequence[str]) -> None:
-    """Header plus blocks of pre-formatted rows, each row ending in a newline.
+def _write_run(out_dir: str | Path, command: str, echo: dict, tables: dict[str, tuple]) -> RunManifest:
+    """Makes ``out_dir``, writes each ``name: (file, header, blocks)`` table, then the manifest.
 
-    No cell needs quoting: every cell is a number or a P/Q source tag.
+    Every row of a block ends in a newline, and no cell needs quoting: each
+    is a number or a P/Q source tag.  A run that fails before this call
+    leaves no directory.
     """
-    _atomic_write(path, [",".join(header) + "\n", *blocks])
+    outputs = {name: filename for name, (filename, _, _) in tables.items()}
+    manifest = RunManifest(command, __version__, echo, outputs | {"manifest": "manifest.json"})
+    out = Path(out_dir)
+    out.mkdir(parents=True, exist_ok=True)
+    for filename, header, blocks in tables.values():
+        _atomic_write(out / filename, [",".join(header) + "\n", *blocks])
+    _atomic_write(out / "manifest.json", [manifest.to_json()])
+    return manifest
 
 
 # ---------------------------------------------------------------------------
@@ -213,11 +222,9 @@ def _distribution_lines(
 def cmd_experiment(config: ExperimentConfig, out_dir: str | Path) -> RunManifest:
     """Run the experiment and write distributions.csv, curve.csv, manifest.json.
 
-    A run over the size budget fails before the directory is created.
+    A run over the size budget fails before any trial.
     """
     _check_size(_experiment_bytes(config))
-    out = Path(out_dir)
-    out.mkdir(parents=True, exist_ok=True)
     records = run_experiment(config)
     curve = build_curve(records)
 
@@ -241,37 +248,15 @@ def cmd_experiment(config: ExperimentConfig, out_dir: str | Path) -> RunManifest
         "seed": config.master_seed,
         "gt_mode": "fixed" if config.fixed_target else "per-trial",
     }
-    manifest = RunManifest(
-        command="experiment",
-        version=__version__,
-        config=echo,
-        outputs={"distributions": "distributions.csv", "curve": "curve.csv", "manifest": "manifest.json"},
-    )
-    _write_csv(out / "distributions.csv", DISTRIBUTIONS_HEADER, dist_lines)
-    _write_csv(out / "curve.csv", CURVE_HEADER, curve_lines)
-    _atomic_write(out / "manifest.json", [manifest.to_json()])
-    return manifest
+    return _write_run(out_dir, "experiment", echo, {
+        "distributions": ("distributions.csv", DISTRIBUTIONS_HEADER, dist_lines),
+        "curve": ("curve.csv", CURVE_HEADER, curve_lines),
+    })
 
 
 # ---------------------------------------------------------------------------
 # Bound tabulation
 # ---------------------------------------------------------------------------
-
-def _bound_spec_from_params(kind: str, m: int, h_size: float | None, log_h_size: float | None, vc_dim: int | None) -> BoundSpec:
-    if kind == "finite-h":
-        if vc_dim is not None:
-            raise ConfigError("vc_dim does not apply to the finite-h bound")
-        if h_size is None and log_h_size is None:
-            raise ConfigError("finite-h bound needs --h-size or --log-h-size")
-        return BoundSpec.finite_h(m=m, h_size=h_size, log_h_size=log_h_size)
-    if kind == "vc":
-        if h_size is not None or log_h_size is not None:
-            raise ConfigError("h_size and log_h_size do not apply to the vc bound")
-        if vc_dim is None:
-            raise ConfigError("vc bound needs --vc-dim")
-        return BoundSpec.finite_vc(m=m, vc_dim=vc_dim)
-    raise ConfigError(f"unknown bound kind {kind!r}")
-
 
 def cmd_bound(
     kind: str,
@@ -294,7 +279,26 @@ def cmd_bound(
     if not m_list:
         raise ConfigError("need at least one sample size m")
     _check_size(_bound_bytes(len(m_list), slots))
-    specs = [_bound_spec_from_params(kind, m, h_size, log_h_size, vc_dim) for m in m_list]
+    echo: dict = {"kind": kind, "slots": slots, "m": list(m_list)}
+    if kind == "finite-h":
+        if vc_dim is not None:
+            raise ConfigError("vc_dim does not apply to the finite-h bound")
+        if h_size is None and log_h_size is None:
+            raise ConfigError("finite-h bound needs --h-size or --log-h-size")
+        specs = [BoundSpec.finite_h(m=m, h_size=h_size, log_h_size=log_h_size) for m in m_list]
+        if h_size is not None:
+            echo["h_size"] = float(h_size)
+        else:
+            echo["log_h_size"] = float(log_h_size)
+    elif kind == "vc":
+        if h_size is not None or log_h_size is not None:
+            raise ConfigError("h_size and log_h_size do not apply to the vc bound")
+        if vc_dim is None:
+            raise ConfigError("vc bound needs --vc-dim")
+        specs = [BoundSpec.finite_vc(m=m, vc_dim=vc_dim) for m in m_list]
+        echo["vc_dim"] = vc_dim
+    else:
+        raise ConfigError(f"unknown bound kind {kind!r}")
 
     grid = np.linspace(0.0, _GRID_TOP, _GRID_POINTS).tolist()
     eps_cells = [f"{eps:.17g}," for eps in grid]
@@ -312,32 +316,11 @@ def cmd_bound(
         summary_lines.append("%d,%.17g,%.17g\n" % (m, cutoff(spec), bound_point_mass(spec)))
         q_lines.append(_distribution_lines(m, "Q", discretize_bound(spec, slots), *cells))
 
-    echo: dict = {"kind": kind, "slots": slots, "m": list(m_list)}
-    if kind == "finite-h":
-        if h_size is not None:
-            echo["h_size"] = float(h_size)
-        else:
-            echo["log_h_size"] = float(log_h_size)
-    else:
-        echo["vc_dim"] = vc_dim
-    manifest = RunManifest(
-        command="bound",
-        version=__version__,
-        config=echo,
-        outputs={
-            "grid": "bound_grid.csv",
-            "summary": "bound_summary.csv",
-            "distributions": "bound_q.csv",
-            "manifest": "manifest.json",
-        },
-    )
-    out = Path(out_dir)
-    out.mkdir(parents=True, exist_ok=True)
-    _write_csv(out / "bound_grid.csv", ["m", "eps", "cdf", "density"], grid_lines)
-    _write_csv(out / "bound_summary.csv", ["m", "cutoff", "point_mass"], summary_lines)
-    _write_csv(out / "bound_q.csv", DISTRIBUTIONS_HEADER, q_lines)
-    _atomic_write(out / "manifest.json", [manifest.to_json()])
-    return manifest
+    return _write_run(out_dir, "bound", echo, {
+        "grid": ("bound_grid.csv", ["m", "eps", "cdf", "density"], grid_lines),
+        "summary": ("bound_summary.csv", ["m", "cutoff", "point_mass"], summary_lines),
+        "distributions": ("bound_q.csv", DISTRIBUTIONS_HEADER, q_lines),
+    })
 
 
 # ---------------------------------------------------------------------------

@@ -364,11 +364,43 @@ class TestExitCodes:
     def test_missing_input_file_is_io_failure(self, tmp_path):
         assert main(["kl", str(tmp_path / "nope.csv"), str(tmp_path / "nope.csv")]) == 2
 
-    def test_unwritable_out_dir_is_io_failure(self, tmp_path):
+    @pytest.mark.parametrize(
+        "argv",
+        [["experiment", "--task", "threshold", "--trials", "3", "--m-max", "40"], ["bound", "--m", "22"]],
+        ids=["experiment", "bound"],
+    )
+    def test_unwritable_out_dir_is_io_failure(self, tmp_path, capsys, argv):
+        # The directory is made after the compute, so this is found last.
         blocker = tmp_path / "file"
         blocker.write_text("x")
-        rc = main(["experiment", "--task", "threshold", "--trials", "3", "--m-max", "40", "--out-dir", str(blocker / "sub")])
-        assert rc == 2
+        assert main([*argv, "--out-dir", str(blocker / "sub")]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("paclab: i/o error:") and "Traceback" not in err
+        assert blocker.read_text() == "x"
+
+    @pytest.mark.parametrize(
+        "argv, target",
+        [
+            (["experiment", "--task", "threshold", "--trials", "3", "--m-max", "80"], "run_trials"),
+            (["bound", "--m", "22,35,100"], "discretize_bound"),
+        ],
+        ids=["experiment", "bound"],
+    )
+    def test_failed_run_leaves_no_directory(self, tmp_path, monkeypatch, capsys, argv, target):
+        real, calls = getattr(paclab.cli, target), []
+
+        def third_call_fails(*args, **kwargs):
+            calls.append(args)
+            if len(calls) == 3:
+                raise ValueError("third call failed")
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(paclab.cli, target, third_call_fails)
+        out = tmp_path / "out"
+        assert main([*argv, "--out-dir", str(out)]) == 1
+        assert len(calls) == 3
+        assert capsys.readouterr().err == "paclab: error: third call failed\n"
+        assert not out.exists()
 
     def test_malformed_csv_is_config_error(self, tmp_path):
         bad = tmp_path / "bad.csv"
