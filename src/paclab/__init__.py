@@ -43,4 +43,4 @@ from .theory import (
     sample_complexity_vc,
 )
 
-__version__ = "0.1.0"
+__version__ = "0.2.0"

@@ -5,8 +5,10 @@ are provided, one for a finite hypothesis space of size ``|H|`` and one for
 a class of finite VC dimension ``d``, both at a fixed i.i.d. sample size
 ``m``.  Each CDF is piecewise: zero below a cutoff, an exponential ramp
 ``1 - W * exp(-m * eps)`` on ``[cutoff, 1)``, and one at ``eps >= 1``.  The
-envelope weight ``W`` is ``|H|`` in the finite case and ``(e*m/d)**d`` in
-the VC case, so the cutoff (where the ramp leaves zero) is ``ln(W)/m``.
+envelope weight ``W`` is ``|H|`` in the finite case and, in the VC case, a
+bound on the growth function: ``2**m`` below ``m = d`` and the smaller of
+``2**m`` and Sauer's ``(e*m/d)**d`` from ``m = d`` on.  The cutoff (where the
+ramp leaves zero) is ``ln(W)/m``.
 
 The jump at ``eps = 1`` is a genuine probability atom.  It is never folded
 into the density; :func:`bound_point_mass` reports it separately and
@@ -39,6 +41,9 @@ __all__ = [
     "sample_complexity_finite",
     "sample_complexity_vc",
 ]
+
+
+_LN2 = math.log(2.0)
 
 
 class BoundKind(Enum):
@@ -91,11 +96,19 @@ class BoundSpec:
         return cls(kind=BoundKind.FINITE_VC, m=m, vc_dim=vc_dim)
 
     def log_weight(self) -> float:
-        """ln of the envelope weight: ln|H|, or d*ln(e*m/d) for the VC case."""
+        """ln of the envelope weight: ln|H|, or for the VC case ln of the growth-function bound.
+
+        That is m*ln 2 below m = d, where Sauer's d*ln(e*m/d) does not hold
+        (below d/e it is negative), and the smaller of the two from m = d on.
+        Both bound the growth function; taking the smaller keeps ln W >= 0 and
+        the CDF non-decreasing in m.
+        """
         if self.kind is BoundKind.FINITE_H:
             return self.log_h_size
-        d = self.vc_dim
-        return d * (1.0 + math.log(self.m) - math.log(d))
+        d, m = self.vc_dim, self.m
+        if m < d:
+            return m * _LN2
+        return min(m * _LN2, d * (1.0 + math.log(m) - math.log(d)))
 
 
 @dataclass(frozen=True)

@@ -143,6 +143,14 @@ class TestExperimentCommand:
         assert main(["experiment", "--config", str(cfg), "--out-dir", str(out)]) == 1
         assert not out.exists()
 
+    def test_vc_dim_above_the_sample_sizes(self, tmp_path):
+        argv = ["experiment", "--task", "threshold", "--vc-dim", "50", "--m-start", "1", "--m-step", "1", "--m-max", "5"]
+        assert main([*argv, "--trials", "200", "--out-dir", str(tmp_path)]) == 0
+        groups = read_distributions_csv(tmp_path / "distributions.csv")
+        assert [groups[(m, "Q")] for m in range(1, 6)] == [
+            discretize_bound(BoundSpec.finite_vc(m, 50), 100) for m in range(1, 6)
+        ]
+
     def test_floats_round_trip_exactly(self, tmp_path):
         config = small_config()
         cmd_experiment(config, tmp_path)
@@ -614,6 +622,11 @@ class TestBoundCommand:
         assert main(["bound", *flags, "--out-dir", str(out)]) == 1
         assert not out.exists()
 
+    def test_vc_dim_above_the_sample_sizes(self, tmp_path):
+        assert main(["bound", "--kind", "vc", "--vc-dim", "10", "--m", "1,2,5,10", "--out-dir", str(tmp_path)]) == 0
+        summary = (tmp_path / "bound_summary.csv").read_text().splitlines()[1:]
+        assert [float(row.split(",")[1]) for row in summary] == [m * math.log(2.0) / m for m in (1, 2, 5, 10)]  # W = 2**m
+
     def test_huge_h_via_log(self, tmp_path):
         cmd_bound("finite-h", [10], tmp_path, log_h_size=700 * math.log(3.0))
         groups = read_distributions_csv(tmp_path / "bound_q.csv")
@@ -1002,12 +1015,13 @@ def test_golden_hashes_when_a_fork_is_refused(tmp_path, monkeypatch, task, cpus,
 
 
 # sha256 of the outputs of ``paclab bound`` at its defaults: the finite-h bound
-# with |H| = 1e9 at m = 22, 35 and 100, 100 slots.
+# with |H| = 1e9 at m = 22, 35 and 100, 100 slots.  The manifest holds the paclab
+# version, so its hash moves with it.
 DEFAULT_BOUND_SHA256 = {
     "bound_grid.csv": "3dcd2deb45fd5c3689523e4d026deb51227b248e5ad3b028df73e5ce39e9587e",
     "bound_q.csv": "6f83a3e0cc2d118bb5fcf8aaa8b6fcd853bcd02226890c7e780f6af983274291",
     "bound_summary.csv": "bf837d1486e81a51515489b723f1975e5772f08c496d5e929ec8e3b67f41c4c5",
-    "manifest.json": "635a8b6239d95a8c707259ea159906a81f53084ee97ed7fed4a6a6dd0af4826f",
+    "manifest.json": "d8c1873626d1e2defc4df4d542bb3ab31d93abefb9aa08864ed6df9f521860bb",
 }
 
 

@@ -176,6 +176,36 @@ class TestVcBound:
         expected = 1.0 - math.exp(3 * math.log(50 * math.e / 3) - 45.0)
         assert bound_cdf(spec, eps) == pytest.approx(expected, rel=1e-12)
 
+    def test_weight_is_the_smaller_growth_function_bound(self):
+        # 2**m below m = d, where Sauer's (e*m/d)**d does not hold; the smaller
+        # of the two from m = d on, Sauer's term as its own expression.
+        ln2 = math.log(2.0)
+        assert BoundSpec.finite_vc(m=3, vc_dim=10).log_weight() == 3 * ln2
+        assert BoundSpec.finite_vc(m=10, vc_dim=10).log_weight() == 10 * ln2  # 2**10 < e**10
+        assert BoundSpec.finite_vc(m=3, vc_dim=1).log_weight() == 3 * ln2  # 8 < 3e
+        assert BoundSpec.finite_vc(m=4, vc_dim=1).log_weight() == 1 * (1.0 + math.log(4) - math.log(1))
+        assert BoundSpec.finite_vc(m=50, vc_dim=3).log_weight() == 3 * (1.0 + math.log(50) - math.log(3))
+
+    def test_log_weight_is_never_negative(self):
+        # So the CDF is 0 at eps = 0 and every spec's slot masses sum to 1.
+        for d in (*range(1, 31), 100, 10**6):
+            for m in (*range(1, 601), 10**6):
+                spec = BoundSpec.finite_vc(m=m, vc_dim=d)
+                assert spec.log_weight() >= 0.0, (d, m)
+                assert bound_cdf(spec, 0.0) == 0.0, (d, m)
+                discretize_bound(spec, 10)
+
+    def test_cdf_never_falls_as_m_grows(self):
+        # Zero tolerance, 17,970 steps: the CDF at m + 1 is at least that at m.
+        grid = np.linspace(0.0, 1.0, 201).tolist()
+        for d in range(1, 31):
+            prev = [0.0] * len(grid)
+            for m in range(1, 601):
+                spec = BoundSpec.finite_vc(m=m, vc_dim=d)
+                cdfs = _piecewise_cdfs(spec.log_weight(), m, grid)  # bound_cdf(spec, eps) at every eps
+                assert all(b >= a for a, b in zip(prev, cdfs)), (d, m)
+                prev = cdfs
+
 
 class TestBoundTable:
     @pytest.mark.parametrize("spec", [FH_59049_25, FH_1E9_35, VC_1_20, VC_1_100, BoundSpec.finite_vc(m=50, vc_dim=3)])
