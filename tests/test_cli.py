@@ -967,6 +967,31 @@ def test_default_experiment_matches_golden_hashes(tmp_path, monkeypatch, task):
         assert hashlib.sha256((tmp_path / name).read_bytes()).hexdigest() == want, name
 
 
+# sha256 of the default experiment outputs with --gt-mode fixed at seed 2024 (NumPy 2.4.x).
+FIXED_TARGET_GOLDEN_SHA256 = {
+    "conjunction": {
+        "distributions.csv": "4ff613b82bdedbabd6776883969f2a7dccb5e70632195e4e5b74c2cba0948598",
+        "curve.csv": "078fd09a70f5e62d90a1d65391ac16cc47d9b709cfdd6df8144108a41723c4b2",
+    },
+    "threshold": {
+        "distributions.csv": "9a77502c53e9bcf4d6a4dda79954512112893953ddd422857e6b39844affa999",
+        "curve.csv": "b885835176a0c7b89208bd8728716e419c5cf2c766fb7827e02d82c0b89fb12b",
+    },
+}
+
+
+@pytest.mark.skipif(
+    not np.__version__.startswith("2.4."),
+    reason="goldens were recorded with NumPy 2.4.x; NEP 19 does not promise Generator streams across versions",
+)
+@pytest.mark.parametrize("task", sorted(FIXED_TARGET_GOLDEN_SHA256))
+def test_fixed_target_experiment_matches_golden_hashes(tmp_path, monkeypatch, task):
+    monkeypatch.delenv("PACLAB_SEED", raising=False)
+    assert main(["experiment", "--task", task, "--gt-mode", "fixed", "--out-dir", str(tmp_path)]) == 0
+    for name, want in FIXED_TARGET_GOLDEN_SHA256[task].items():
+        assert hashlib.sha256((tmp_path / name).read_bytes()).hexdigest() == want, name
+
+
 @pytest.mark.skipif(
     not np.__version__.startswith("2.4."),
     reason="goldens were recorded with NumPy 2.4.x; NEP 19 does not promise Generator streams across versions",
