@@ -200,8 +200,8 @@ def _check_size(estimate: int) -> None:
 
 
 def _slot_cells(num_slots: int) -> tuple[list[str], list[str]]:
-    """The ``slot_index,slot_lo,slot_hi,`` cells of every slot, edges as ``slot_bounds``
-    computes them, and each slot's row body for a mass of +0.0."""
+    """The ``slot_index,slot_lo,slot_hi,`` cells of every slot, edges ``i/l`` and
+    ``(i+1)/l``, and each slot's row body for a mass of +0.0."""
     prefixes = [f"{i},{i / num_slots:.17g},{(i + 1) / num_slots:.17g}," for i in range(num_slots)]
     return prefixes, [f"{prefix}0\n" for prefix in prefixes]
 

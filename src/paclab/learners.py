@@ -80,9 +80,6 @@ class ThresholdHypothesis:
         if not 0.0 <= self.a <= 1.0:
             raise ValueError(f"threshold must lie in [0, 1], got {self.a!r}")
 
-    def classify(self, x: float) -> int:
-        return 1 if x < self.a else 0
-
 
 # ---------------------------------------------------------------------------
 # Conjunction task

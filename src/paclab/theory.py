@@ -134,16 +134,6 @@ class DiscreteDistribution:
     def num_slots(self) -> int:
         return len(self.masses)
 
-    def slot_bounds(self, i: int) -> tuple[float, float]:
-        """(lower, upper) edge of slot ``i``."""
-        ell = self.num_slots
-        if not 0 <= i < ell:
-            raise IndexError(i)
-        return i / ell, (i + 1) / ell
-
-    def slot_midpoint(self, i: int) -> float:
-        return (i + 0.5) / self.num_slots
-
 
 def _clamp01(x: float) -> float:
     return 0.0 if x < 0.0 else (1.0 if x > 1.0 else x)

@@ -117,11 +117,11 @@ class TestMoments:
         # The scalar loop is the reference: the vectorised moments must do the
         # same IEEE operations (math.fsum makes the summation order moot).
         def loop_mean(d):
-            return math.fsum(mass * d.slot_midpoint(i) for i, mass in enumerate(d.masses))
+            return math.fsum(mass * ((i + 0.5) / d.num_slots) for i, mass in enumerate(d.masses))
 
         def loop_std(d):
             mean = loop_mean(d)
-            var = math.fsum(mass * (d.slot_midpoint(i) - mean) ** 2 for i, mass in enumerate(d.masses))
+            var = math.fsum(mass * (((i + 0.5) / d.num_slots) - mean) ** 2 for i, mass in enumerate(d.masses))
             return math.sqrt(max(var, 0.0))
 
         rng = np.random.default_rng(71)

@@ -53,7 +53,7 @@ def write_single_dist_csv(path, masses, m=1, source="P"):
     d = DiscreteDistribution(tuple(masses))
     lines = ["m,source,slot_index,slot_lo,slot_hi,mass"]
     for i, mass in enumerate(d.masses):
-        lo, hi = d.slot_bounds(i)
+        lo, hi = i / d.num_slots, (i + 1) / d.num_slots
         lines.append(f"{m},{source},{i},{lo!r},{hi!r},{mass!r}")
     Path(path).write_text("\n".join(lines) + "\n")
 

@@ -52,7 +52,7 @@ def trial_rng(seed, m, index):
 
 def erm_cut(target, xs):
     """Smallest point ``target`` labels 0, else 1.0: the threshold ERM in plain Python."""
-    return min((x for x in xs.tolist() if target.classify(x) == 0), default=1.0)
+    return min((x for x in xs.tolist() if not x < target.a), default=1.0)
 
 
 def reference_losses(task, m, k, seed, fixed_target):

@@ -39,7 +39,7 @@ def sample_bits(target, m, rng):
 
 def negatives_of(target, xs):
     """The points of ``xs`` that ``target`` labels 0."""
-    return np.array([x for x in xs.tolist() if target.classify(x) == 0])
+    return np.array([x for x in xs.tolist() if not x < target.a])
 
 
 class TestConjunctionHypothesis:
@@ -239,14 +239,16 @@ class TestThresholdSampling:
         assert random_threshold_target(np.random.default_rng(4)) == random_threshold_target(np.random.default_rng(4))
 
     def test_boundary_point_labeled_zero(self):
-        assert ThresholdHypothesis(0.4).classify(0.4) == 0
-        assert ThresholdHypothesis(0.4).classify(0.39999) == 1
+        # A point at the cut is a negative, so the learner takes it; one just below is not.
+        assert learn_threshold(np.array([0.4]), 0.4) == 0.4
+        assert learn_threshold(np.array([0.39999]), 0.4) == 1.0
 
     def test_label_frequency_tracks_target(self):
+        # Against the cut 0, which labels every point 0, the oracle's
+        # disagreement is the frequency of label 1 (x < a).
         rng = np.random.default_rng(31)
         for a in (0.2, 0.5, 0.9):
-            t = ThresholdHypothesis(a)
-            freq = sum(t.classify(x) for x in rng.random(30_000).tolist()) / 30_000
+            freq = threshold_loss_monte_carlo(ThresholdHypothesis(a), ThresholdHypothesis(0.0), 30_000, rng)
             assert freq == pytest.approx(a, abs=0.02)
 
     def test_hypothesis_validates_range(self):

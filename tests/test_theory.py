@@ -309,9 +309,6 @@ class TestDiscreteDistribution:
     def test_slot_geometry(self):
         d = DiscreteDistribution((0.25,) * 4)
         assert d.num_slots == 4
-        assert d.slot_bounds(0) == (0.0, 0.25)
-        assert d.slot_bounds(3) == (0.75, 1.0)
-        assert d.slot_midpoint(1) == pytest.approx(0.375)
 
 
 def plain_cdfs(log_weight, m, eps_values):
