@@ -55,29 +55,29 @@ def kl_divergence(p: DiscreteDistribution, q: DiscreteDistribution, floor: float
     return total
 
 
-def _carried(d: DiscreteDistribution) -> tuple[np.ndarray, np.ndarray]:
-    """The non-zero masses of ``d`` and their slot midpoints (i + 0.5)/l.  A
-    zero mass adds an exact zero to an ``fsum``, so the moments skip it."""
+def _moments(d: DiscreteDistribution) -> tuple[float, float]:
+    """Mass-weighted mean and standard deviation of the slot midpoints
+    (i + 0.5)/l, from one conversion of the masses.  A zero mass adds an
+    exact zero to an ``fsum``, so only the slots that carry mass are visited."""
     masses = np.fromiter(d.masses, float, d.num_slots)
     slots = np.flatnonzero(masses)
-    return masses[slots], (slots + 0.5) / d.num_slots
-
-
-def dist_mean(d: DiscreteDistribution) -> float:
-    """Mass-weighted mean of slot midpoints (i + 0.5)/l."""
-    masses, midpoints = _carried(d)
-    return math.fsum((masses * midpoints).tolist())
-
-
-def dist_std(d: DiscreteDistribution) -> float:
-    """Mass-weighted standard deviation around :func:`dist_mean`."""
-    mean = dist_mean(d)
-    masses, midpoints = _carried(d)
+    masses, midpoints = masses[slots], (slots + 0.5) / d.num_slots
+    mean = math.fsum((masses * midpoints).tolist())
     # Python's x ** 2 is libm pow(x, 2.0), which can differ from NumPy's x * x
     # in the last bit; fsum is exact, so only the elementwise results matter.
     squares = np.fromiter(map(pow, (midpoints - mean).tolist(), repeat(2)), float, len(masses))
     var = math.fsum((masses * squares).tolist())
-    return math.sqrt(max(var, 0.0))
+    return mean, math.sqrt(max(var, 0.0))
+
+
+def dist_mean(d: DiscreteDistribution) -> float:
+    """Mass-weighted mean of slot midpoints (i + 0.5)/l."""
+    return _moments(d)[0]
+
+
+def dist_std(d: DiscreteDistribution) -> float:
+    """Mass-weighted standard deviation around :func:`dist_mean`."""
+    return _moments(d)[1]
 
 
 @dataclass(frozen=True)
@@ -198,13 +198,6 @@ def build_curve(records: Sequence[ExperimentRecord]) -> list[CurvePoint]:
     if any(b <= a for a, b in zip(ms, ms[1:])):
         raise ValueError(f"records must be sorted by strictly increasing m, got {ms}")
     return [
-        CurvePoint(
-            m=r.m,
-            mean_p=dist_mean(r.empirical),
-            std_p=dist_std(r.empirical),
-            mean_q=dist_mean(r.theoretical),
-            std_q=dist_std(r.theoretical),
-            kl=kl_divergence(r.empirical, r.theoretical),
-        )
+        CurvePoint(r.m, *_moments(r.empirical), *_moments(r.theoretical), kl_divergence(r.empirical, r.theoretical))
         for r in records
     ]
