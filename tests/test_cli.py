@@ -372,18 +372,14 @@ class TestExitCodes:
     def test_missing_input_file_is_io_failure(self, tmp_path):
         assert main(["kl", str(tmp_path / "nope.csv"), str(tmp_path / "nope.csv")]) == 2
 
-    @pytest.mark.parametrize(
-        "argv",
-        [["experiment", "--task", "threshold", "--trials", "3", "--m-max", "40"], ["bound", "--m", "22"]],
-        ids=["experiment", "bound"],
-    )
-    def test_unwritable_out_dir_is_io_failure(self, tmp_path, capsys, argv):
+    def test_unwritable_out_dir_is_io_failure(self, tmp_path, capsys):
         # The directory is made after the compute, so this is found last.
         blocker = tmp_path / "file"
         blocker.write_text("x")
-        assert main([*argv, "--out-dir", str(blocker / "sub")]) == 2
-        err = capsys.readouterr().err
-        assert err.startswith("paclab: i/o error:") and "Traceback" not in err
+        for argv in (["experiment", "--task", "threshold", "--trials", "3", "--m-max", "40"], ["bound", "--m", "22"]):
+            assert main([*argv, "--out-dir", str(blocker / "sub")]) == 2
+            err = capsys.readouterr().err
+            assert err.startswith("paclab: i/o error:") and "Traceback" not in err
         assert blocker.read_text() == "x"
 
     @pytest.mark.parametrize(
