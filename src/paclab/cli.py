@@ -29,6 +29,7 @@ import csv
 import json
 import math
 import os
+import stat
 import sys
 import warnings
 from dataclasses import asdict, dataclass
@@ -273,11 +274,13 @@ def cmd_bound(
     Writes bound_grid.csv (m, eps, cdf, density on a fixed grid over
     [0, 1.1]), bound_summary.csv (m, cutoff, point_mass), bound_q.csv
     (discretized slot masses, same schema as distributions.csv), and a
-    manifest; a bad parameter or a run over the size budget fails before
-    any work and before the directory is created.
+    manifest; a bad parameter (a repeated m too) or a run over the size
+    budget fails before any work and before the directory is created.
     """
     if not m_list:
         raise ConfigError("need at least one sample size m")
+    if len(set(m_list)) < len(m_list):
+        raise ConfigError(f"sample sizes must not repeat, got {list(m_list)}")
     _check_size(_bound_bytes(len(m_list), slots))
     echo: dict = {"kind": kind, "slots": slots, "m": list(m_list)}
     if kind == "finite-h":
@@ -340,21 +343,56 @@ def _checked_lines(fh: TextIO) -> Iterator[str]:
         yield line
 
 
+def _by_name(fh: TextIO, path: str | Path) -> bool:
+    """Whether ``np.loadtxt``, reading ``path`` by name in its chunked mode, finds what ``fh``'s lines hold.
+
+    Not for a file that is not a regular one (a pipe reads once) or whose
+    suffix NumPy decompresses; nor for one with a byte that is not ASCII (a
+    decode error would quote other bytes) or with both a CR and a quote
+    (NumPy turns a quoted CR into LF).  Nor for one with a line of
+    ``csv.field_size_limit()`` bytes before its end: only such a line can
+    hold a cell over the limit, which NumPy does not check.  A line ends at
+    LF, CR or CRLF, as in ``fh``; the blocks scanned hold at most the limit,
+    so only a line across a block boundary can be that long.
+    """
+    if not stat.S_ISREG(os.fstat(fh.fileno()).st_mode) or str(path).endswith((".gz", ".bz2", ".xz", ".lzma")):
+        return False
+    limit = csv.field_size_limit()
+    run, crs, quotes = 0, 0, 0  # bytes since the last line end; blocks with a CR, with a quote
+    with open(path, "rb") as raw:
+        while block := raw.read(min(limit, 1 << 20)):
+            if b"\r" in block:
+                crs += 1
+                block = block.replace(b"\r", b"\n")
+            first, last = block.find(b"\n"), block.rfind(b"\n")
+            if not block.isascii() or run + (first if first >= 0 else len(block)) >= limit:
+                return False
+            run = len(block) - 1 - last if last >= 0 else run + len(block)
+            quotes += b'"' in block
+    return not (crs and quotes)
+
+
 def _read_columns(path: str | Path, header: Sequence[str], dtype: np.dtype, what: str) -> np.ndarray:
     """The columns of a CSV named by ``dtype``'s fields, found by name in its header, in one ``np.loadtxt`` pass.
 
     The file must have every column of ``header``, in any order.  Cells may
     be quoted, ``#`` is data, blank lines are skipped and extra cells are
     ignored; a short row or a cell that does not parse raises ConfigError.
+    NumPy reads the file by name after the header's lines when it can, and
+    otherwise ``fh``'s lines, each long one checked as ``csv.reader`` would.
     """
     try:
         with open(path, newline="", encoding="utf-8") as fh, warnings.catch_warnings():
-            index = {name: i for i, name in enumerate(next(csv.reader(fh), []))}
+            reader = csv.reader(fh)
+            index = {name: i for i, name in enumerate(next(reader, []))}
             if not set(header) <= index.keys():
                 raise ConfigError(f"{path}: expected columns {list(header)}")
             warnings.filterwarnings("ignore", "loadtxt: input contained no data", UserWarning)  # the caller's to judge
+            # By name, NumPy skips the header's lines (a quoted cell may span two) and gets
+            # an absolute path: it would fetch a name that parses as a URL.
+            data, skip = (os.path.abspath(path), reader.line_num) if _by_name(fh, path) else (_checked_lines(fh), 0)
             return np.loadtxt(
-                _checked_lines(fh), dtype=dtype, delimiter=",", quotechar='"', comments=None,
+                data, dtype=dtype, delimiter=",", quotechar='"', comments=None, skiprows=skip, encoding="utf-8",
                 usecols=[index[name] for name in dtype.names], ndmin=1,
             )
     except (ValueError, csv.Error) as exc:
@@ -386,10 +424,11 @@ def read_distributions_csv(path: str | Path) -> dict[tuple[int, str], DiscreteDi
         raise ConfigError(f"{path}: group {keys[row_group[outside].min()]} has non-contiguous slot indices")
     by_slot = np.empty(len(rows))
     by_slot[place] = rows["mass"]
-    masses, bounds, groups = by_slot.tolist(), [0, *ends.tolist()], {}
+    del rows, m, source, slot, row_group, outside, place  # a str per source cell: freed before the groups are built
+    bounds, groups = [0, *ends.tolist()], {}
     for key, a, b in zip(keys, bounds, bounds[1:]):
         try:
-            groups[key] = DiscreteDistribution(tuple(masses[a:b]))
+            groups[key] = DiscreteDistribution(tuple(by_slot[a:b].tolist()))
         except ValueError as exc:
             raise ConfigError(f"{path}: group {key}: {exc}") from exc
     return groups

@@ -124,7 +124,9 @@ class DiscreteDistribution:
     def __post_init__(self) -> None:
         if len(self.masses) < 2:
             raise ValueError("need at least 2 slots")
-        if not all(mass >= 0.0 for mass in self.masses):  # also NaN, which fsum would carry past the sum check
+        # min meets every negative mass, and a NaN that comes first; the sum is NaN if any mass
+        # is (fsum would carry it past the sum check, or first overflow on masses before it).
+        if not min(self.masses) >= 0.0 or math.isnan(sum(self.masses)):
             raise ValueError("slot masses must be non-negative")
         total = math.fsum(self.masses)
         if abs(total - 1.0) > 1e-9:

@@ -618,6 +618,19 @@ class TestBoundCommand:
         assert main(["bound", *flags, "--out-dir", str(out)]) == 1
         assert not out.exists()
 
+    @pytest.mark.parametrize("kind", ["vc", "finite-h"])
+    def test_repeated_sample_size_is_rejected_before_any_work(self, tmp_path, capsys, monkeypatch, kind):
+        # kl rejects a group written twice, so bound must not write one.
+        def no_work(*args):
+            raise AssertionError("bound tabulated a repeated m")
+
+        monkeypatch.setattr(paclab.cli, "bound_table", no_work)
+        out = tmp_path / "out"
+        assert main(["bound", "--kind", kind, "--vc-dim" if kind == "vc" else "--h-size", "3", "--m", "5,7,5",
+                     "--out-dir", str(out)]) == 1
+        assert capsys.readouterr().err == "paclab: error: sample sizes must not repeat, got [5, 7, 5]\n"
+        assert not out.exists()
+
     def test_vc_dim_above_the_sample_sizes(self, tmp_path):
         assert main(["bound", "--kind", "vc", "--vc-dim", "10", "--m", "1,2,5,10", "--out-dir", str(tmp_path)]) == 0
         summary = (tmp_path / "bound_summary.csv").read_text().splitlines()[1:]
@@ -740,9 +753,18 @@ class TestReadDistributionsCsv:
             dist_text((*DISTRIBUTIONS_HEADER, "note"), [(*row, "#x") for row in DIST_ROWS]),
             dist_text((*DISTRIBUTIONS_HEADER, "note"), [(*row, '"a,""b"""') for row in DIST_ROWS]),
             dist_text(rows=[(*row, "x", "y") for row in DIST_ROWS]),
+            dist_text((*DISTRIBUTIONS_HEADER, '"no\nte"'), [(*row, "x") for row in DIST_ROWS]),
+            dist_text((*DISTRIBUTIONS_HEADER, "note"), [(*row, '"a\nb"') for row in DIST_ROWS]),
+            dist_text((*DISTRIBUTIONS_HEADER, "note"), [(*row, '"a\r\nb"') for row in DIST_ROWS], newline="\r\n"),
+            # The quote opens on one line and closes on the next, whose text reads like a row.
+            dist_text((*DISTRIBUTIONS_HEADER, "note"), [(*DIST_ROWS[0], '"x'), ("9", "Z", "0", "0", "0.5", '1"'),
+                                                         *[(*row, "y") for row in DIST_ROWS[1:]]]),
+            dist_text(newline="\r"),
         ],
         ids=["plain", "reordered", "extra-column", "crlf", "blank-lines", "quoted-cells", "hash-in-cell",
-             "quoted-comma-and-quote", "more-cells-than-header"],
+             "quoted-comma-and-quote", "more-cells-than-header", "quoted-newline-in-header",
+             "quoted-newline-in-extra-column", "quoted-crlf-in-extra-column", "quoted-cell-spanning-into-a-row",
+             "cr-line-ends"],
     )
     def test_layouts_read_to_same_masses(self, tmp_path, text):
         path = tmp_path / "d.csv"
@@ -780,6 +802,23 @@ class TestReadDistributionsCsv:
         path.write_text(text)
         assert main(["kl", str(path), str(path), "--m", "7"]) == 1
         assert capsys.readouterr().err.startswith(f"paclab: error: {path}: {message}")
+
+    def test_a_compressed_file_suffix_is_only_a_name(self, tmp_path):
+        for name in ("d.csv.gz", "d.csv.bz2", "d.csv.xz", "d.csv.lzma"):
+            path = tmp_path / name
+            path.write_text(dist_text())
+            assert read_distributions_csv(path) == DIST_GROUPS, name
+
+    @pytest.mark.skipif(not os.path.isdir("/dev/fd"), reason="needs /dev/fd")
+    def test_a_pipe_is_read_once(self):
+        # As `paclab kl <(cat p.csv) <(cat q.csv)` passes it: a second open would find the pipe drained.
+        read_end, write_end = os.pipe()
+        try:
+            os.write(write_end, dist_text().encode())
+            os.close(write_end)
+            assert read_distributions_csv(f"/dev/fd/{read_end}") == DIST_GROUPS
+        finally:
+            os.close(read_end)
 
     def test_duplicate_row_in_experiment_output_rejected(self, tmp_path, capsys):
         cmd_experiment(small_config(), tmp_path)
@@ -866,6 +905,110 @@ class TestReaderDialect:
         read_curve_csv(tmp_path / "curve.csv")
         read_distributions_csv(tmp_path / "distributions.csv")
         assert calls == ["curve.csv", "distributions.csv"]
+
+
+@pytest.fixture(params=["default", 50])
+def field_limit(request):
+    """``csv.field_size_limit()`` as it is, or lowered to 50 for the test."""
+    old = csv.field_size_limit()
+    if request.param != "default":
+        csv.field_size_limit(request.param)
+    yield csv.field_size_limit()
+    csv.field_size_limit(old)
+
+
+def straddling_text(limit, note):
+    """A distributions file whose second row, ending in ``note``, starts 20 bytes before
+    byte ``2 * limit``: a long enough row crosses that multiple of the limit and no other."""
+    head = dist_text((*DISTRIBUTIONS_HEADER, "note"), [(*DIST_ROWS[0], "x")])
+    tail = dist_text((), [(*row, note if i == 0 else "x") for i, row in enumerate(DIST_ROWS[1:])])[1:]
+    return head + "\n" * (2 * limit - 20 - len(head)) + tail
+
+
+class TestFieldSizeLimit:
+    """A cell longer than ``csv.field_size_limit()`` is rejected, as ``csv.reader`` would; only a
+    line longer than the limit can hold one."""
+
+    def test_cell_over_the_limit_is_rejected(self, tmp_path, capsys, field_limit):
+        path = tmp_path / "d.csv"
+        path.write_text(dist_text(rows=[*DIST_ROWS[:-1], (*DIST_ROWS[-1][:5], "0" * (field_limit + 10))]))
+        assert main(["kl", str(path), str(path), "--m", "7"]) == 1
+        message = f"malformed distribution row (Error('field larger than field limit ({field_limit})'))"
+        assert capsys.readouterr().err == f"paclab: error: {path}: {message}\n"
+
+    def test_long_line_of_short_cells_is_accepted(self, tmp_path, field_limit):
+        path = tmp_path / "d.csv"
+        path.write_text(dist_text((*DISTRIBUTIONS_HEADER, "note"), [(*row, "x," * field_limit) for row in DIST_ROWS]))
+        assert read_distributions_csv(path) == DIST_GROUPS
+
+    def test_quoted_cell_over_the_limit_in_short_lines_is_accepted(self, tmp_path, field_limit):
+        # Each line is checked on its own, as csv.reader saw it line by line.
+        lines = "\n".join(["y" * (field_limit // 2)] * 4)
+        path = tmp_path / "d.csv"
+        path.write_text(dist_text((*DISTRIBUTIONS_HEADER, "note"), [(*row, f'"{lines}"') for row in DIST_ROWS]))
+        assert read_distributions_csv(path) == DIST_GROUPS
+
+    @pytest.mark.parametrize("limits", [1, 2], ids=["one-boundary", "a-whole-block"])
+    def test_oversized_cell_across_a_block_boundary(self, tmp_path, capsys, field_limit, limits):
+        path = tmp_path / "d.csv"
+        path.write_text(straddling_text(field_limit, "z" * (limits * field_limit + 1)))
+        assert main(["kl", str(path), str(path), "--m", "7"]) == 1
+        assert f"field larger than field limit ({field_limit})" in capsys.readouterr().err
+
+    def test_long_line_of_short_cells_across_a_block_boundary(self, tmp_path, field_limit):
+        path = tmp_path / "d.csv"
+        path.write_text(straddling_text(field_limit, "z," * field_limit))
+        assert read_distributions_csv(path) == DIST_GROUPS
+
+    def test_the_first_fault_in_file_order_is_reported(self, tmp_path, capsys, field_limit):
+        big = (*DIST_ROWS[1][:5], "0" * (field_limit + 10))
+        path = tmp_path / "d.csv"
+        path.write_text(dist_text(rows=[*DIST_ROWS, ("7", "P", "0"), big]))
+        assert main(["kl", str(path), str(path)]) == 1
+        assert "invalid column index 5 at row 5 with 3 columns" in capsys.readouterr().err
+        path.write_text(dist_text(rows=[*DIST_ROWS, big, ("7", "P", "0")]))
+        assert main(["kl", str(path), str(path)]) == 1
+        assert f"field larger than field limit ({field_limit})" in capsys.readouterr().err
+
+
+def by_name(path):
+    with open(path, newline="", encoding="utf-8") as fh:
+        return paclab.cli._by_name(fh, path)
+
+
+class TestByName:
+    """Which files NumPy reads by name, in its chunked mode; the rest are read line by line."""
+
+    def test_experiment_output_and_a_crlf_copy(self, tmp_path):
+        cmd_experiment(small_config(), tmp_path)
+        path, crlf = tmp_path / "distributions.csv", tmp_path / "crlf.csv"
+        crlf.write_bytes(path.read_bytes().replace(b"\n", b"\r\n"))
+        assert by_name(path) and by_name(crlf)
+        assert read_distributions_csv(crlf) == read_distributions_csv(path)
+
+    @pytest.mark.parametrize(
+        "text, name, expected",
+        [
+            (dist_text((*DISTRIBUTIONS_HEADER, '"no\nte"'), [(*row, '"a\nb"') for row in DIST_ROWS]), "d.csv", True),
+            (dist_text((*DISTRIBUTIONS_HEADER, "note"), [(*row, '"a\nb"') for row in DIST_ROWS], newline="\r\n"),
+             "d.csv", False),
+            (dist_text((*DISTRIBUTIONS_HEADER, "note"), [(*row, "\u00e9") for row in DIST_ROWS]), "d.csv", False),
+            (dist_text(), "d.csv.gz", False),
+        ],
+        ids=["quoted-newlines", "quote-and-cr", "not-ascii", "compressed-suffix"],
+    )
+    def test_conditions(self, tmp_path, text, name, expected):
+        path = tmp_path / name
+        path.write_bytes(text.encode())
+        assert by_name(path) is expected
+
+    @pytest.mark.parametrize("end", ["\n", "\r", "\r\n"], ids=["lf", "cr", "crlf"])
+    def test_a_line_of_the_limit_in_bytes_is_read_line_by_line(self, tmp_path, field_limit, end):
+        path = tmp_path / "d.csv"
+        for start in (0, 1, field_limit // 2, field_limit - 1, field_limit, 2 * field_limit - 1):
+            for length in (field_limit - 1, field_limit):
+                path.write_text(end * start + "x" * length + end + "y" + end, newline="")
+                assert by_name(path) is (length < field_limit), (start, length)
 
 
 class TestReadCurveCsv:

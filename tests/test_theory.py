@@ -306,9 +306,39 @@ class TestDiscreteDistribution:
         with pytest.raises(ValueError):
             DiscreteDistribution((1.0,))
 
+    @pytest.mark.parametrize(
+        "masses",
+        [
+            (math.nan, 0.25, 0.75), (0.5, math.nan, 0.5), (0.25, 0.75, math.nan), (0.5, -math.inf, 0.5),
+            (math.inf, math.nan), (math.nan, -1.0), (-0.0, 1.0), (math.inf, 0.0), (0.25, 0.75), (1.0,),
+            # fsum overflows before it reaches the NaN; the NaN is still reported first.
+            (1e308, 1e308, math.nan), (1e308, 1e308),
+        ],
+    )
+    def test_check_matches_the_all_form(self, masses):
+        def outcome(make):
+            try:
+                make(masses)
+            except (ValueError, OverflowError) as exc:
+                return type(exc), str(exc)
+            return None
+
+        assert outcome(DiscreteDistribution) == outcome(all_form_check)
+
     def test_slot_geometry(self):
         d = DiscreteDistribution((0.25,) * 4)
         assert d.num_slots == 4
+
+
+def all_form_check(masses):
+    """``DiscreteDistribution``'s check as first written: an ``all(...)`` generator for the sign, then the sum."""
+    if len(masses) < 2:
+        raise ValueError("need at least 2 slots")
+    if not all(mass >= 0.0 for mass in masses):
+        raise ValueError("slot masses must be non-negative")
+    total = math.fsum(masses)
+    if abs(total - 1.0) > 1e-9:
+        raise ValueError(f"slot masses must sum to 1 (got {total!r})")
 
 
 def plain_cdfs(log_weight, m, eps_values):
