@@ -29,7 +29,6 @@ import csv
 import json
 import math
 import os
-import stat
 import sys
 import warnings
 from dataclasses import asdict, dataclass
@@ -344,26 +343,22 @@ def _checked_lines(fh: TextIO) -> Iterator[str]:
 
 
 def _by_name(fh: TextIO, path: str | Path) -> bool:
-    """Whether ``np.loadtxt``, reading ``path`` by name in its chunked mode, finds what ``fh``'s lines hold.
+    """Whether ``np.loadtxt`` reading ``path`` by name, in chunks, gets what ``fh``'s lines would give it.
 
-    Not for a file that is not a regular one (a pipe reads once) or whose
-    suffix NumPy decompresses; nor for one with a byte that is not ASCII (a
-    decode error would quote other bytes) or with both a CR and a quote
-    (NumPy turns a quoted CR into LF).  Nor for one with a line of
-    ``csv.field_size_limit()`` bytes before its end: only such a line can
-    hold a cell over the limit, which NumPy does not check.  A line ends at
-    LF, CR or CRLF, as in ``fh``; the blocks scanned hold at most the limit,
-    so only a line across a block boundary can be that long.
+    Not for a pipe (it reads once), a suffix NumPy decompresses, a byte that
+    is not ASCII (a decode error would quote other bytes), a CR in a file with
+    a quote (NumPy reads a quoted CR as LF), or a line of ``csv.field_size_limit()``
+    bytes before its LF, CR or CRLF: only such a line can hold a cell over the
+    limit, which NumPy does not check.  In blocks of at most the limit, only a
+    line across a block boundary can be that long.
     """
-    if not stat.S_ISREG(os.fstat(fh.fileno()).st_mode) or str(path).endswith((".gz", ".bz2", ".xz", ".lzma")):
+    if not os.path.isfile(path) or str(path).endswith((".gz", ".bz2", ".xz", ".lzma")):
         return False
-    limit = csv.field_size_limit()
-    run, crs, quotes = 0, 0, 0  # bytes since the last line end; blocks with a CR, with a quote
+    limit, run, crs, quotes = csv.field_size_limit(), 0, 0, 0  # run: bytes since the last line end
     with open(path, "rb") as raw:
         while block := raw.read(min(limit, 1 << 20)):
             if b"\r" in block:
-                crs += 1
-                block = block.replace(b"\r", b"\n")
+                crs, block = crs + 1, block.replace(b"\r", b"\n")
             first, last = block.find(b"\n"), block.rfind(b"\n")
             if not block.isascii() or run + (first if first >= 0 else len(block)) >= limit:
                 return False
@@ -378,8 +373,7 @@ def _read_columns(path: str | Path, header: Sequence[str], dtype: np.dtype, what
     The file must have every column of ``header``, in any order.  Cells may
     be quoted, ``#`` is data, blank lines are skipped and extra cells are
     ignored; a short row or a cell that does not parse raises ConfigError.
-    NumPy reads the file by name after the header's lines when it can, and
-    otherwise ``fh``'s lines, each long one checked as ``csv.reader`` would.
+    NumPy reads the rows by name if it can, else as ``fh``'s checked lines.
     """
     try:
         with open(path, newline="", encoding="utf-8") as fh, warnings.catch_warnings():
@@ -388,8 +382,7 @@ def _read_columns(path: str | Path, header: Sequence[str], dtype: np.dtype, what
             if not set(header) <= index.keys():
                 raise ConfigError(f"{path}: expected columns {list(header)}")
             warnings.filterwarnings("ignore", "loadtxt: input contained no data", UserWarning)  # the caller's to judge
-            # By name, NumPy skips the header's lines (a quoted cell may span two) and gets
-            # an absolute path: it would fetch a name that parses as a URL.
+            # skiprows counts lines, not rows; abspath, as NumPy would fetch a name that parses as a URL.
             data, skip = (os.path.abspath(path), reader.line_num) if _by_name(fh, path) else (_checked_lines(fh), 0)
             return np.loadtxt(
                 data, dtype=dtype, delimiter=",", quotechar='"', comments=None, skiprows=skip, encoding="utf-8",

@@ -124,8 +124,7 @@ class DiscreteDistribution:
     def __post_init__(self) -> None:
         if len(self.masses) < 2:
             raise ValueError("need at least 2 slots")
-        # min meets every negative mass, and a NaN that comes first; the sum is NaN if any mass
-        # is (fsum would carry it past the sum check, or first overflow on masses before it).
+        # min finds any negative and a leading NaN; sum any NaN, which fsum carries past the check or overflows before.
         if not min(self.masses) >= 0.0 or math.isnan(sum(self.masses)):
             raise ValueError("slot masses must be non-negative")
         total = math.fsum(self.masses)

@@ -809,6 +809,15 @@ class TestReadDistributionsCsv:
             path.write_text(dist_text())
             assert read_distributions_csv(path) == DIST_GROUPS, name
 
+    def test_a_name_that_parses_as_a_url_is_a_path(self, tmp_path, monkeypatch):
+        # NumPy would look for "a://b/c" at b/c under the working directory first.
+        monkeypatch.chdir(tmp_path)
+        (tmp_path / "a:" / "b").mkdir(parents=True)
+        (tmp_path / "a:" / "b" / "c").write_text(dist_text())
+        (tmp_path / "b").mkdir()
+        (tmp_path / "b" / "c").write_text(dist_text(rows=[(*row[:5], "0.5") for row in DIST_ROWS]))
+        assert read_distributions_csv("a://b/c") == DIST_GROUPS
+
     @pytest.mark.skipif(not os.path.isdir("/dev/fd"), reason="needs /dev/fd")
     def test_a_pipe_is_read_once(self):
         # As `paclab kl <(cat p.csv) <(cat q.csv)` passes it: a second open would find the pipe drained.
