@@ -342,8 +342,8 @@ def _checked_lines(fh: TextIO) -> Iterator[str]:
         yield line
 
 
-def _by_name(fh: TextIO, path: str | Path) -> bool:
-    """Whether ``np.loadtxt`` reading ``path`` by name, in chunks, gets what ``fh``'s lines would give it.
+def _by_name(path: str | Path) -> bool:
+    """Whether ``np.loadtxt`` reading ``path`` by name, in chunks, gets what its lines would give it.
 
     Not for a pipe (it reads once), a suffix NumPy decompresses, a byte that
     is not ASCII (a decode error would quote other bytes), a CR in a file with
@@ -383,7 +383,7 @@ def _read_columns(path: str | Path, header: Sequence[str], dtype: np.dtype, what
                 raise ConfigError(f"{path}: expected columns {list(header)}")
             warnings.filterwarnings("ignore", "loadtxt: input contained no data", UserWarning)  # the caller's to judge
             # skiprows counts lines, not rows; abspath, as NumPy would fetch a name that parses as a URL.
-            data, skip = (os.path.abspath(path), reader.line_num) if _by_name(fh, path) else (_checked_lines(fh), 0)
+            data, skip = (os.path.abspath(path), reader.line_num) if _by_name(path) else (_checked_lines(fh), 0)
             return np.loadtxt(
                 data, dtype=dtype, delimiter=",", quotechar='"', comments=None, skiprows=skip, encoding="utf-8",
                 usecols=[index[name] for name in dtype.names], ndmin=1,

@@ -980,11 +980,6 @@ class TestFieldSizeLimit:
         assert f"field larger than field limit ({field_limit})" in capsys.readouterr().err
 
 
-def by_name(path):
-    with open(path, newline="", encoding="utf-8") as fh:
-        return paclab.cli._by_name(fh, path)
-
-
 class TestByName:
     """Which files NumPy reads by name, in its chunked mode; the rest are read line by line."""
 
@@ -992,7 +987,7 @@ class TestByName:
         cmd_experiment(small_config(), tmp_path)
         path, crlf = tmp_path / "distributions.csv", tmp_path / "crlf.csv"
         crlf.write_bytes(path.read_bytes().replace(b"\n", b"\r\n"))
-        assert by_name(path) and by_name(crlf)
+        assert paclab.cli._by_name(path) and paclab.cli._by_name(crlf)
         assert read_distributions_csv(crlf) == read_distributions_csv(path)
 
     @pytest.mark.parametrize(
@@ -1009,7 +1004,7 @@ class TestByName:
     def test_conditions(self, tmp_path, text, name, expected):
         path = tmp_path / name
         path.write_bytes(text.encode())
-        assert by_name(path) is expected
+        assert paclab.cli._by_name(path) is expected
 
     @pytest.mark.parametrize("end", ["\n", "\r", "\r\n"], ids=["lf", "cr", "crlf"])
     def test_a_line_of_the_limit_in_bytes_is_read_line_by_line(self, tmp_path, field_limit, end):
@@ -1017,7 +1012,7 @@ class TestByName:
         for start in (0, 1, field_limit // 2, field_limit - 1, field_limit, 2 * field_limit - 1):
             for length in (field_limit - 1, field_limit):
                 path.write_text(end * start + "x" * length + end + "y" + end, newline="")
-                assert by_name(path) is (length < field_limit), (start, length)
+                assert paclab.cli._by_name(path) is (length < field_limit), (start, length)
 
 
 class TestReadCurveCsv:
