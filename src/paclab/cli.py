@@ -39,7 +39,7 @@ import numpy as np
 
 from . import __version__, empirics
 from .analysis import ExperimentRecord, build_curve, kl_divergence
-from .empirics import ExperimentConfig, Task, TrialWorkers, _range_count, histogram, run_trials
+from .empirics import ExperimentConfig, Task, _range_count, histogram, run_trials, schedule_losses
 from .learners import ConjunctionTask, ThresholdTask
 from .theory import (
     BoundSpec,
@@ -167,7 +167,7 @@ def run_experiment(config: ExperimentConfig) -> list[ExperimentRecord]:
     """
     records = []
     schedule = config.schedule()
-    pool = TrialWorkers(config.task, schedule, config.trials, config.master_seed, fixed_target=config.fixed_target)
+    pool = schedule_losses(config.task, schedule, config.trials, config.master_seed, fixed_target=config.fixed_target)
     for m in schedule:
         batch = run_trials(config.task, m, config.trials, config.master_seed, fixed_target=config.fixed_target, pool=pool)
         empirical = histogram(batch.losses, config.num_slots)
@@ -388,8 +388,8 @@ def _read_columns(path: str | Path, header: Sequence[str], dtype: np.dtype, what
                 data, dtype=dtype, delimiter=",", quotechar='"', comments=None, skiprows=skip, encoding="utf-8",
                 usecols=[index[name] for name in dtype.names], ndmin=1,
             )
-    except (ValueError, csv.Error) as exc:
-        raise ConfigError(f"{path}: malformed {what} row ({exc!r})") from exc
+    except (ValueError, csv.Error) as exc:  # a UnicodeDecodeError's repr quotes all it was decoding: give its reason
+        raise ConfigError(f"{path}: malformed {what} row ({getattr(exc, 'reason', None) or repr(exc)})") from exc
 
 
 def read_distributions_csv(path: str | Path) -> dict[tuple[int, str], DiscreteDistribution]:

@@ -15,7 +15,7 @@ draws of ``Generator(PCG64(derive_trial_seed(...)))`` built per trial.
 Conjunction rows are raw outputs, decoded a chunk at a time.
 
 The trials of a schedule of calls can be shared with forked workers
-(:class:`TrialWorkers`): each process claims ranges of consecutive trials
+(:func:`schedule_losses`): each process claims ranges of consecutive trials
 from one queue and writes their losses into one shared buffer, the parent
 computes any range a worker leaves unfinished, and the bytes are the same
 however the trials are split.
@@ -32,7 +32,7 @@ import ctypes
 import os
 from dataclasses import dataclass, field
 from operator import itemgetter
-from typing import Iterable, Iterator
+from typing import Generator, Iterable, Iterator
 
 import numpy as np
 
@@ -43,11 +43,11 @@ __all__ = [
     "ExperimentConfig",
     "FIXED_TARGET_INDEX",
     "TrialBatch",
-    "TrialWorkers",
     "derive_trial_seed",
     "histogram",
     "pcg64_states",
     "run_trials",
+    "schedule_losses",
 ]
 
 Task = ConjunctionTask | ThresholdTask
@@ -342,132 +342,116 @@ def _shared_target(task: Task, m: int, master_seed: int, fixed_target: bool):
     return task.draw_target(np.random.Generator(np.random.PCG64(derive_trial_seed(master_seed, m, FIXED_TARGET_INDEX))))
 
 
-class TrialWorkers:
-    """Forked processes that share the trials of a schedule with this one, for :func:`run_trials`.
+def schedule_losses(task: Task, ms: Iterable[int], k: int, master_seed: int, *, fixed_target: bool = False) -> Generator:
+    """The losses of ``run_trials(task, m, k, master_seed, fixed_target=...)``
+    for each m of ``ms`` in turn, computed by this process and forked workers.
 
-    It is built from the calls it serves, ``run_trials(task, m, k,
-    master_seed, fixed_target=..., pool=self)`` for each m of ``ms`` in
-    turn, and queues their ``_range_count`` equal ranges for the usable
-    CPUs (read once here), the most draws first.  The first call forks the
-    workers (as many as the system grants: a fork refused with ``OSError``
-    stops the forking), claims ranges beside them until the queue is empty,
-    waits for them and computes any range they left; whatever happens, it reaps them
-    and closes its descriptor.  Each call copies its row of losses, and the
-    last unmaps the buffer; a call not planned next, or any after a failed
-    call, raises ``RuntimeError``.  Workers keep SIGINT blocked, so Ctrl-C
-    interrupts the parent alone.
+    Yields ``(call, losses)`` in schedule order, ``call`` being the
+    ``run_trials`` argument tuple; ``run_trials(..., pool=...)`` takes them
+    one call at a time.  The first ``next()`` does all the work.  It queues
+    each m's ``_range_count`` equal ranges for the usable CPUs (read once),
+    the most draws first, forks the workers (as many as the system grants:
+    a fork refused with ``OSError`` stops the forking), claims ranges beside
+    them until the queue is empty, waits for them, computes any range they
+    left and copies the losses out.  Whatever happens, it reaps them and
+    unmaps and closes the shared buffer before that ``next()`` returns or
+    raises.  Workers keep SIGINT blocked, so Ctrl-C interrupts the parent alone.
     """
+    import gc
+    import mmap
+    import signal
 
-    def __init__(self, task: Task, ms: Iterable[int], k: int, master_seed: int, *, fixed_target: bool = False) -> None:
-        cpus = _usable_cpus()
-        self._k, self._calls, self._units, self._forks = k, [], [], 0
-        for row, m in enumerate(ms):
-            self._calls.append((task, m, k, master_seed, fixed_target))
-            width, target = task.draw_width(m, fixed_target), _shared_target(task, m, master_seed, fixed_target)
-            count = _range_count(k, width, cpus)
-            self._forks = max(self._forks, count - 1)
-            for start, stop in ((k * i // count, k * (i + 1) // count) for i in range(count)):
-                self._units.append(((stop - start) * width, row, (task, m, start, stop, master_seed, fixed_target, target)))
-        # The last ranges claimed are the shortest, so the processes run out of work together.
-        self._units.sort(key=itemgetter(0), reverse=True)
-        self._next = 0  # row of the next call
-
-    def losses(self, call: tuple) -> np.ndarray:
-        """The losses of ``run_trials(*call)``, a copy of its row."""
-        row, self._next = self._next, len(self._calls)  # until this call succeeds, no later one is on plan
-        if row == len(self._calls) or call != self._calls[row]:
-            raise RuntimeError(f"run_trials at m={call[1]} is not the next call the trial workers planned")
-        if row == 0:
-            self._run()
-        self._next = row + 1
-        losses = self._losses[row].copy()
-        if self._next == len(self._calls):  # unmaps the buffer
-            self._counter = self._losses = self._done = None
-        return losses
-
-    def _run(self) -> None:
-        """Fill ``self._losses`` from the queue.  The processes share a memfd: a
-        claim counter, the losses, and a done byte per range; a range is claimed
-        under a record lock on it, which the kernel releases if its holder dies."""
-        import gc
-        import mmap
-        import signal
-
-        size = 8 * (1 + len(self._calls) * self._k) + len(self._units)
-        self._fd, pids = os.memfd_create("paclab-trials"), []
+    cpus, calls, units, forks = _usable_cpus(), [], [], 0
+    for row, m in enumerate(ms):
+        calls.append((task, m, k, master_seed, fixed_target))
+        width, target = task.draw_width(m, fixed_target), _shared_target(task, m, master_seed, fixed_target)
+        count = _range_count(k, width, cpus)
+        forks = max(forks, count - 1)
+        for start, stop in ((k * i // count, k * (i + 1) // count) for i in range(count)):
+            units.append(((stop - start) * width, row, (task, m, start, stop, master_seed, fixed_target, target)))
+    # The last ranges claimed are the shortest, so the processes run out of work together.
+    units.sort(key=itemgetter(0), reverse=True)
+    # The processes share a memfd: a claim counter, the losses, and a done byte per range;
+    # a range is claimed under a record lock on it, which the kernel releases if its holder dies.
+    size, pids = 8 * (1 + len(calls) * k) + len(units), []
+    with open(os.memfd_create("paclab-trials"), "r+b", buffering=0) as memfd:
+        fd = memfd.fileno()
         try:
-            os.ftruncate(self._fd, size)
-            # The views alone own the mapping: dropping them unmaps it and closes its descriptor.
-            self._counter = np.ndarray(1, np.int64, mmap.mmap(self._fd, size))
-            self._losses = np.ndarray((len(self._calls), self._k), np.float64, self._counter.base, 8)
-            self._done = np.ndarray(len(self._units), np.uint8, self._counter.base, size - len(self._units))
+            os.ftruncate(fd, size)
+            counter = np.ndarray(1, np.int64, mmap.mmap(fd, size))
+            losses = np.ndarray((len(calls), k), np.float64, counter.base, 8)
+            done = np.ndarray(len(units), np.uint8, counter.base, size - len(units))
+
+            def drain() -> None:
+                """Claim ranges and compute them until the queue is empty; mark each done once written."""
+                while True:
+                    os.lockf(fd, os.F_LOCK, 1)
+                    unit = int(counter[0])
+                    counter[0] = unit + 1
+                    os.lockf(fd, os.F_ULOCK, 1)
+                    if unit >= len(units):
+                        return
+                    _, row, request = units[unit]
+                    losses[row, request[2] : request[3]] = _range_losses(*request)
+                    done[unit] = 1
+
             # SIGINT is blocked until each worker is on the list the finally reaps, and
             # stays blocked in them.  Frozen objects are skipped by a worker's
             # garbage collector, which so runs no finalizer of the parent's.
             mask = signal.pthread_sigmask(signal.SIG_BLOCK, [signal.SIGINT])
             gc.freeze()
             try:
-                for _ in range(self._forks):
+                for _ in range(forks):
                     try:
                         pid = os.fork()
                     except OSError:  # EAGAIN or ENOMEM: the processes already running drain the queue
                         break
                     if pid == 0:
                         try:  # os._exit: a worker never unwinds into the parent's stack
-                            self._drain()
+                            drain()
                         finally:
                             os._exit(0)
                     pids.append(pid)
             finally:
                 gc.unfreeze()
                 signal.pthread_sigmask(signal.SIG_SETMASK, mask)
-            self._drain()
+            drain()
             for pid in pids:  # wait for it to exit, leaving it to be reaped below
                 os.waitid(os.P_PID, pid, os.WEXITED | os.WNOWAIT)
-            for unit in np.flatnonzero(self._done == 0).tolist():  # ranges a worker left
-                _, row, request = self._units[unit]
-                self._losses[row, request[2] : request[3]] = _range_losses(*request)
-        except BaseException:
-            self._counter = self._losses = self._done = None
-            raise
+            for unit in np.flatnonzero(done == 0).tolist():  # ranges a worker left
+                _, row, request = units[unit]
+                losses[row, request[2] : request[3]] = _range_losses(*request)
         finally:
             for pid in pids:
                 os.kill(pid, signal.SIGKILL)
                 os.waitpid(pid, 0)
-            os.close(self._fd)
-
-    def _drain(self) -> None:
-        """Claim ranges and compute them until the queue is empty; mark each done once written."""
-        while True:
-            os.lockf(self._fd, os.F_LOCK, 1)
-            unit = int(self._counter[0])
-            self._counter[0] = unit + 1
-            os.lockf(self._fd, os.F_ULOCK, 1)
-            if unit >= len(self._units):
-                return
-            _, row, request = self._units[unit]
-            self._losses[row, request[2] : request[3]] = _range_losses(*request)
-            self._done[unit] = 1
+            counter = losses = done = None  # the views alone own the mapping, which a traceback would keep
+        # Read once the mapping is gone, so the losses are never in memory twice.
+        rows = np.fromfile(memfd, np.float64, len(calls) * k, offset=8).reshape(len(calls), k)
+    yield from zip(calls, rows)
 
 
 def run_trials(
-    task: Task, m: int, k: int, master_seed: int, *, fixed_target: bool = False, pool: TrialWorkers | None = None
+    task: Task, m: int, k: int, master_seed: int, *, fixed_target: bool = False, pool: Generator | None = None
 ) -> TrialBatch:
     """Run k independent trials at sample size m.
 
     Each trial draws a fresh ground truth from its own stream (or reuses
     the shared one in fixed-target mode), samples m labeled instances,
     learns, and records the exact loss.  Losses are ordered by trial
-    index, and trial i's loss does not depend on k.  With a ``pool``
-    built for this call they are read from its shared buffer, the same
-    bytes whichever of its processes computed them.
+    index, and trial i's loss does not depend on k.  With a ``pool`` from
+    :func:`schedule_losses` they are its next row, whichever process computed
+    them; a call off its plan, or any after a failed one, raises ``RuntimeError``.
     """
     if m < 1 or k < 1:
         raise ValueError(f"need m >= 1 and k >= 1, got m={m}, k={k}")
     if pool is None:
         losses = _range_losses(task, m, 0, k, master_seed, fixed_target, _shared_target(task, m, master_seed, fixed_target))
     else:
-        losses = pool.losses((task, m, k, master_seed, fixed_target))
+        call, losses = next(pool, (None, None))
+        if call != (task, m, k, master_seed, fixed_target):
+            pool.close()
+            raise RuntimeError(f"run_trials at m={m} is not the next call the trial workers planned")
     return TrialBatch(task=task, m=m, k=k, master_seed=master_seed, losses=losses)
 
 

@@ -127,7 +127,10 @@ class DiscreteDistribution:
         # min finds any negative and a leading NaN; sum any NaN, which fsum carries past the check or overflows before.
         if not min(self.masses) >= 0.0 or math.isnan(sum(self.masses)):
             raise ValueError("slot masses must be non-negative")
-        total = math.fsum(self.masses)
+        try:
+            total = math.fsum(self.masses)
+        except OverflowError:  # finite masses whose sum passes the largest float
+            total = math.inf
         if abs(total - 1.0) > 1e-9:
             raise ValueError(f"slot masses must sum to 1 (got {total!r})")
 

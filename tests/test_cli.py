@@ -3,6 +3,7 @@
 import csv
 import errno
 import hashlib
+import inspect
 import json
 import math
 import os
@@ -94,6 +95,29 @@ class TestExperimentCommand:
             p = groups[(row["m"], "P")]
             q = groups[(row["m"], "Q")]
             assert row["kl"] == kl_divergence(p, q)
+
+    @pytest.mark.parametrize("fixed_target", [False, True])
+    @pytest.mark.parametrize("task", [ConjunctionTask(10), ThresholdTask()], ids=["conjunction", "threshold"])
+    def test_one_run_trials_call_per_scheduled_m(self, monkeypatch, task, fixed_target):
+        # perfbench/layertrace.py times and replays each of these calls from its arguments and its losses.
+        calls, signature = [], inspect.signature(run_trials)
+
+        def spy(*args, **kwargs):
+            batch = run_trials(*args, **kwargs)
+            bound = signature.bind(*args, **kwargs)
+            bound.apply_defaults()
+            calls.append((bound.arguments, batch))
+            return batch
+
+        monkeypatch.setattr(paclab.cli, "run_trials", spy)
+        config = small_config(task, m_start=400, m_step=400, m_max=1200, trials=100, fixed_target=fixed_target)
+        run_experiment(config)
+        assert [(a["task"], a["m"], a["k"], a["master_seed"], a["fixed_target"]) for a, _ in calls] == [
+            (task, m, config.trials, config.master_seed, fixed_target) for m in config.schedule()
+        ]
+        for arguments, batch in calls:
+            alone = run_trials(task, arguments["m"], config.trials, config.master_seed, fixed_target=fixed_target)
+            assert len(batch.losses) == config.trials and batch.losses.tobytes() == alone.losses.tobytes()
 
     def test_q_matches_direct_discretization(self, tmp_path):
         config = small_config()
@@ -517,7 +541,7 @@ class TestSizeBudget:
         def no_trials(*args, **kwargs):
             raise AssertionError("a trial ran")
 
-        monkeypatch.setattr(paclab.cli, "TrialWorkers", no_trials)
+        monkeypatch.setattr(paclab.cli, "schedule_losses", no_trials)
         out = tmp_path / "out"
         argv = ["experiment", "--trials", "1000000", "--m-start", "1", "--m-step", "1", "--m-max", "300"]
         assert main([*argv, "--out-dir", str(out)]) == 1
@@ -880,14 +904,23 @@ class TestReaderDialect:
             ([(*DIST_ROWS[0][:5], "-0.25"), *DIST_ROWS[1:]], "slot masses must be non-negative"),
             ([(*DIST_ROWS[0][:5], "inf"), *DIST_ROWS[1:]], "slot masses must sum to 1 (got inf)"),
             ([(*DIST_ROWS[0][:5], "1"), *DIST_ROWS[2:]], "need at least 2 slots"),
+            ([(*row[:5], "1e308") for row in DIST_ROWS[:2]] + DIST_ROWS[2:], "slot masses must sum to 1 (got inf)"),
         ],
-        ids=["nan", "negative", "inf", "one-row"],
+        ids=["nan", "negative", "inf", "one-row", "sum-past-the-largest-float"],
     )
     def test_bad_group_exits_1_naming_file_and_group(self, tmp_path, capsys, rows, error):
         path = tmp_path / "d.csv"
         path.write_text(dist_text(rows=rows))
         assert main(["kl", str(path), str(path), "--m", "7"]) == 1
         assert capsys.readouterr().err == f"paclab: error: {path}: group (7, 'P'): {error}\n"
+
+    def test_invalid_utf8_exits_1_with_one_short_line(self, tmp_path, capsys):
+        # A UnicodeDecodeError's repr holds the whole chunk it was decoding.
+        rows = "".join(f"7,P,{i},0,1,0\n" for i in range(20_000)).encode()
+        path = tmp_path / "d.csv"
+        path.write_bytes(dist_text(rows=[]).encode() + rows[:150_000] + b"\xff" + rows[150_000:])
+        assert main(["kl", str(path), str(path)]) == 1
+        assert capsys.readouterr().err == f"paclab: error: {path}: malformed distribution row (invalid start byte)\n"
 
     def test_experiment_output_equals_a_dict_reader_rebuild(self, tmp_path):
         cmd_experiment(small_config(ConjunctionTask(10), m_start=25, m_step=25, m_max=100), tmp_path)

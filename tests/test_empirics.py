@@ -4,6 +4,7 @@ import contextlib
 import errno
 import itertools
 import math
+import mmap
 import os
 import signal
 import subprocess
@@ -22,11 +23,11 @@ from paclab.empirics import (
     FIXED_TARGET_INDEX,
     ExperimentConfig,
     TrialBatch,
-    TrialWorkers,
     derive_trial_seed,
     histogram,
     pcg64_states,
     run_trials,
+    schedule_losses,
 )
 from paclab.learners import (
     ConjunctionHypothesis,
@@ -402,10 +403,33 @@ def cgroup(monkeypatch, tmp_path):
 def pooled_losses(task, ms, k, seed, fixed_target=False):
     """Losses of ``run_trials`` at each m of ``ms`` in turn, through a
     pool built for those calls; no worker outlives them."""
-    pool = TrialWorkers(task, ms, k, seed, fixed_target=fixed_target)
+    pool = schedule_losses(task, ms, k, seed, fixed_target=fixed_target)
     losses = [run_trials(task, m, k, seed, fixed_target=fixed_target, pool=pool).losses for m in ms]
     assert_no_child_left()
     return losses
+
+
+def planned_queue(monkeypatch, task, ms, k):
+    """The queue of ``schedule_losses(task, ms, k, 2024)`` in claim order, as
+    ``(row, (m, start, stop))``: with every fork refused, this process claims
+    each range in turn, and ``row`` is the schedule position whose losses it fills."""
+    claims = []
+
+    def range_losses(task, m, start, stop, *args):
+        claims.append((m, start, stop))
+        return np.full(stop - start, float(len(claims)))  # the claim's number marks where it landed
+
+    def refused_fork():
+        raise BlockingIOError(errno.EAGAIN, "Resource temporarily unavailable")
+
+    with monkeypatch.context() as patch:
+        patch.setattr(empirics, "_range_losses", range_losses)
+        patch.setattr(os, "fork", refused_fork)
+        rows = [losses for _, losses in schedule_losses(task, ms, k, 2024)]
+    return [
+        (next(row for row, losses in enumerate(rows) if losses[start] == number), (m, start, stop))
+        for number, (m, start, stop) in enumerate(claims, 1)
+    ]
 
 
 class TestTrialRanges:
@@ -433,26 +457,27 @@ class TestTrialRanges:
             assert pooled.tobytes() == run_trials(task, 400, 300, seed, fixed_target=fixed_target).losses.tobytes()
 
     @pytest.mark.parametrize("count", [2, 3, 4])
-    def test_ranges_cover_the_trials_in_equal_parts(self, cpus, count):
+    def test_ranges_cover_the_trials_in_equal_parts(self, cpus, monkeypatch, count):
         cpus(count, uncapped=True)
         for k in (1, 2, 3, 5, 100, 1000):
-            ranges = sorted(request[2:4] for _, _, request in TrialWorkers(ThresholdTask(), [2**16], k, 2024)._units)
+            ranges = sorted(request[1:] for _, request in planned_queue(monkeypatch, ThresholdTask(), [2**16], k))
             assert [start for start, _ in ranges] == [0, *(stop for _, stop in ranges[:-1])] and ranges[-1][1] == k
             sizes = [stop - start for start, stop in ranges]
             assert min(sizes) >= 1 and max(sizes) - min(sizes) <= 1 and len(ranges) == min(k, count), (k, ranges)
         cpus(2)
-        assert sorted(request[2:4] for _, _, request in TrialWorkers(ThresholdTask(), [1000], 1000, 2024)._units) == [
+        assert sorted(request[1:] for _, request in planned_queue(monkeypatch, ThresholdTask(), [1000], 1000)) == [
             (0, 500),
             (500, 1000),
         ]
 
-    def test_queue_holds_the_most_draws_first(self, cpus):
+    def test_queue_holds_the_most_draws_first(self, cpus, monkeypatch):
         cpus(2)
-        pool = TrialWorkers(ConjunctionTask(10), [25, 1250, 100, 1250], 1000, 2024)
-        draws = [count for count, _, _ in pool._units]
+        task = ConjunctionTask(10)
+        queue = planned_queue(monkeypatch, task, [25, 1250, 100, 1250], 1000)
+        draws = [(stop - start) * task.draw_width(m, False) for _, (m, start, stop) in queue]
         assert draws == sorted(draws, reverse=True)
         # m = 25 is one range; equal draws keep the schedule's order.
-        assert [(row, request[1:4]) for _, row, request in pool._units] == [
+        assert queue == [
             (1, (1250, 0, 500)),
             (1, (1250, 500, 1000)),
             (3, (1250, 0, 500)),
@@ -566,7 +591,7 @@ class TestTrialQueue:
     @pytest.mark.parametrize("task", [ConjunctionTask(10), ThresholdTask()], ids=["conjunction", "threshold"])
     def test_planned_schedule_matches_one_process(self, cpus, task, fixed_target):
         cpus(2)
-        pool = TrialWorkers(task, self.SCHEDULE, 300, 2024, fixed_target=fixed_target)
+        pool = schedule_losses(task, self.SCHEDULE, 300, 2024, fixed_target=fixed_target)
         for m in self.SCHEDULE:
             pooled = run_trials(task, m, 300, 2024, fixed_target=fixed_target, pool=pool)
             alone = run_trials(task, m, 300, 2024, fixed_target=fixed_target)
@@ -577,12 +602,13 @@ class TestTrialQueue:
         cpus(2)
         fork, forks = os.fork, []
         monkeypatch.setattr(os, "fork", lambda: forks.append(1) or fork())
-        pool = TrialWorkers(ConjunctionTask(10), self.SCHEDULE, 300, 2024)
+        pool = schedule_losses(ConjunctionTask(10), self.SCHEDULE, 300, 2024)
         assert forks == []
         for m in self.SCHEDULE:
             pooled = run_trials(ConjunctionTask(10), m, 300, 2024, pool=pool)
             assert forks == [1]
             assert_no_child_left()
+            assert "paclab-trials" not in Path("/proc/self/maps").read_text()  # nor is the buffer mapped
             assert pooled.losses.tobytes() == run_trials(ConjunctionTask(10), m, 300, 2024).losses.tobytes()
 
     @pytest.mark.parametrize(
@@ -599,7 +625,9 @@ class TestTrialQueue:
     )
     def test_off_plan_call_raises_and_leaves_no_child(self, cpus, task, m, seed, k, fixed_target):
         cpus(2)
-        pool = TrialWorkers(ThresholdTask(), self.SCHEDULE, 300, 2024)
+        # The off-plan call takes the first row, and the second is planned for
+        # the call the test makes next: the pool must not hand it over.
+        pool = schedule_losses(ThresholdTask(), [400, *self.SCHEDULE], 300, 2024)
         with pytest.raises(RuntimeError, match=f"m={m} is not the next call"):
             run_trials(task, m, k, seed, fixed_target=fixed_target, pool=pool)
         assert_no_child_left()
@@ -623,13 +651,13 @@ class TestTrialQueue:
         with monkeypatch.context() as patch:
             patch.setattr(empirics, "_range_losses", range_losses)
             try:
-                pool = TrialWorkers(ThresholdTask(), schedule, 4, 2024)
-                assert 8 * len(pool._units) > 1 << 16
+                pool = schedule_losses(ThresholdTask(), schedule, 4, 2024)
                 pooled = [run_trials(ThresholdTask(), m, 4, 2024, pool=pool).losses.tobytes() for m in schedule]
             finally:
                 os.close(log)
         assert_no_child_left()
         claims = (tmp_path / "claims").read_text().splitlines()
+        assert 8 * len(claims) > 1 << 16
         assert sorted(claims) == sorted(f"{m} {start}" for m in schedule for start in range(4))
         assert pooled == alone
 
@@ -654,31 +682,37 @@ class TestTrialQueue:
 
 def in_workers(monkeypatch, action):
     """Makes ``_range_losses`` run ``action`` on the start of every range a
-    worker claims.  A range of this process first waits until a second
-    range of its pool is claimed, so a worker claims one whatever the timing."""
-    original, parent, pools, init = empirics._range_losses, os.getpid(), [], TrialWorkers.__init__
+    worker claims.  A range of this process first waits until a worker has
+    taken the queue lock, so a worker claims one whatever the timing."""
+    original, lockf, parent = empirics._range_losses, os.lockf, os.getpid()
+    locked = mmap.mmap(-1, 1)  # anonymous and shared, so a worker's write reaches this process
+
+    def queue_lockf(fd, command, length):
+        lockf(fd, command, length)
+        if command == os.F_LOCK and os.getpid() != parent:
+            locked[0] = 1
 
     def range_losses(task, m, start, *args):
         if os.getpid() != parent:
             action(start)
-        while pools[-1]._counter[0] < 2:
+        while not locked[0]:
             time.sleep(0.001)
         return original(task, m, start, *args)
 
     monkeypatch.setattr(empirics, "_range_losses", range_losses)
-    monkeypatch.setattr(TrialWorkers, "__init__", lambda pool, *args, **kwargs: init(pools.append(pool) or pool, *args, **kwargs))
+    monkeypatch.setattr(os, "lockf", queue_lockf)
 
 
 def fail_in_parent(monkeypatch, error):
-    """Makes the parent's ``TrialWorkers._drain`` raise ``error``; a worker's still drains."""
-    original, parent = TrialWorkers._drain, os.getpid()
+    """Makes every range this process claims raise ``error``; a worker's ranges are still computed."""
+    original, parent = empirics._range_losses, os.getpid()
 
-    def drain(pool):
+    def range_losses(*args):
         if os.getpid() == parent:
             raise error("parent range failed")
-        original(pool)
+        return original(*args)
 
-    monkeypatch.setattr(TrialWorkers, "_drain", drain)
+    monkeypatch.setattr(empirics, "_range_losses", range_losses)
 
 
 # A run of five sample sizes whose every range holds enough draws to be split.
@@ -719,7 +753,7 @@ class TestTrialWorkerFailures:
             return original(task, m, start, *args)
 
         monkeypatch.setattr(empirics, "_range_losses", range_losses)
-        pool = TrialWorkers(ThresholdTask(), [400, 800, 1200], 300, 2024)
+        pool = schedule_losses(ThresholdTask(), [400, 800, 1200], 300, 2024)
         with pytest.raises(ValueError, match="range at m=800 failed"):
             run_trials(ThresholdTask(), 400, 300, 2024, pool=pool)
         assert_no_child_left()
@@ -732,7 +766,7 @@ class TestTrialWorkerFailures:
             raise AssertionError("forked before the first call")
 
         monkeypatch.setattr(os, "fork", no_fork)
-        TrialWorkers(ConjunctionTask(10), list(range(400, 4001, 400)), 300, 2024)
+        schedule_losses(ConjunctionTask(10), list(range(400, 4001, 400)), 300, 2024)
         assert_no_child_left()
 
     def test_killed_worker_leaves_the_one_process_bytes(self, cpus, monkeypatch, capfd):
@@ -771,7 +805,7 @@ class TestTrialWorkerFailures:
     def test_parent_error_tears_the_group_down(self, cpus, monkeypatch, capfd, error):
         cpus(2)
         fail_in_parent(monkeypatch, error)
-        pool = TrialWorkers(ConjunctionTask(10), [1250] * 3, 100, 2024)
+        pool = schedule_losses(ConjunctionTask(10), [1250] * 3, 100, 2024)
         with pytest.raises(error, match="parent range failed"):
             run_trials(ConjunctionTask(10), 1250, 100, 2024, pool=pool)
         assert_no_child_left()
@@ -809,17 +843,18 @@ class TestTrialWorkerFailures:
         # a traceback and flush the parent's buffered "start" a second time.
         # The parent then computes the range the worker left.
         script = WORKER_SCRIPT + (
-            "import os, time\n"
-            "original, parent = empirics._range_losses, os.getpid()\n"
+            "import mmap, os, time\n"
+            "original, parent, claimed = empirics._range_losses, os.getpid(), mmap.mmap(-1, 1)\n"
             "def range_losses(task, m, start, *args):\n"
             "    if os.getpid() != parent:\n"
+            "        claimed[0] = 1\n"
             "        raise KeyboardInterrupt\n"
-            "    while pool._counter[0] < 2:\n"
+            "    while not claimed[0]:\n"
             "        time.sleep(0.001)\n"
             "    return original(task, m, start, *args)\n"
             "empirics._range_losses = range_losses\n"
             "print('start')\n"
-            "pool = empirics.TrialWorkers(ConjunctionTask(10), [1250], 100, 2024)\n"
+            "pool = empirics.schedule_losses(ConjunctionTask(10), [1250], 100, 2024)\n"
             "pooled = empirics.run_trials(ConjunctionTask(10), 1250, 100, 2024, pool=pool).losses\n"
             "print('one-process bytes:', pooled.tobytes() == original(ConjunctionTask(10), 1250, 0, 100, 2024, False, None).tobytes())\n"
         )
@@ -831,7 +866,7 @@ class TestTrialWorkerFailures:
         # The signal lands while the first call and the worker share a
         # queue of about 20 s of trials.
         script = WORKER_SCRIPT + (
-            "pool = empirics.TrialWorkers(ConjunctionTask(10), [1250] * 1000, 2000, 2024)\n"
+            "pool = empirics.schedule_losses(ConjunctionTask(10), [1250] * 1000, 2000, 2024)\n"
             "print('split', flush=True)\n"
             "for _ in range(1000):\n"
             "    empirics.run_trials(ConjunctionTask(10), 1250, 2000, 2024, pool=pool)\n"

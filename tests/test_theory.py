@@ -1,6 +1,7 @@
 """Bound CDFs, densities, point masses, sample complexities, discretization."""
 
 import math
+import sys
 
 import numpy as np
 import pytest
@@ -25,6 +26,8 @@ FH_59049_25 = BoundSpec.finite_h(m=25, h_size=59049)
 FH_1E9_35 = BoundSpec.finite_h(m=35, h_size=1e9)
 VC_1_20 = BoundSpec.finite_vc(m=20, vc_dim=1)
 VC_1_100 = BoundSpec.finite_vc(m=100, vc_dim=1)
+
+MAX = sys.float_info.max
 
 
 def trapezoid_integral(f, lo, hi, num):
@@ -325,6 +328,14 @@ class TestDiscreteDistribution:
 
         assert outcome(DiscreteDistribution) == outcome(all_form_check)
 
+    @pytest.mark.parametrize(
+        "masses", [(1e308, 1e308), (MAX, MAX * 2**-54, MAX * 2**-54)], ids=["plain-sum-inf", "plain-sum-finite"]
+    )
+    def test_sum_past_the_largest_float_reads_inf(self, masses):
+        # math.fsum raises OverflowError here, which no caller of the check reports.
+        with pytest.raises(ValueError, match=r"^slot masses must sum to 1 \(got inf\)$"):
+            DiscreteDistribution(masses)
+
     def test_slot_geometry(self):
         d = DiscreteDistribution((0.25,) * 4)
         assert d.num_slots == 4
@@ -336,7 +347,10 @@ def all_form_check(masses):
         raise ValueError("need at least 2 slots")
     if not all(mass >= 0.0 for mass in masses):
         raise ValueError("slot masses must be non-negative")
-    total = math.fsum(masses)
+    try:
+        total = math.fsum(masses)
+    except OverflowError:  # a sum past the largest float is reported as inf
+        total = math.inf
     if abs(total - 1.0) > 1e-9:
         raise ValueError(f"slot masses must sum to 1 (got {total!r})")
 
