@@ -352,10 +352,11 @@ def schedule_losses(task: Task, ms: Iterable[int], k: int, master_seed: int, *, 
     each m's ``_range_count`` equal ranges for the usable CPUs (read once),
     the most draws first, forks the workers (as many as the system grants:
     a fork refused with ``OSError`` stops the forking), claims ranges beside
-    them until the queue is empty, waits for them, computes any range they
-    left and copies the losses out.  Whatever happens, it reaps them and
-    unmaps and closes the shared buffer before that ``next()`` returns or
-    raises.  Workers keep SIGINT blocked, so Ctrl-C interrupts the parent alone.
+    them until the queue is empty, waits for them and computes any range
+    they left.  Whatever happens, it reaps them and unmaps the shared buffer
+    before that ``next()`` returns or raises.  Each ``next()`` then reads its
+    row from the buffer's memfd, which is closed when the generator ends or
+    is closed.  Workers keep SIGINT blocked, so Ctrl-C interrupts the parent alone.
     """
     import gc
     import mmap
@@ -426,9 +427,9 @@ def schedule_losses(task: Task, ms: Iterable[int], k: int, master_seed: int, *, 
                 os.kill(pid, signal.SIGKILL)
                 os.waitpid(pid, 0)
             counter = losses = done = None  # the views alone own the mapping, which a traceback would keep
-        # Read once the mapping is gone, so the losses are never in memory twice.
-        rows = np.fromfile(memfd, np.float64, len(calls) * k, offset=8).reshape(len(calls), k)
-    yield from zip(calls, rows)
+        memfd.seek(8)  # a row is read when its call comes, so no loss is held twice
+        for call in calls:
+            yield call, np.fromfile(memfd, np.float64, k)
 
 
 def run_trials(
