@@ -388,8 +388,8 @@ def _read_columns(path: str | Path, header: Sequence[str], dtype: np.dtype, what
                 data, dtype=dtype, delimiter=",", quotechar='"', comments=None, skiprows=skip, encoding="utf-8",
                 usecols=[index[name] for name in dtype.names], ndmin=1,
             )
-    except (ValueError, csv.Error) as exc:  # a UnicodeDecodeError's repr quotes all it was decoding: give its reason
-        raise ConfigError(f"{path}: malformed {what} row ({getattr(exc, 'reason', None) or repr(exc)})") from exc
+    except (ValueError, csv.Error) as exc:
+        raise ConfigError(f"{path}: malformed {what} row ({exc!r})") from exc
 
 
 def read_distributions_csv(path: str | Path) -> dict[tuple[int, str], DiscreteDistribution]:

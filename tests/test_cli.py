@@ -914,14 +914,6 @@ class TestReaderDialect:
         assert main(["kl", str(path), str(path), "--m", "7"]) == 1
         assert capsys.readouterr().err == f"paclab: error: {path}: group (7, 'P'): {error}\n"
 
-    def test_invalid_utf8_exits_1_with_one_short_line(self, tmp_path, capsys):
-        # A UnicodeDecodeError's repr holds the whole chunk it was decoding.
-        rows = "".join(f"7,P,{i},0,1,0\n" for i in range(20_000)).encode()
-        path = tmp_path / "d.csv"
-        path.write_bytes(dist_text(rows=[]).encode() + rows[:150_000] + b"\xff" + rows[150_000:])
-        assert main(["kl", str(path), str(path)]) == 1
-        assert capsys.readouterr().err == f"paclab: error: {path}: malformed distribution row (invalid start byte)\n"
-
     def test_experiment_output_equals_a_dict_reader_rebuild(self, tmp_path):
         cmd_experiment(small_config(ConjunctionTask(10), m_start=25, m_step=25, m_max=100), tmp_path)
         path = tmp_path / "distributions.csv"
