@@ -49,19 +49,18 @@ def kl_divergence(p: DiscreteDistribution, q: DiscreteDistribution, floor: float
         raise ValueError("floor must be positive")
     total = 0.0
     # Only the slots with p_i > 0 add a term, visited in slot order: the running sum is rounded.
-    for i in np.flatnonzero(np.fromiter(p.masses, float, p.num_slots) > 0.0).tolist():
-        p_i = p.masses[i]
-        total += p_i * math.log2(p_i / max(q.masses[i], floor))
+    slots = np.flatnonzero(p.masses > 0.0)
+    for p_i, q_i in zip(p.masses[slots].tolist(), q.masses[slots].tolist()):
+        total += p_i * math.log2(p_i / max(q_i, floor))
     return total
 
 
 def _moments(d: DiscreteDistribution) -> tuple[float, float]:
     """Mass-weighted mean and standard deviation of the slot midpoints
-    (i + 0.5)/l, from one conversion of the masses.  A zero mass adds an
-    exact zero to an ``fsum``, so only the slots that carry mass are visited."""
-    masses = np.fromiter(d.masses, float, d.num_slots)
-    slots = np.flatnonzero(masses)
-    masses, midpoints = masses[slots], (slots + 0.5) / d.num_slots
+    (i + 0.5)/l.  A zero mass adds an exact zero to an ``fsum``, so only
+    the slots that carry mass are visited."""
+    slots = np.flatnonzero(d.masses)
+    masses, midpoints = d.masses[slots], (slots + 0.5) / d.num_slots
     mean = math.fsum((masses * midpoints).tolist())
     # Python's x ** 2 is libm pow(x, 2.0), which can differ from NumPy's x * x
     # in the last bit; fsum is exact, so only the elementwise results matter.
@@ -152,14 +151,8 @@ def stochastic_dominance(q1: DiscreteDistribution, q2: DiscreteDistribution, tol
     """
     if q1.num_slots != q2.num_slots:
         raise ValueError(f"slot-count mismatch: {q1.num_slots} vs {q2.num_slots}")
-    acc1 = 0.0
-    acc2 = 0.0
-    for m1, m2 in zip(q1.masses, q2.masses):
-        acc1 += m1
-        acc2 += m2
-        if acc2 < acc1 - tol:
-            return False
-    return True
+    # cumsum adds in slot order, as a running sum does.
+    return not (np.cumsum(q2.masses) < np.cumsum(q1.masses) - tol).any()
 
 
 @dataclass(frozen=True)

@@ -31,6 +31,7 @@ import math
 import os
 import sys
 import warnings
+from contextlib import closing
 from dataclasses import asdict, dataclass
 from pathlib import Path
 from typing import Iterable, Iterator, Sequence, TextIO
@@ -120,10 +121,11 @@ class RunManifest:
 # Formatting and atomic file output
 # ---------------------------------------------------------------------------
 
-def _atomic_write(path: Path, blocks: Iterable[str]) -> None:
-    """Streams ``blocks`` into a temp file next to ``path``, then renames it to ``path``."""
+def _atomic_write(path: Path, text: str, blocks: Iterable[str] = ()) -> None:
+    """Streams ``text``, then ``blocks``, into a temp file next to ``path``, then renames it to ``path``."""
     tmp = path.with_name(path.name + ".tmp")
     with open(tmp, "w", encoding="utf-8") as fh:
+        fh.write(text)
         fh.writelines(blocks)
     os.replace(tmp, path)
 
@@ -132,16 +134,16 @@ def _write_run(out_dir: str | Path, command: str, echo: dict, tables: dict[str, 
     """Makes ``out_dir``, writes each ``name: (file, header, blocks)`` table, then the manifest.
 
     Every row of a block ends in a newline, and no cell needs quoting: each
-    is a number or a P/Q source tag.  A run that fails before this call
-    leaves no directory.
+    is a number or a P/Q source tag.  ``blocks`` may be a generator, drawn
+    one block at a time.  A run that fails before this call leaves no directory.
     """
     outputs = {name: filename for name, (filename, _, _) in tables.items()}
     manifest = RunManifest(command, __version__, echo, outputs | {"manifest": "manifest.json"})
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
     for filename, header, blocks in tables.values():
-        _atomic_write(out / filename, [",".join(header) + "\n", *blocks])
-    _atomic_write(out / "manifest.json", [manifest.to_json()])
+        _atomic_write(out / filename, ",".join(header) + "\n", blocks)
+    _atomic_write(out / "manifest.json", manifest.to_json())
     return manifest
 
 
@@ -163,16 +165,18 @@ def run_experiment(config: ExperimentConfig) -> list[ExperimentRecord]:
     """Empirical and theoretical distributions for every scheduled m.
 
     The trials of the whole schedule are shared between the usable CPUs by
-    workers forked and reaped inside its first ``run_trials`` call.
+    workers forked and reaped inside its first ``run_trials`` call.  The
+    queue's memfd is closed on return, and when any step raises.
     """
     records = []
     schedule = config.schedule()
     pool = schedule_losses(config.task, schedule, config.trials, config.master_seed, fixed_target=config.fixed_target)
-    for m in schedule:
-        batch = run_trials(config.task, m, config.trials, config.master_seed, fixed_target=config.fixed_target, pool=pool)
-        empirical = histogram(batch.losses, config.num_slots)
-        theoretical = discretize_bound(task_bound_spec(config.task, m), config.num_slots)
-        records.append(ExperimentRecord(m=m, empirical=empirical, theoretical=theoretical))
+    with closing(pool):
+        for m in schedule:
+            batch = run_trials(config.task, m, config.trials, config.master_seed, fixed_target=config.fixed_target, pool=pool)
+            empirical = histogram(batch.losses, config.num_slots)
+            theoretical = discretize_bound(task_bound_spec(config.task, m), config.num_slots)
+            records.append(ExperimentRecord(m=m, empirical=empirical, theoretical=theoretical))
     return records
 
 
@@ -201,8 +205,9 @@ def _check_size(estimate: int) -> None:
 
 def _slot_cells(num_slots: int) -> tuple[list[str], list[str]]:
     """The ``slot_index,slot_lo,slot_hi,`` cells of every slot, edges ``i/l`` and
-    ``(i+1)/l``, and each slot's row body for a mass of +0.0."""
-    prefixes = [f"{i},{i / num_slots:.17g},{(i + 1) / num_slots:.17g}," for i in range(num_slots)]
+    ``(i+1)/l`` (each edge formatted once), and each slot's row body for a mass of +0.0."""
+    edges = [f"{i / num_slots:.17g}" for i in range(num_slots + 1)]
+    prefixes = [f"{i},{lo},{hi}," for i, (lo, hi) in enumerate(zip(edges, edges[1:]))]
     return prefixes, [f"{prefix}0\n" for prefix in prefixes]
 
 
@@ -211,10 +216,10 @@ def _distribution_lines(
 ) -> str:
     """The rows of one (m, source) group.  A mass of +0.0 takes its slot's
     precomputed body; only the others, -0.0 among them, are formatted."""
-    masses = np.fromiter(dist.masses, float, dist.num_slots)
-    rows = zero_rows.copy()
-    for i in np.flatnonzero((masses != 0.0) | np.signbit(masses)).tolist():
-        rows[i] = f"{prefixes[i]}{dist.masses[i]:.17g}\n"
+    masses, rows = dist.masses, zero_rows.copy()
+    slots = np.flatnonzero((masses != 0.0) | np.signbit(masses))
+    for i, mass in zip(slots.tolist(), masses[slots].tolist()):
+        rows[i] = f"{prefixes[i]}{mass:.17g}\n"
     head = f"{m},{source},"
     return head + head.join(rows)
 
@@ -229,10 +234,11 @@ def cmd_experiment(config: ExperimentConfig, out_dir: str | Path) -> RunManifest
     curve = build_curve(records)
 
     cells = _slot_cells(config.num_slots)
-    dist_lines = []
-    for rec in records:
-        dist_lines.append(_distribution_lines(rec.m, "P", rec.empirical, *cells))
-        dist_lines.append(_distribution_lines(rec.m, "Q", rec.theoretical, *cells))
+    dist_blocks = (
+        _distribution_lines(rec.m, source, dist, *cells)
+        for rec in records
+        for source, dist in (("P", rec.empirical), ("Q", rec.theoretical))
+    )
     curve_lines = [
         "%d,%.17g,%.17g,%.17g,%.17g,%.17g\n" % (pt.m, pt.mean_p, pt.std_p, pt.mean_q, pt.std_q, pt.kl) for pt in curve
     ]
@@ -249,7 +255,7 @@ def cmd_experiment(config: ExperimentConfig, out_dir: str | Path) -> RunManifest
         "gt_mode": "fixed" if config.fixed_target else "per-trial",
     }
     return _write_run(out_dir, "experiment", echo, {
-        "distributions": ("distributions.csv", DISTRIBUTIONS_HEADER, dist_lines),
+        "distributions": ("distributions.csv", DISTRIBUTIONS_HEADER, dist_blocks),
         "curve": ("curve.csv", CURVE_HEADER, curve_lines),
     })
 
@@ -302,8 +308,8 @@ def cmd_bound(
     else:
         raise ConfigError(f"unknown bound kind {kind!r}")
 
-    grid = np.linspace(0.0, _GRID_TOP, _GRID_POINTS).tolist()
-    eps_cells = [f"{eps:.17g}," for eps in grid]
+    grid = np.linspace(0.0, _GRID_TOP, _GRID_POINTS)
+    eps_cells = [f"{eps:.17g}," for eps in grid.tolist()]
     cells = _slot_cells(slots)
     grid_lines = []
     summary_lines = []
@@ -388,8 +394,9 @@ def _read_columns(path: str | Path, header: Sequence[str], dtype: np.dtype, what
                 data, dtype=dtype, delimiter=",", quotechar='"', comments=None, skiprows=skip, encoding="utf-8",
                 usecols=[index[name] for name in dtype.names], ndmin=1,
             )
-    except (ValueError, csv.Error) as exc:
-        raise ConfigError(f"{path}: malformed {what} row ({exc!r})") from exc
+    except (ValueError, csv.Error) as exc:  # a UnicodeDecodeError's repr quotes the decoder's whole chunk
+        detail = exc.reason if isinstance(exc, UnicodeDecodeError) else repr(exc)
+        raise ConfigError(f"{path}: malformed {what} row ({detail})") from exc
 
 
 def read_distributions_csv(path: str | Path) -> dict[tuple[int, str], DiscreteDistribution]:
@@ -421,7 +428,7 @@ def read_distributions_csv(path: str | Path) -> dict[tuple[int, str], DiscreteDi
     bounds, groups = [0, *ends.tolist()], {}
     for key, a, b in zip(keys, bounds, bounds[1:]):
         try:
-            groups[key] = DiscreteDistribution(tuple(by_slot[a:b].tolist()))
+            groups[key] = DiscreteDistribution(by_slot[a:b])
         except ValueError as exc:
             raise ConfigError(f"{path}: group {key}: {exc}") from exc
     return groups

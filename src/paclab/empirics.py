@@ -473,4 +473,4 @@ def histogram(losses: np.ndarray, num_slots: int) -> DiscreteDistribution:
     edges = np.arange(1, num_slots) / num_slots
     idx = np.searchsorted(edges, losses, side="right")
     counts = np.bincount(idx, minlength=num_slots)
-    return DiscreteDistribution(tuple((counts / losses.size).tolist()))
+    return DiscreteDistribution(counts / losses.size)

@@ -28,6 +28,8 @@ from dataclasses import dataclass
 from enum import Enum
 from typing import Sequence
 
+import numpy as np
+
 __all__ = [
     "BoundKind",
     "BoundSpec",
@@ -111,28 +113,36 @@ class BoundSpec:
         return min(m * _LN2, d * (1.0 + math.log(m) - math.log(d)))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class DiscreteDistribution:
     """Probability masses on equal-width loss slots partitioning [0, 1].
 
     Slot ``i`` covers ``[i/l, (i+1)/l)`` except the last slot, which is
-    closed at 1.0 so that a loss of exactly one has a home.
+    closed at 1.0 so that a loss of exactly one has a home.  ``masses`` is a
+    read-only float64 copy of the sequence or array it was built from.
     """
 
-    masses: tuple[float, ...]
+    masses: np.ndarray
 
     def __post_init__(self) -> None:
-        if len(self.masses) < 2:
+        masses = np.array(self.masses, dtype=np.float64)
+        if len(masses) < 2:
             raise ValueError("need at least 2 slots")
-        # min finds any negative and a leading NaN; sum any NaN, which fsum carries past the check or overflows before.
-        if not min(self.masses) >= 0.0 or math.isnan(sum(self.masses)):
+        if not masses.min() >= 0.0:  # NumPy's min is NaN if any mass is
             raise ValueError("slot masses must be non-negative")
         try:
-            total = math.fsum(self.masses)
+            total = math.fsum(masses.tolist())  # faster than over NumPy scalars
         except OverflowError:  # finite masses whose sum passes the largest float
             total = math.inf
         if abs(total - 1.0) > 1e-9:
             raise ValueError(f"slot masses must sum to 1 (got {total!r})")
+        masses.flags.writeable = False
+        object.__setattr__(self, "masses", masses)
+
+    def __eq__(self, other: object) -> bool:
+        if not isinstance(other, DiscreteDistribution):
+            return NotImplemented
+        return np.array_equal(self.masses, other.masses)  # by length and value: -0.0 equals 0.0
 
     @property
     def num_slots(self) -> int:
@@ -143,20 +153,24 @@ def _clamp01(x: float) -> float:
     return 0.0 if x < 0.0 else (1.0 if x > 1.0 else x)
 
 
-def _piecewise_cdfs(log_weight: float, m: int, eps_values: Sequence[float]) -> list[float]:
+def _piecewise_cdfs(log_weight: float, m: int, eps_values: Sequence[float]) -> np.ndarray:
     """The CDF at each eps: 0 below ``ln W / m`` (computed once), the ramp, 1 from 1 on.
 
     The ramp ``1 - exp(x)``, ``x = ln W - m*eps``, is 1.0 without an ``exp``
     where x < -40: there exp(x) < 4.3e-18 < 2**-54, so ``1 - exp(x)`` rounds to
     1.0.  The test is on x itself; a cut on eps, ``(ln W + 40) / m``, loses the
-    40 to rounding once ln W reaches 2**59.
+    40 to rounding once ln W reaches 2**59.  ``math.exp`` runs only on the
+    ramp cells left, a NaN eps among them, so a NaN eps gives NaN.
     """
-    cut = log_weight / m
-    return [
-        1.0 if eps >= 1.0 else 0.0 if eps < cut
-        else 1.0 if (x := log_weight - m * eps) < -40.0 else _clamp01(1.0 - math.exp(x))
-        for eps in eps_values
-    ]
+    eps = np.asarray(eps_values, dtype=np.float64)
+    x = log_weight - float(m) * eps  # float(m) * eps is Python's m * eps
+    above = eps >= 1.0
+    ramp = ~(above | (eps < log_weight / m))
+    cdfs = (above | ramp).astype(np.float64)
+    ramp &= ~(x < -40.0)
+    # exp(x) >= 0, so of the clamp to [0, 1] only the lower bound can bind.
+    cdfs[ramp] = np.maximum(1.0 - np.fromiter(map(math.exp, x[ramp].tolist()), np.float64), 0.0)
+    return cdfs
 
 
 def cutoff(spec: BoundSpec) -> float:
@@ -171,7 +185,7 @@ def bound_cdf(spec: BoundSpec, eps: float) -> float:
     1.  The ramp is evaluated as ``1 - exp(ln W - m*eps)`` and clamped to
     [0, 1].
     """
-    return _piecewise_cdfs(spec.log_weight(), spec.m, [eps])[0]
+    return float(_piecewise_cdfs(spec.log_weight(), spec.m, [eps])[0])
 
 
 def bound_density(spec: BoundSpec, eps: float) -> float:
@@ -180,21 +194,25 @@ def bound_density(spec: BoundSpec, eps: float) -> float:
     Raises ValueError at ``eps == 1`` exactly; the atom there is not a
     density and must be read from :func:`bound_point_mass`.
     """
-    return _piecewise_densities(spec.log_weight(), spec.m, [eps])[0]
+    return float(_piecewise_densities(spec.log_weight(), spec.m, [eps])[0])
 
 
-def _piecewise_densities(log_weight: float, m: int, eps_values: Sequence[float]) -> list[float]:
+def _piecewise_densities(log_weight: float, m: int, eps_values: Sequence[float]) -> np.ndarray:
     """The density at each eps, ``exp((ln W + ln m) - m*eps)`` on [ln W / m, 1), with both per-m terms computed once."""
-    if 1.0 in eps_values:
+    eps = np.asarray(eps_values, dtype=np.float64)
+    if (eps == 1.0).any():
         raise ValueError("density undefined at eps=1: the atom there is reported by the point-mass accessor")
-    cut, log_scale = log_weight / m, log_weight + math.log(m)
-    return [0.0 if eps < cut or eps > 1.0 else math.exp(log_scale - m * eps) for eps in eps_values]
+    live = ~((eps < log_weight / m) | (eps > 1.0))
+    densities = np.zeros(len(eps))
+    densities[live] = np.fromiter(map(math.exp, (log_weight + math.log(m) - float(m) * eps[live]).tolist()), np.float64)
+    return densities
 
 
 def bound_table(spec: BoundSpec, eps_values: Sequence[float]) -> list[tuple[float, float]]:
     """``(bound_cdf, bound_density)`` at each eps, with the per-m terms computed once."""
     log_weight, m = spec.log_weight(), spec.m
-    return list(zip(_piecewise_cdfs(log_weight, m, eps_values), _piecewise_densities(log_weight, m, eps_values)))
+    cdfs, densities = _piecewise_cdfs(log_weight, m, eps_values), _piecewise_densities(log_weight, m, eps_values)
+    return list(zip(cdfs.tolist(), densities.tolist()))
 
 
 def bound_point_mass(spec: BoundSpec) -> float:
@@ -245,5 +263,4 @@ def discretize_bound(spec: BoundSpec, num_slots: int) -> DiscreteDistribution:
     """
     if num_slots < 2:
         raise ValueError("need at least 2 slots")
-    edges = _piecewise_cdfs(spec.log_weight(), spec.m, [i / num_slots for i in range(num_slots + 1)])
-    return DiscreteDistribution(tuple(edges[i + 1] - edges[i] for i in range(num_slots)))
+    return DiscreteDistribution(np.diff(_piecewise_cdfs(spec.log_weight(), spec.m, np.arange(num_slots + 1) / num_slots)))

@@ -53,7 +53,7 @@ def small_config(task=None, **overrides):
 def write_single_dist_csv(path, masses, m=1, source="P"):
     d = DiscreteDistribution(tuple(masses))
     lines = ["m,source,slot_index,slot_lo,slot_hi,mass"]
-    for i, mass in enumerate(d.masses):
+    for i, mass in enumerate(d.masses.tolist()):
         lo, hi = i / d.num_slots, (i + 1) / d.num_slots
         lines.append(f"{m},{source},{i},{lo!r},{hi!r},{mass!r}")
     Path(path).write_text("\n".join(lines) + "\n")
@@ -119,13 +119,32 @@ class TestExperimentCommand:
             alone = run_trials(task, arguments["m"], config.trials, config.master_seed, fixed_target=fixed_target)
             assert len(batch.losses) == config.trials and batch.losses.tobytes() == alone.losses.tobytes()
 
+    def test_distribution_blocks_are_formatted_as_they_are_written(self, tmp_path, monkeypatch):
+        # No group's rows are formatted before the writer asks for them, so the file's text is never held at once.
+        formatted, write_run = [], paclab.cli._write_run
+
+        def spy_lines(*args):
+            formatted.append(args[:2])
+            return distribution_lines(*args)
+
+        def spy_write_run(*args):
+            assert formatted == []
+            return write_run(*args)
+
+        distribution_lines = paclab.cli._distribution_lines
+        monkeypatch.setattr(paclab.cli, "_distribution_lines", spy_lines)
+        monkeypatch.setattr(paclab.cli, "_write_run", spy_write_run)
+        config = small_config()
+        cmd_experiment(config, tmp_path)
+        assert formatted == [(m, source) for m in config.schedule() for source in ("P", "Q")]
+
     def test_q_matches_direct_discretization(self, tmp_path):
         config = small_config()
         cmd_experiment(config, tmp_path)
         groups = read_distributions_csv(tmp_path / "distributions.csv")
         for m in config.schedule():
             expected = discretize_bound(task_bound_spec(ThresholdTask(), m), 100)
-            assert groups[(m, "Q")].masses == expected.masses
+            assert groups[(m, "Q")].masses.tolist() == expected.masses.tolist()
 
     def test_reruns_are_byte_identical(self, tmp_path):
         config = small_config(task=ConjunctionTask(6), m_start=25, m_step=25, m_max=75)
@@ -181,8 +200,8 @@ class TestExperimentCommand:
         groups = read_distributions_csv(tmp_path / "distributions.csv")
         records = run_experiment(config)
         for rec in records:
-            assert groups[(rec.m, "P")].masses == rec.empirical.masses
-            assert groups[(rec.m, "Q")].masses == rec.theoretical.masses
+            assert groups[(rec.m, "P")].masses.tolist() == rec.empirical.masses.tolist()
+            assert groups[(rec.m, "Q")].masses.tolist() == rec.theoretical.masses.tolist()
         curve = read_curve_csv(tmp_path / "curve.csv")
         for row, pt in zip(curve, build_curve(records)):
             assert row["mean_p"] == pt.mean_p
@@ -924,7 +943,7 @@ class TestReaderDialect:
         groups = read_distributions_csv(path)
         assert list(groups) == list(rebuilt) and len(groups) == 8
         for key, slots in rebuilt.items():
-            assert groups[key].masses == tuple(slots[i] for i in range(len(slots))), key
+            assert groups[key].masses.tolist() == [slots[i] for i in range(len(slots))], key
 
     def test_both_readers_share_one_parser(self, tmp_path, monkeypatch):
         cmd_experiment(small_config(), tmp_path)
@@ -1101,6 +1120,17 @@ class TestKlCommand:
         write_single_dist_csv(path, [0.5, 0.5])
         assert main(["kl", str(path), str(path)]) == 0
         assert capsys.readouterr().out.strip() == "0"
+
+    def test_undecodable_byte_gives_one_short_line(self, tmp_path, capsys):
+        # The decoder's error quotes the chunk it was decoding: thousands of the file's bytes.
+        path = tmp_path / "p.csv"
+        write_single_dist_csv(path, [1 / 2000] * 2000)
+        data = bytearray(path.read_bytes())
+        data[len(data) // 2] = 0xFF
+        path.write_bytes(bytes(data))
+        assert main(["kl", str(path), str(path)]) == 1
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and len(err) < 300 and str(path) in err, err[:300]
 
 
 # sha256 of the default experiment outputs at seed 2024 (NumPy 2.4.x).

@@ -16,6 +16,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+import paclab.cli
 import paclab.empirics as empirics
 from paclab.analysis import dist_mean
 from paclab.cli import run_experiment
@@ -720,7 +721,7 @@ SMALL_RUN = ExperimentConfig(ConjunctionTask(10), 10, 100, 250, 250, 1250, 2024)
 
 
 def empirical_masses(records):
-    return [record.empirical.masses for record in records]
+    return [record.empirical.masses.tolist() for record in records]
 
 
 @pytest.mark.usefixtures("deadline")
@@ -835,6 +836,28 @@ class TestTrialWorkerFailures:
             run_experiment(SMALL_RUN)
         # Checked while ``failure`` holds the traceback, and so the frames of the failed call.
         assert sorted(os.listdir("/proc/self/fd")) == before, failure
+        assert_no_child_left()
+
+    def test_a_later_failure_closes_the_trial_queue(self, cpus, monkeypatch):
+        # The first call ran the whole queue; a step after it fails at the second m.
+        cpus(2)
+        made = []
+
+        def failing_histogram(losses, num_slots):
+            made.append(num_slots)
+            if len(made) == 2:
+                raise ValueError("histogram failed at the second m")
+            return histogram(losses, num_slots)
+
+        monkeypatch.setattr(paclab.cli, "histogram", failing_histogram)
+        with pytest.raises(ValueError, match="second m") as failure:
+            run_experiment(SMALL_RUN)
+        links = []
+        for fd in os.listdir("/proc/self/fd"):
+            with contextlib.suppress(OSError):  # the descriptor listdir itself used is gone
+                links.append(os.readlink(f"/proc/self/fd/{fd}"))
+        # Checked while ``failure`` holds the traceback, and so run_experiment's frame.
+        assert not [link for link in links if "memfd:paclab-trials" in link], failure
         assert_no_child_left()
 
     def test_worker_never_unwinds_into_the_parent_stack(self):
@@ -1030,7 +1053,7 @@ class TestHistogram:
 
     def test_reference_binning(self):
         d = histogram(np.array([0.0, 0.5, 1.0]), 2)
-        assert d.masses == (pytest.approx(1 / 3), pytest.approx(2 / 3))
+        assert d.masses.tolist() == [pytest.approx(1 / 3), pytest.approx(2 / 3)]
 
     def test_loss_one_lands_in_last_slot(self):
         d = histogram(np.array([1.0, 1.0, 0.999]), 100)
@@ -1044,10 +1067,10 @@ class TestHistogram:
         rng = np.random.default_rng(55)
         losses = rng.random(173)
         d = histogram(losses, 7)
-        counts = [round(mass * 173) for mass in d.masses]
+        counts = [round(mass * 173) for mass in d.masses.tolist()]
         assert sum(counts) == 173
-        assert all(type(mass) is float for mass in d.masses)
-        assert all(mass == count / 173 for mass, count in zip(d.masses, counts))
+        assert d.masses.dtype == np.float64 and not d.masses.flags.writeable
+        assert all(mass == count / 173 for mass, count in zip(d.masses.tolist(), counts))
 
     def test_rejects_empty(self):
         with pytest.raises(ValueError):

@@ -220,6 +220,14 @@ class TestBoundTable:
         with pytest.raises(ValueError):
             bound_table(VC_1_20, [0.5, 1.0])
 
+    def test_returns_python_floats(self):
+        table = bound_table(FH_59049_25, [0.0, 0.5, 1.5])
+        assert type(table) is list and all(type(pair) is tuple and list(map(type, pair)) == [float, float] for pair in table)
+        assert type(bound_cdf(FH_59049_25, 0.5)) is float and type(bound_density(FH_59049_25, 0.5)) is float
+
+    def test_nan_eps_gives_nan(self):
+        assert math.isnan(bound_cdf(VC_1_20, math.nan)) and math.isnan(bound_density(VC_1_20, math.nan))
+
     def test_density_equals_direct_evaluation_on_default_schedules(self):
         # The bound command's grid, for the bounds of both default experiments.
         grid = np.linspace(0.0, 1.1, 1000).tolist()
@@ -339,6 +347,24 @@ class TestDiscreteDistribution:
     def test_slot_geometry(self):
         d = DiscreteDistribution((0.25,) * 4)
         assert d.num_slots == 4
+
+    def test_masses_are_a_read_only_float64_array(self):
+        d = DiscreteDistribution([0.25, 0.75])
+        assert d.masses.dtype == np.float64 and d.masses.tolist() == [0.25, 0.75]
+        with pytest.raises(ValueError, match="read-only"):
+            d.masses[0] = 0.75
+
+    def test_later_mutation_of_the_input_changes_nothing(self):
+        source = np.array([0.5, 0.5])
+        d = DiscreteDistribution(source)
+        source[0] = 7.0
+        assert d.masses.tolist() == [0.5, 0.5]
+
+    def test_equality_by_length_and_value(self):
+        assert DiscreteDistribution((-0.0, 1.0)) == DiscreteDistribution((0.0, 1.0))
+        assert DiscreteDistribution((0.5, 0.5)) != DiscreteDistribution((0.25,) * 4)
+        assert DiscreteDistribution((1.0, 0.0)) != DiscreteDistribution((1.0, 0.0, 0.0))
+        assert DiscreteDistribution((0.5, 0.5)) != (0.5, 0.5)
 
 
 def all_form_check(masses):
