@@ -31,7 +31,6 @@ from .learners import (
     threshold_loss_monte_carlo,
 )
 from .theory import (
-    BoundKind,
     BoundSpec,
     DiscreteDistribution,
     bound_cdf,

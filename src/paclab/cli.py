@@ -45,8 +45,9 @@ from .learners import ConjunctionTask, ThresholdTask
 from .theory import (
     BoundSpec,
     DiscreteDistribution,
+    bound_cdf,
+    bound_density,
     bound_point_mass,
-    bound_table,
     cutoff,
     discretize_bound,
 )
@@ -307,6 +308,8 @@ def cmd_bound(
         echo["vc_dim"] = vc_dim
     else:
         raise ConfigError(f"unknown bound kind {kind!r}")
+    if slots < 2:
+        raise ConfigError("need at least 2 slots")
 
     grid = np.linspace(0.0, _GRID_TOP, _GRID_POINTS)
     eps_cells = [f"{eps:.17g}," for eps in grid.tolist()]
@@ -317,7 +320,7 @@ def cmd_bound(
     for m, spec in zip(m_list, specs):
         rows = [
             f"{eps}1,{density:.17g}\n" if cdf == 1.0 else f"{eps}{cdf:.17g},{density:.17g}\n"
-            for eps, (cdf, density) in zip(eps_cells, bound_table(spec, grid))
+            for eps, cdf, density in zip(eps_cells, bound_cdf(spec, grid).tolist(), bound_density(spec, grid).tolist())
         ]
         head = f"{m},"
         grid_lines.append(head + head.join(rows))
@@ -446,12 +449,8 @@ def _select_distribution(
     default_source: str,
     label: str,
 ) -> DiscreteDistribution:
-    keys = list(groups)
-    if m is not None:
-        keys = [k for k in keys if k[0] == m]
-    if source is not None:
-        keys = [k for k in keys if k[1] == source]
-    elif len(keys) > 1:
+    keys = [k for k in groups if m in (None, k[0]) and source in (None, k[1])]
+    if source is None and len(keys) > 1:
         preferred = [k for k in keys if k[1] == default_source]
         if preferred:
             keys = preferred

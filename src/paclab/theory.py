@@ -1,14 +1,15 @@
 """Risk lower-bound distributions for PAC-learnable hypothesis classes.
 
-Two families of cumulative distribution functions over generalization loss
-are provided, one for a finite hypothesis space of size ``|H|`` and one for
-a class of finite VC dimension ``d``, both at a fixed i.i.d. sample size
-``m``.  Each CDF is piecewise: zero below a cutoff, an exponential ramp
-``1 - W * exp(-m * eps)`` on ``[cutoff, 1)``, and one at ``eps >= 1``.  The
-envelope weight ``W`` is ``|H|`` in the finite case and, in the VC case, a
-bound on the growth function: ``2**m`` below ``m = d`` and the smaller of
-``2**m`` and Sauer's ``(e*m/d)**d`` from ``m = d`` on.  The cutoff (where the
-ramp leaves zero) is ``ln(W)/m``.
+A bound is a :class:`BoundSpec`, the pair ``(m, ln W)`` of an i.i.d. sample
+size and the log of an envelope weight.  Its CDF over generalization loss is
+zero below the cutoff ``ln(W)/m``, the ramp ``1 - W * exp(-m * eps)`` on
+``[cutoff, 1)``, and one at ``eps >= 1``.  The finite and the finite-VC
+classes differ only in ``W``: :meth:`BoundSpec.finite_h` takes ``|H|``, and
+:meth:`BoundSpec.finite_vc` a bound on the growth function, ``2**m`` below
+``m = d`` and the smaller of ``2**m`` and Sauer's ``(e*m/d)**d`` from
+``m = d`` on.  :func:`bound_cdf` and :func:`bound_density` take a float of
+eps and give a float, or take an array and give an array, equal bit for bit
+to the per-element calls.
 
 The jump at ``eps = 1`` is a genuine probability atom.  It is never folded
 into the density; :func:`bound_point_mass` reports it separately and
@@ -25,19 +26,15 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from enum import Enum
-from typing import Sequence
 
 import numpy as np
 
 __all__ = [
-    "BoundKind",
     "BoundSpec",
     "DiscreteDistribution",
     "bound_cdf",
     "bound_density",
     "bound_point_mass",
-    "bound_table",
     "cutoff",
     "discretize_bound",
     "sample_complexity_finite",
@@ -48,69 +45,49 @@ __all__ = [
 _LN2 = math.log(2.0)
 
 
-class BoundKind(Enum):
-    """Which hypothesis-class capacity measure a bound is built from."""
-
-    FINITE_H = "finite_h"
-    FINITE_VC = "finite_vc"
-
-
 @dataclass(frozen=True)
 class BoundSpec:
-    """Parameters of one theoretical bound: capacity plus sample size.
+    """One theoretical bound: sample size ``m`` and ``log_weight``, ln W.
 
-    ``log_h_size`` is ``ln|H|`` (finite case only); ``vc_dim`` is ``d``
-    (VC case only).  Build instances through :meth:`finite_h` or
-    :meth:`finite_vc` rather than the raw constructor.
+    Two specs with equal ``m`` and ``ln W`` are one function, whichever
+    constructor made them.  :meth:`finite_h` and :meth:`finite_vc` compute
+    ``ln W`` from a class's capacity.
     """
 
-    kind: BoundKind
     m: int
-    log_h_size: float = 0.0
-    vc_dim: int = 0
+    log_weight: float
 
     def __post_init__(self) -> None:
         if not isinstance(self.m, int) or self.m < 1:
             raise ValueError(f"sample size m must be a positive integer, got {self.m!r}")
-        if self.kind is BoundKind.FINITE_H:
-            if not math.isfinite(self.log_h_size) or self.log_h_size < 0.0:
-                raise ValueError("finite-H bound needs ln|H| >= 0 (|H| >= 1)")
-        elif self.kind is BoundKind.FINITE_VC:
-            if not isinstance(self.vc_dim, int) or self.vc_dim < 1:
-                raise ValueError(f"VC dimension must be a positive integer, got {self.vc_dim!r}")
-        else:  # pragma: no cover - enum is closed
-            raise ValueError(f"unknown bound kind {self.kind!r}")
+        # Only finite_h can pass a bad ln W, its ln|H|: finite_vc's is finite and >= 0.
+        if not math.isfinite(self.log_weight) or self.log_weight < 0.0:
+            raise ValueError("finite-H bound needs ln|H| >= 0 (|H| >= 1)")
 
     @classmethod
     def finite_h(cls, m: int, h_size: float | None = None, *, log_h_size: float | None = None) -> BoundSpec:
-        """Finite-|H| bound; pass the cardinality or its natural log."""
+        """Finite-|H| bound, ``W = |H|``; pass the cardinality or its natural log."""
         if (h_size is None) == (log_h_size is None):
             raise ValueError("provide exactly one of h_size or log_h_size")
         if log_h_size is None:
             if h_size < 1:
                 raise ValueError(f"|H| must be >= 1, got {h_size!r}")
             log_h_size = math.log(h_size)
-        return cls(kind=BoundKind.FINITE_H, m=m, log_h_size=float(log_h_size))
+        return cls(m=m, log_weight=float(log_h_size))
 
     @classmethod
     def finite_vc(cls, m: int, vc_dim: int) -> BoundSpec:
-        """Finite-VC-dimension bound."""
-        return cls(kind=BoundKind.FINITE_VC, m=m, vc_dim=vc_dim)
+        """Finite-VC-dimension bound, W a bound on the growth function.
 
-    def log_weight(self) -> float:
-        """ln of the envelope weight: ln|H|, or for the VC case ln of the growth-function bound.
-
-        That is m*ln 2 below m = d, where Sauer's d*ln(e*m/d) does not hold
+        ln W is m*ln 2 below m = d, where Sauer's d*ln(e*m/d) does not hold
         (below d/e it is negative), and the smaller of the two from m = d on.
         Both bound the growth function; taking the smaller keeps ln W >= 0 and
         the CDF non-decreasing in m.
         """
-        if self.kind is BoundKind.FINITE_H:
-            return self.log_h_size
-        d, m = self.vc_dim, self.m
-        if m < d:
-            return m * _LN2
-        return min(m * _LN2, d * (1.0 + math.log(m) - math.log(d)))
+        if not isinstance(vc_dim, int) or vc_dim < 1:
+            raise ValueError(f"VC dimension must be a positive integer, got {vc_dim!r}")
+        d = vc_dim
+        return cls(m=m, log_weight=m * _LN2 if m < d else min(m * _LN2, d * (1.0 + math.log(m) - math.log(d))))
 
 
 @dataclass(frozen=True, eq=False)
@@ -149,75 +126,53 @@ class DiscreteDistribution:
         return len(self.masses)
 
 
-def _clamp01(x: float) -> float:
-    return 0.0 if x < 0.0 else (1.0 if x > 1.0 else x)
+def cutoff(spec: BoundSpec) -> float:
+    """Loss value where the CDF leaves zero: ln(W)/m."""
+    return spec.log_weight / spec.m
 
 
-def _piecewise_cdfs(log_weight: float, m: int, eps_values: Sequence[float]) -> np.ndarray:
-    """The CDF at each eps: 0 below ``ln W / m`` (computed once), the ramp, 1 from 1 on.
+def bound_cdf(spec: BoundSpec, eps: float | np.ndarray) -> float | np.ndarray:
+    """P(loss <= eps) lower bound at each eps: 0 below ``ln W / m``, the ramp, 1 from 1 on.
 
-    The ramp ``1 - exp(x)``, ``x = ln W - m*eps``, is 1.0 without an ``exp``
-    where x < -40: there exp(x) < 4.3e-18 < 2**-54, so ``1 - exp(x)`` rounds to
-    1.0.  The test is on x itself; a cut on eps, ``(ln W + 40) / m``, loses the
+    A float or a 0-d array of eps gives a float, any other array an array of
+    its shape.  The ramp ``1 - exp(x)``, ``x = ln W - m*eps``, is 1.0 without
+    an ``exp`` where x < -40: there exp(x) < 4.3e-18 < 2**-54, so ``1 - exp(x)``
+    rounds to 1.0.  The test is on x itself; a cut on eps, ``(ln W + 40) / m``, loses the
     40 to rounding once ln W reaches 2**59.  ``math.exp`` runs only on the
     ramp cells left, a NaN eps among them, so a NaN eps gives NaN.
     """
-    eps = np.asarray(eps_values, dtype=np.float64)
+    log_weight, m = spec.log_weight, spec.m
+    eps = np.asarray(eps, dtype=np.float64)
     x = log_weight - float(m) * eps  # float(m) * eps is Python's m * eps
     above = eps >= 1.0
     ramp = ~(above | (eps < log_weight / m))
-    cdfs = (above | ramp).astype(np.float64)
+    cdfs = np.array(above | ramp, dtype=np.float64)  # an array also where eps is 0-d
     ramp &= ~(x < -40.0)
-    # exp(x) >= 0, so of the clamp to [0, 1] only the lower bound can bind.
+    # exp(x) >= 0, so of a clamp to [0, 1] only the lower bound can bind.
     cdfs[ramp] = np.maximum(1.0 - np.fromiter(map(math.exp, x[ramp].tolist()), np.float64), 0.0)
-    return cdfs
+    return cdfs if cdfs.ndim else float(cdfs)
 
 
-def cutoff(spec: BoundSpec) -> float:
-    """Loss value where the CDF leaves zero: ln(W)/m."""
-    return spec.log_weight() / spec.m
+def bound_density(spec: BoundSpec, eps: float | np.ndarray) -> float | np.ndarray:
+    """Continuous density ``exp((ln W + ln m) - m*eps)`` on [cutoff, 1), else 0, at each eps.
 
-
-def bound_cdf(spec: BoundSpec, eps: float) -> float:
-    """P(loss <= eps) lower bound, for either kind of class.
-
-    Zero below ``cutoff(spec)``, then ``1 - W*exp(-m*eps)`` up to 1, then
-    1.  The ramp is evaluated as ``1 - exp(ln W - m*eps)`` and clamped to
-    [0, 1].
+    Takes and gives a float or an array, as :func:`bound_cdf` does.  Raises
+    ValueError if any eps is exactly 1; the atom there is not a density and
+    must be read from :func:`bound_point_mass`.
     """
-    return float(_piecewise_cdfs(spec.log_weight(), spec.m, [eps])[0])
-
-
-def bound_density(spec: BoundSpec, eps: float) -> float:
-    """Continuous density ``W*m*exp(-m*eps)`` on [cutoff, 1), else 0.
-
-    Raises ValueError at ``eps == 1`` exactly; the atom there is not a
-    density and must be read from :func:`bound_point_mass`.
-    """
-    return float(_piecewise_densities(spec.log_weight(), spec.m, [eps])[0])
-
-
-def _piecewise_densities(log_weight: float, m: int, eps_values: Sequence[float]) -> np.ndarray:
-    """The density at each eps, ``exp((ln W + ln m) - m*eps)`` on [ln W / m, 1), with both per-m terms computed once."""
-    eps = np.asarray(eps_values, dtype=np.float64)
+    log_weight, m = spec.log_weight, spec.m
+    eps = np.asarray(eps, dtype=np.float64)
     if (eps == 1.0).any():
         raise ValueError("density undefined at eps=1: the atom there is reported by the point-mass accessor")
     live = ~((eps < log_weight / m) | (eps > 1.0))
-    densities = np.zeros(len(eps))
+    densities = np.zeros(eps.shape)
     densities[live] = np.fromiter(map(math.exp, (log_weight + math.log(m) - float(m) * eps[live]).tolist()), np.float64)
-    return densities
-
-
-def bound_table(spec: BoundSpec, eps_values: Sequence[float]) -> list[tuple[float, float]]:
-    """``(bound_cdf, bound_density)`` at each eps, with the per-m terms computed once."""
-    log_weight, m = spec.log_weight(), spec.m
-    cdfs, densities = _piecewise_cdfs(log_weight, m, eps_values), _piecewise_densities(log_weight, m, eps_values)
-    return list(zip(cdfs.tolist(), densities.tolist()))
+    return densities if densities.ndim else float(densities)
 
 
 def bound_point_mass(spec: BoundSpec) -> float:
-    """Probability atom at loss 1: ``W*exp(-m)`` clamped to [0, 1]."""
-    return _clamp01(math.exp(min(spec.log_weight() - spec.m, 0.0)))
+    """Probability atom at loss 1: ``W*exp(-m)``, at most 1."""
+    return math.exp(min(spec.log_weight - spec.m, 0.0))
 
 
 def sample_complexity_finite(h_size: float, eps: float, delta: float) -> int:
@@ -263,4 +218,4 @@ def discretize_bound(spec: BoundSpec, num_slots: int) -> DiscreteDistribution:
     """
     if num_slots < 2:
         raise ValueError("need at least 2 slots")
-    return DiscreteDistribution(np.diff(_piecewise_cdfs(spec.log_weight(), spec.m, np.arange(num_slots + 1) / num_slots)))
+    return DiscreteDistribution(np.diff(bound_cdf(spec, np.arange(num_slots + 1) / num_slots)))

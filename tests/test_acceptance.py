@@ -185,9 +185,9 @@ def test_criterion_7_theory_properties():
 
     grid = np.linspace(-0.1, 1.1, 1000)
     for spec in probes:
-        values = [bound_cdf(spec, float(e)) for e in grid]
-        assert all(0.0 <= v <= 1.0 for v in values), spec
-        assert all(b >= a for a, b in zip(values, values[1:])), spec
+        values = bound_cdf(spec, grid)
+        assert ((0.0 <= values) & (values <= 1.0)).all(), spec
+        assert (values[1:] >= values[:-1]).all(), spec
 
     for specs in (conj_specs, thr_specs):
         qs = [discretize_bound(s, SLOTS) for s in specs]
@@ -199,7 +199,7 @@ def test_criterion_7_theory_properties():
     for spec in probes:
         lo = cutoff(spec)
         xs = np.linspace(lo, 1.0 - 1e-12, max(100_000, 1000 * spec.m))
-        integral = float(np.trapezoid([bound_density(spec, float(x)) for x in xs], xs))
+        integral = float(np.trapezoid(bound_density(spec, xs), xs))
         worst_norm = max(worst_norm, abs(integral + bound_point_mass(spec) - 1.0))
     assert worst_norm <= 1e-6
 

@@ -33,7 +33,7 @@ from paclab.cli import (
 )
 from paclab.empirics import ExperimentConfig, histogram, run_trials
 from paclab.learners import ConjunctionTask, ThresholdTask
-from paclab.theory import BoundKind, BoundSpec, DiscreteDistribution, bound_table, discretize_bound
+from paclab.theory import BoundSpec, DiscreteDistribution, bound_cdf, bound_density, discretize_bound
 
 
 def small_config(task=None, **overrides):
@@ -62,17 +62,18 @@ def write_single_dist_csv(path, masses, m=1, source="P"):
 class TestTaskBoundSpec:
     def test_conjunction_maps_to_finite_h(self):
         spec = task_bound_spec(ConjunctionTask(10), 25)
-        assert spec.kind is BoundKind.FINITE_H
-        assert spec.log_h_size == pytest.approx(math.log(59049), rel=1e-12)
+        assert spec == BoundSpec.finite_h(m=25, log_h_size=10 * math.log(3.0))
+        assert spec.log_weight == pytest.approx(math.log(59049), rel=1e-12)
         assert spec.m == 25
 
     def test_threshold_maps_to_vc_dim_one(self):
         spec = task_bound_spec(ThresholdTask(), 40)
-        assert spec.kind is BoundKind.FINITE_VC
-        assert spec.vc_dim == 1
+        assert spec == BoundSpec.finite_vc(m=40, vc_dim=1)
+        assert spec.log_weight == 1.0 + math.log(40) - math.log(1)  # Sauer's e*m/d: below 2**40
 
     def test_threshold_task_carries_vc_dim(self):
         assert task_bound_spec(ThresholdTask(vc_dim=3), 40) == BoundSpec.finite_vc(m=40, vc_dim=3)
+        assert task_bound_spec(ThresholdTask(vc_dim=3), 40) != BoundSpec.finite_vc(m=40, vc_dim=1)
 
 
 class TestExperimentCommand:
@@ -661,13 +662,39 @@ class TestBoundCommand:
         assert main(["bound", *flags, "--out-dir", str(out)]) == 1
         assert not out.exists()
 
+    @pytest.mark.parametrize(
+        "flags, message",
+        [
+            (["--h-size", "nan"], "finite-H bound needs ln|H| >= 0 (|H| >= 1)"),
+            (["--h-size", "inf"], "finite-H bound needs ln|H| >= 0 (|H| >= 1)"),
+            (["--log-h-size", "-1"], "finite-H bound needs ln|H| >= 0 (|H| >= 1)"),
+            (["--log-h-size", "nan"], "finite-H bound needs ln|H| >= 0 (|H| >= 1)"),
+            (["--h-size", "0.5"], "|H| must be >= 1, got 0.5"),
+            (["--m", "0"], "sample size m must be a positive integer, got 0"),
+            (["--m", "0", "--h-size", "nan"], "sample size m must be a positive integer, got 0"),
+            (["--kind", "vc", "--vc-dim", "0"], "VC dimension must be a positive integer, got 0"),
+            (["--kind", "vc", "--vc-dim", "1", "--m", "0"], "sample size m must be a positive integer, got 0"),
+            # finite_vc checks d before it computes ln W, so of two bad values d is named first.
+            (["--kind", "vc", "--vc-dim", "0", "--m", "0"], "VC dimension must be a positive integer, got 0"),
+            (["--slots", "0"], "need at least 2 slots"),
+            (["--slots", "1"], "need at least 2 slots"),
+        ],
+        ids=["h-nan", "h-inf", "log-h-negative", "log-h-nan", "h-below-one", "m-zero", "m-zero-h-nan", "vc-dim-zero",
+             "vc-m-zero", "vc-dim-zero-m-zero", "slots-zero", "slots-one"],
+    )
+    def test_bound_parameter_messages(self, tmp_path, capsys, flags, message):
+        out = tmp_path / "out"
+        assert main(["bound", *flags, "--out-dir", str(out)]) == 1
+        assert capsys.readouterr().err == f"paclab: error: {message}\n"
+        assert not out.exists()
+
     @pytest.mark.parametrize("kind", ["vc", "finite-h"])
     def test_repeated_sample_size_is_rejected_before_any_work(self, tmp_path, capsys, monkeypatch, kind):
         # kl rejects a group written twice, so bound must not write one.
         def no_work(*args):
             raise AssertionError("bound tabulated a repeated m")
 
-        monkeypatch.setattr(paclab.cli, "bound_table", no_work)
+        monkeypatch.setattr(paclab.cli, "bound_cdf", no_work)
         out = tmp_path / "out"
         assert main(["bound", "--kind", kind, "--vc-dim" if kind == "vc" else "--h-size", "3", "--m", "5,7,5",
                      "--out-dir", str(out)]) == 1
@@ -694,8 +721,7 @@ def reference_distribution_lines(m, source, masses, num_slots):
 
 def reference_grid_lines(spec):
     grid = np.linspace(0.0, 1.1, 1000).tolist()
-    table = bound_table(spec, grid)
-    return "".join("%d,%.17g,%.17g,%.17g\n" % (spec.m, eps, cdf, density) for eps, (cdf, density) in zip(grid, table))
+    return "".join("%d,%.17g,%.17g,%.17g\n" % (spec.m, eps, bound_cdf(spec, eps), bound_density(spec, eps)) for eps in grid)
 
 
 def one_mass(num_slots, slot):
@@ -731,23 +757,21 @@ class TestWriterMatchesPerRowFormatting:
             assert got == reference_distribution_lines(m, source, masses, len(masses))
 
     @pytest.mark.parametrize(
-        "spec",
+        "kind, m, params",
         [
-            BoundSpec.finite_h(m=22, h_size=1e9),
-            BoundSpec.finite_h(m=1, h_size=1.0),
-            BoundSpec.finite_h(m=2 * 10**18, log_h_size=1e18),
-            BoundSpec.finite_vc(m=20, vc_dim=1),
-            BoundSpec.finite_vc(m=1000, vc_dim=1),
-            BoundSpec.finite_vc(m=10**6, vc_dim=3),
+            ("finite-h", 22, {"h_size": 1e9}),
+            ("finite-h", 1, {"h_size": 1.0}),
+            ("finite-h", 2 * 10**18, {"log_h_size": 1e18}),
+            ("vc", 20, {"vc_dim": 1}),
+            ("vc", 1000, {"vc_dim": 1}),
+            ("vc", 10**6, {"vc_dim": 3}),
         ],
         ids=["finite-h-22", "finite-h-m1", "finite-h-extreme", "vc-20", "vc-1000", "vc-million"],
     )
-    def test_grid_and_q_rows(self, tmp_path, spec):
+    def test_grid_and_q_rows(self, tmp_path, kind, m, params):
         # Every grid holds rows with CDF 1.0 and density 0.0 past eps = 1.
-        if spec.kind is BoundKind.FINITE_H:
-            cmd_bound("finite-h", [spec.m], tmp_path, log_h_size=spec.log_h_size, slots=2000)
-        else:
-            cmd_bound("vc", [spec.m], tmp_path, vc_dim=spec.vc_dim, slots=2000)
+        cmd_bound(kind, [m], tmp_path, slots=2000, **params)
+        spec = BoundSpec.finite_h(m=m, **params) if kind == "finite-h" else BoundSpec.finite_vc(m=m, **params)
         grid = reference_grid_lines(spec)
         assert ",1,0\n" in grid
         assert (tmp_path / "bound_grid.csv").read_text() == "m,eps,cdf,density\n" + grid

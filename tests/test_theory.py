@@ -7,19 +7,16 @@ import numpy as np
 import pytest
 
 from paclab.theory import (
-    BoundKind,
     BoundSpec,
     DiscreteDistribution,
     bound_cdf,
     bound_density,
     bound_point_mass,
-    bound_table,
     cutoff,
     discretize_bound,
     sample_complexity_finite,
     sample_complexity_vc,
 )
-from paclab.theory import _clamp01, _piecewise_cdfs
 
 LN_1E9 = 9 * math.log(10.0)
 FH_59049_25 = BoundSpec.finite_h(m=25, h_size=59049)
@@ -30,9 +27,10 @@ VC_1_100 = BoundSpec.finite_vc(m=100, vc_dim=1)
 MAX = sys.float_info.max
 
 
-def trapezoid_integral(f, lo, hi, num):
+def density_integral(spec, lo, hi, num):
+    """Trapezoid rule over ``num`` points of ``bound_density``, evaluated on the array of them."""
     xs = np.linspace(lo, hi, num)
-    return float(np.trapezoid([f(x) for x in xs], xs))
+    return float(np.trapezoid(bound_density(spec, xs), xs))
 
 
 class TestBoundSpec:
@@ -57,6 +55,23 @@ class TestBoundSpec:
         spec = BoundSpec.finite_h(m=10, log_h_size=700 * math.log(3.0))
         assert bound_cdf(spec, 0.5) == 0.0
         assert bound_point_mass(spec) == 1.0
+
+    @pytest.mark.parametrize("log_weight", [math.nan, math.inf, -math.inf, -1.0, -5e-324])
+    def test_raw_constructor_rejects_bad_log_weight(self, log_weight):
+        with pytest.raises(ValueError, match=r"^finite-H bound needs ln\|H\| >= 0 \(\|H\| >= 1\)$"):
+            BoundSpec(m=10, log_weight=log_weight)
+
+    @pytest.mark.parametrize("m", [0, -3, 2.5, 10.0, "10", None])
+    def test_raw_constructor_rejects_bad_m(self, m):
+        with pytest.raises(ValueError, match=r"^sample size m must be a positive integer, got "):
+            BoundSpec(m=m, log_weight=1.0)
+
+    def test_a_spec_is_its_m_and_log_weight(self):
+        # W = |H| = 2 and the VC-1 growth-function bound 2**1 are one function.
+        assert BoundSpec.finite_h(m=1, h_size=2.0) == BoundSpec.finite_vc(m=1, vc_dim=1) == BoundSpec(1, math.log(2.0))
+        assert hash(BoundSpec.finite_h(m=1, h_size=2.0)) == hash(BoundSpec.finite_vc(m=1, vc_dim=1))
+        assert BoundSpec(m=1, log_weight=0.0) == BoundSpec(m=1, log_weight=-0.0)
+        assert BoundSpec.finite_h(m=2, h_size=2.0) != BoundSpec.finite_h(m=1, h_size=2.0)
 
     def test_h_size_and_log_are_mutually_exclusive(self):
         with pytest.raises(ValueError):
@@ -132,7 +147,7 @@ class TestFiniteHDensity:
 
     def test_integral_plus_atom_is_one(self):
         lo = cutoff(FH_59049_25)
-        integral = trapezoid_integral(lambda x: bound_density(FH_59049_25, x), lo, 1.0 - 1e-12, 100_000)
+        integral = density_integral(FH_59049_25, lo, 1.0 - 1e-12, 100_000)
         assert integral + bound_point_mass(FH_59049_25) == pytest.approx(1.0, abs=1e-6)
 
 
@@ -152,7 +167,7 @@ class TestVcBound:
 
     def test_ramp_value_against_density_quadrature(self):
         lo = cutoff(VC_1_100)
-        integral = trapezoid_integral(lambda x: bound_density(VC_1_100, x), lo, 0.1, 200_000)
+        integral = density_integral(VC_1_100, lo, 0.1, 200_000)
         assert bound_cdf(VC_1_100, 0.1) == pytest.approx(integral, abs=1e-6)
 
     def test_point_mass_direct(self):
@@ -169,7 +184,7 @@ class TestVcBound:
 
     def test_integral_plus_atom_is_one(self):
         lo = cutoff(VC_1_20)
-        integral = trapezoid_integral(lambda x: bound_density(VC_1_20, x), lo, 1.0 - 1e-12, 100_000)
+        integral = density_integral(VC_1_20, lo, 1.0 - 1e-12, 100_000)
         assert integral + bound_point_mass(VC_1_20) == pytest.approx(1.0, abs=1e-6)
 
     def test_higher_dimension(self):
@@ -183,50 +198,83 @@ class TestVcBound:
         # 2**m below m = d, where Sauer's (e*m/d)**d does not hold; the smaller
         # of the two from m = d on, Sauer's term as its own expression.
         ln2 = math.log(2.0)
-        assert BoundSpec.finite_vc(m=3, vc_dim=10).log_weight() == 3 * ln2
-        assert BoundSpec.finite_vc(m=10, vc_dim=10).log_weight() == 10 * ln2  # 2**10 < e**10
-        assert BoundSpec.finite_vc(m=3, vc_dim=1).log_weight() == 3 * ln2  # 8 < 3e
-        assert BoundSpec.finite_vc(m=4, vc_dim=1).log_weight() == 1 * (1.0 + math.log(4) - math.log(1))
-        assert BoundSpec.finite_vc(m=50, vc_dim=3).log_weight() == 3 * (1.0 + math.log(50) - math.log(3))
+        assert BoundSpec.finite_vc(m=3, vc_dim=10).log_weight == 3 * ln2
+        assert BoundSpec.finite_vc(m=10, vc_dim=10).log_weight == 10 * ln2  # 2**10 < e**10
+        assert BoundSpec.finite_vc(m=3, vc_dim=1).log_weight == 3 * ln2  # 8 < 3e
+        assert BoundSpec.finite_vc(m=4, vc_dim=1).log_weight == 1 * (1.0 + math.log(4) - math.log(1))
+        assert BoundSpec.finite_vc(m=50, vc_dim=3).log_weight == 3 * (1.0 + math.log(50) - math.log(3))
 
     def test_log_weight_is_never_negative(self):
         # So the CDF is 0 at eps = 0 and every spec's slot masses sum to 1.
         for d in (*range(1, 31), 100, 10**6):
             for m in (*range(1, 601), 10**6):
                 spec = BoundSpec.finite_vc(m=m, vc_dim=d)
-                assert spec.log_weight() >= 0.0, (d, m)
+                assert spec.log_weight >= 0.0, (d, m)
                 assert bound_cdf(spec, 0.0) == 0.0, (d, m)
                 discretize_bound(spec, 10)
 
     def test_cdf_never_falls_as_m_grows(self):
         # Zero tolerance, 17,970 steps: the CDF at m + 1 is at least that at m.
-        grid = np.linspace(0.0, 1.0, 201).tolist()
+        grid = np.linspace(0.0, 1.0, 201)
         for d in range(1, 31):
-            prev = [0.0] * len(grid)
+            prev = np.zeros(len(grid))
             for m in range(1, 601):
-                spec = BoundSpec.finite_vc(m=m, vc_dim=d)
-                cdfs = _piecewise_cdfs(spec.log_weight(), m, grid)  # bound_cdf(spec, eps) at every eps
-                assert all(b >= a for a, b in zip(prev, cdfs)), (d, m)
+                cdfs = bound_cdf(BoundSpec.finite_vc(m=m, vc_dim=d), grid)
+                assert (cdfs >= prev).all(), (d, m)
                 prev = cdfs
 
 
 class TestBoundTable:
-    @pytest.mark.parametrize("spec", [FH_59049_25, FH_1E9_35, VC_1_20, VC_1_100, BoundSpec.finite_vc(m=50, vc_dim=3)])
+    """``bound_cdf`` and ``bound_density`` on an array of eps, as the bound
+    command tabulates them: the per-element scalar calls' values, bit for bit."""
+
+    @pytest.mark.parametrize(
+        "spec",
+        [FH_59049_25, FH_1E9_35, VC_1_20, VC_1_100, BoundSpec.finite_vc(m=50, vc_dim=3),
+         BoundSpec.finite_vc(m=1000, vc_dim=1), BoundSpec(m=1, log_weight=30.0)],
+    )
     def test_equals_scalar_evaluations(self, spec):
-        eps_values = np.linspace(0.0, 1.1, 1000).tolist() + [cutoff(spec), 0.0, 1.5, 1.0 - 1e-16]
-        assert bound_table(spec, eps_values) == [(bound_cdf(spec, e), bound_density(spec, e)) for e in eps_values]
+        cut = cutoff(spec)
+        eps = np.array(
+            np.linspace(0.0, 1.1, 1000).tolist() + np.linspace(-0.5, 1.5, 2001).tolist()
+            + [-math.inf, -1.0, -0.0, 0.0, cut / 2, math.nextafter(cut, -1.0), cut, math.nextafter(cut, 2.0),
+               (spec.log_weight + 41.0) / spec.m, 1.0 - 1e-16, 1.0, 1.5, math.inf, math.nan]
+        )
+        x = spec.log_weight - spec.m * eps
+        regions = {
+            "negative": eps < 0.0,
+            "below-cutoff": (eps >= 0.0) & (eps < cut),
+            "ramp": (eps >= cut) & (eps < 1.0) & (x >= -40.0),
+            "saturated": (eps >= cut) & (eps < 1.0) & (x < -40.0),
+            "one-and-above": eps >= 1.0,
+            "nan": np.isnan(eps),
+        }
+        # Every region the spec has is hit: no ramp from a cutoff at 1 on, no saturation where x stays above -40 below 1.
+        expected = set(regions) - ({"ramp"} if cut >= 1.0 else set())
+        if (spec.log_weight + 40.0) / spec.m >= 1.0:
+            expected.discard("saturated")
+        assert {name for name, cells in regions.items() if cells.any()} == expected
+        assert bits(bound_cdf(spec, eps)) == bits([bound_cdf(spec, e) for e in eps.tolist()])
+        off_one = eps[eps != 1.0]
+        assert bits(bound_density(spec, off_one)) == bits([bound_density(spec, e) for e in off_one.tolist()])
 
     def test_refuses_eps_one(self):
         with pytest.raises(ValueError):
-            bound_table(VC_1_20, [0.5, 1.0])
+            bound_density(VC_1_20, np.array([0.5, 1.0]))
+        with pytest.raises(ValueError):
+            bound_density(VC_1_20, np.array(1.0))
 
     def test_returns_python_floats(self):
-        table = bound_table(FH_59049_25, [0.0, 0.5, 1.5])
-        assert type(table) is list and all(type(pair) is tuple and list(map(type, pair)) == [float, float] for pair in table)
-        assert type(bound_cdf(FH_59049_25, 0.5)) is float and type(bound_density(FH_59049_25, 0.5)) is float
+        for eps in (0.5, 0, np.float64(0.5), np.array(0.5)):
+            assert type(bound_cdf(FH_59049_25, eps)) is float and type(bound_density(FH_59049_25, eps)) is float
+        grid = np.linspace(0.0, 1.5, 6).reshape(2, 3)
+        for values in (bound_cdf(FH_59049_25, grid), bound_density(FH_59049_25, grid)):
+            assert type(values) is np.ndarray and values.dtype == np.float64 and values.shape == (2, 3)
+        assert bound_cdf(FH_59049_25, [0.0, 0.5, 1.5]).tolist() == [0.0, bound_cdf(FH_59049_25, 0.5), 1.0]
 
     def test_nan_eps_gives_nan(self):
         assert math.isnan(bound_cdf(VC_1_20, math.nan)) and math.isnan(bound_density(VC_1_20, math.nan))
+        assert np.isnan(bound_cdf(VC_1_20, np.array([math.nan]))).all()
 
     def test_density_equals_direct_evaluation_on_default_schedules(self):
         # The bound command's grid, for the bounds of both default experiments.
@@ -234,11 +282,11 @@ class TestBoundTable:
         specs = [BoundSpec.finite_h(m=m, log_h_size=10 * math.log(3.0)) for m in range(25, 1251, 25)]
         specs += [BoundSpec.finite_vc(m=m, vc_dim=1) for m in range(20, 1001, 20)]
         for spec in specs:
-            log_weight, m = spec.log_weight(), spec.m
+            log_weight, m = spec.log_weight, spec.m
             direct = [
                 0.0 if eps < log_weight / m or eps > 1.0 else math.exp(log_weight + math.log(m) - m * eps) for eps in grid
             ]
-            assert [density for _, density in bound_table(spec, grid)] == direct, m
+            assert bound_density(spec, np.array(grid)).tolist() == direct, m
             assert [bound_density(spec, eps) for eps in grid] == direct, m
 
 
@@ -384,7 +432,7 @@ def all_form_check(masses):
 def plain_cdfs(log_weight, m, eps_values):
     """The CDF with ``exp`` evaluated on every ramp cell, as before the saturation shortcut."""
     cut = log_weight / m
-    return [1.0 if eps >= 1 else 0.0 if eps < cut else _clamp01(1 - math.exp(log_weight - m * eps)) for eps in eps_values]
+    return [1.0 if eps >= 1 else 0.0 if eps < cut else max(1 - math.exp(log_weight - m * eps), 0.0) for eps in eps_values]
 
 
 def bits(values):
@@ -392,8 +440,8 @@ def bits(values):
 
 
 class TestRampSaturation:
-    """``_piecewise_cdfs`` returns 1.0 without ``exp`` where ln W - m*eps < -40;
-    it must give the plain formula's bits everywhere."""
+    """``bound_cdf`` returns 1.0 without ``exp`` where ln W - m*eps < -40;
+    on an array of eps it must give the plain formula's bits everywhere."""
 
     DEFAULT_SPECS = [BoundSpec.finite_h(m=m, log_h_size=10 * math.log(3.0)) for m in range(25, 1251, 25)]
     DEFAULT_SPECS += [BoundSpec.finite_vc(m=m, vc_dim=1) for m in range(20, 1001, 20)]
@@ -409,8 +457,7 @@ class TestRampSaturation:
     )
     def test_default_schedules(self, eps_values):
         for spec in self.DEFAULT_SPECS:
-            log_weight = spec.log_weight()
-            assert bits(_piecewise_cdfs(log_weight, spec.m, eps_values)) == bits(plain_cdfs(log_weight, spec.m, eps_values))
+            assert bits(bound_cdf(spec, eps_values)) == bits(plain_cdfs(spec.log_weight, spec.m, eps_values))
 
     def test_either_side_of_minus_40(self):
         # ln W = 10, m = 100: x = -40 exactly at eps = 0.5.  Steps of single
@@ -425,7 +472,7 @@ class TestRampSaturation:
         xs = [10.0 - 100 * e for e in eps_values]
         assert min(xs) < -40.0 < max(xs) and -40.0 in xs
         eps_values += np.linspace(0.4, 0.55, 20001).tolist()
-        got = _piecewise_cdfs(10.0, 100, eps_values)
+        got = bound_cdf(BoundSpec(m=100, log_weight=10.0), eps_values).tolist()
         assert bits(got) == bits(plain_cdfs(10.0, 100, eps_values))
         assert 1.0 in got and any(0.0 < cdf < 1.0 for cdf in got)
 
@@ -441,7 +488,7 @@ class TestRampSaturation:
         for _ in range(200):  # the ramp just past the cutoff, where x falls fastest relative to eps
             near = math.nextafter(near, 2.0)
             eps_values.append(near)
-        assert bits(_piecewise_cdfs(log_weight, m, eps_values)) == bits(plain_cdfs(log_weight, m, eps_values))
+        assert bits(bound_cdf(BoundSpec(m=m, log_weight=log_weight), eps_values)) == bits(plain_cdfs(log_weight, m, eps_values))
 
 
 class TestDiscretizeBound:
@@ -491,39 +538,38 @@ class TestCdfInvariants:
         "spec",
         [FH_59049_25, FH_1E9_35, BoundSpec.finite_h(m=22, h_size=1e9), VC_1_20, VC_1_100,
          BoundSpec.finite_vc(m=7, vc_dim=3)],
-        ids=str,
+        ids=["finite-h-59049-25", "finite-h-1e9-35", "finite-h-1e9-22", "vc-1-20", "vc-1-100", "vc-3-7"],
     )
     def test_monotone_and_bounded(self, spec):
         values = [bound_cdf(spec, float(e)) for e in self.GRID]
         assert all(0.0 <= v <= 1.0 for v in values)
         assert all(b >= a for a, b in zip(values, values[1:]))
 
-    @pytest.mark.parametrize("kind", [BoundKind.FINITE_H, BoundKind.FINITE_VC])
-    def test_cdf_grows_with_m(self, kind):
-        def make(m):
-            if kind is BoundKind.FINITE_H:
-                return BoundSpec.finite_h(m=m, h_size=59049)
-            return BoundSpec.finite_vc(m=m, vc_dim=1)
-
+    @pytest.mark.parametrize(
+        "make",
+        [lambda m: BoundSpec.finite_h(m=m, h_size=59049), lambda m: BoundSpec.finite_vc(m=m, vc_dim=1)],
+        ids=["finite-h", "vc"],
+    )
+    def test_cdf_grows_with_m(self, make):
+        grid = np.linspace(0.001, 0.999, 200)
         for m1, m2 in [(25, 50), (50, 400), (400, 1250)]:
-            for eps in np.linspace(0.001, 0.999, 200):
-                assert bound_cdf(make(m2), float(eps)) >= bound_cdf(make(m1), float(eps))
+            assert (bound_cdf(make(m2), grid) >= bound_cdf(make(m1), grid)).all()
 
     @pytest.mark.parametrize(
         "spec",
         [FH_59049_25, BoundSpec.finite_h(m=1250, h_size=59049), VC_1_20, BoundSpec.finite_vc(m=1000, vc_dim=1)],
-        ids=str,
+        ids=["finite-h-59049-25", "finite-h-59049-1250", "vc-1-20", "vc-1-1000"],
     )
     def test_normalization(self, spec):
         lo = cutoff(spec)
         num = max(100_000, 1000 * spec.m)
-        integral = trapezoid_integral(lambda x: bound_density(spec, x), lo, 1.0 - 1e-12, num)
+        integral = density_integral(spec, lo, 1.0 - 1e-12, num)
         assert integral + bound_point_mass(spec) == pytest.approx(1.0, abs=1e-6)
 
     @pytest.mark.parametrize(
         "spec",
         [FH_59049_25, FH_1E9_35, VC_1_20, VC_1_100],
-        ids=str,
+        ids=["finite-h-59049-25", "finite-h-1e9-35", "vc-1-20", "vc-1-100"],
     )
     def test_density_matches_finite_differences(self, spec):
         lo = cutoff(spec) + 0.01
