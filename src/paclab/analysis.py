@@ -32,16 +32,18 @@ __all__ = [
 ]
 
 # Default stand-in for a zero theoretical mass inside the KL sum; with
-# base-2 logs it caps the divergence near 52 bits.
+# base-2 logs an empty slot adds at most about 52 bits per unit of p mass.
 KL_FLOOR = 2e-16
 
 
 def kl_divergence(p: DiscreteDistribution, q: DiscreteDistribution, floor: float = KL_FLOOR) -> float:
-    """Sum of p_i * log2(p_i / max(q_i, floor)) over slots with p_i > 0.
+    """Sum of p_i * log2(p_i / q_i) over slots with p_i > 0, ``floor`` standing in for q_i == 0.
 
-    The floor replaces q_i only inside the ratio; q is never renormalized,
-    so two distributions with disjoint support score log2(1/floor) times
-    the concentrated p mass (about 52 for the default floor).
+    The floor replaces an empty q_i only inside the ratio; a positive q_i,
+    however small, is used as it is, so a distribution against itself
+    scores exactly 0.  q is never renormalized, so two distributions with
+    disjoint support score log2(1/floor) times the concentrated p mass
+    (about 52 for the default floor).
     """
     if p.num_slots != q.num_slots:
         raise ValueError(f"slot-count mismatch: {p.num_slots} vs {q.num_slots}")
@@ -51,7 +53,7 @@ def kl_divergence(p: DiscreteDistribution, q: DiscreteDistribution, floor: float
     # Only the slots with p_i > 0 add a term, visited in slot order: the running sum is rounded.
     slots = np.flatnonzero(p.masses > 0.0)
     for p_i, q_i in zip(p.masses[slots].tolist(), q.masses[slots].tolist()):
-        total += p_i * math.log2(p_i / max(q_i, floor))
+        total += p_i * math.log2(p_i / (q_i or floor))
     return total
 
 

@@ -80,17 +80,13 @@ _GRID_POINTS = 1000
 _GRID_TOP = 1.1
 
 # A run whose estimated peak memory is above this exits 1 before it creates
-# a directory or runs a trial.  The per-item costs are rounded up from
-# peaks measured on CPython 3.11 with NumPy 2.4.  A CSV row costs about
-# 110 bytes in an experiment (its text and the slot masses it is formatted
-# from) and 45 in the bound tables; ``_ROW_BYTES`` keeps the figure of when
-# each file was also held as one string and its encoded copy (about 200),
-# an over-estimate that refuses nothing that fits.  For one sample size a
-# trial costs about 240 bytes (seed and state words, losses) plus 45 per
-# conjunction variable (code and count arrays); the draw buffer holds a row
-# and its decoded copies.
-# Each process holds the per-trial arrays of its range of a sample size and a
-# draw buffer, and the losses of the whole schedule share one 8-byte-a-trial buffer.
+# a directory or runs a trial.  The per-item costs are rounded up from peaks
+# measured on CPython 3.11 with NumPy 2.4, or kept from older, higher ones.
+# A CSV row costs about 110 bytes in an experiment and 45 in the bound tables
+# (200 while a file was held as one string).  A trial of a range costs 20-40
+# bytes plus 50 per conjunction variable (240 while a range's state words were
+# derived at once).  Each process holds one range's trials and a draw buffer
+# (a row and its decoded copies); the schedule's losses share one 8-byte-a-trial buffer.
 SIZE_BUDGET_BYTES = 2 << 30
 _ROW_BYTES = 256
 _TRIAL_BYTES = 256
@@ -199,7 +195,7 @@ def _bound_bytes(m_count: int, slots: int) -> int:
 def _check_size(estimate: int) -> None:
     if estimate > SIZE_BUDGET_BYTES:
         raise ConfigError(
-            f"run needs an estimated {estimate / 2**20:,.0f} MiB, over the {SIZE_BUDGET_BYTES / 2**20:,.0f} MiB budget;"
+            f"run needs an estimated {estimate >> 20:,} MiB, over the {SIZE_BUDGET_BYTES >> 20:,} MiB budget;"
             " lower the slots, trials or sample sizes"
         )
 
@@ -408,32 +404,36 @@ def read_distributions_csv(path: str | Path) -> dict[tuple[int, str], DiscreteDi
     if not len(rows):
         raise ConfigError(f"{path}: no distributions found")
     m, source, slot = rows["m"], rows["source"], rows["slot_index"]
-    # Runs of rows of one group: usually one run per group.
+    # Runs of rows of one group: one run per group in every file paclab writes.
     starts = np.flatnonzero(np.r_[True, (m[1:] != m[:-1]) | (source[1:] != source[:-1])])
-    ids: dict[tuple[int, str], int] = {}
-    runs = [ids.setdefault(key, len(ids)) for key in zip(m[starts].tolist(), source[starts].tolist())]
-    keys, row_group = list(ids), np.repeat(runs, np.diff(np.r_[starts, len(rows)]))
-    sizes = np.bincount(row_group)
-    ends = np.cumsum(sizes)
-    # Each row's place once its group is sorted by slot; with no repeated slot,
-    # the slots of a group of l rows run 0..l-1 when none lies outside them.
-    outside = (slot < 0) | (slot >= sizes[row_group])
-    place = (ends - sizes)[row_group] + slot
-    if outside.any() or np.bincount(place, minlength=len(rows)).max() > 1:
-        _, first, pair = np.unique(np.c_[row_group, slot], axis=0, return_index=True, return_inverse=True)
-        repeats = np.flatnonzero(first[pair] != np.arange(len(rows)))
-        if len(repeats):
-            raise ConfigError(f"{path}: duplicate slot {slot[repeats[0]]} in group {keys[row_group[repeats[0]]]}")
-        raise ConfigError(f"{path}: group {keys[row_group[outside].min()]} has non-contiguous slot indices")
-    by_slot = np.empty(len(rows))
-    by_slot[place] = rows["mass"]
-    del rows, m, source, slot, row_group, outside, place  # a str per source cell: freed before the groups are built
-    bounds, groups = [0, *ends.tolist()], {}
-    for key, a, b in zip(keys, bounds, bounds[1:]):
+    ids = {}
+    runs = np.array([ids.setdefault(key, len(ids)) for key in zip(m[starts].tolist(), source[starts].tolist())],
+                    np.min_scalar_type(len(ids)))  # a stable sort of ids of 16 bits or less is a radix sort
+    keys, sizes = list(ids), np.diff(np.r_[starts, len(rows)])
+    if len(runs) == len(keys):  # a group's rows: a slice of the file, else their indices in file order
+        picks = map(slice, starts, starts + sizes)
+    else:
+        row_group = np.repeat(runs, sizes)
+        picks = np.split(np.argsort(row_group, kind="stable"), np.cumsum(np.bincount(row_group))[:-1])
+    # Each group is built in turn; its l slots must be 0..l-1 once each, and a bad mass waits for every group's slots.
+    groups, error = {}, None
+    for key, index in zip(keys, picks):
+        slots = slot[index]
+        if slots.min() < 0 or slots.max() >= len(slots) or np.bincount(slots).max() > 1:
+            row_group = np.repeat(runs, sizes)
+            _, first = np.unique(np.c_[row_group, slot], axis=0, return_index=True)
+            repeats = np.setdiff1d(np.arange(len(slot)), first)
+            if len(repeats):
+                raise ConfigError(f"{path}: duplicate slot {slot[repeats[0]]} in group {keys[row_group[repeats[0]]]}")
+            raise ConfigError(f"{path}: group {key} has non-contiguous slot indices")
+        masses = np.empty(len(slots))
+        masses[slots] = rows["mass"][index]
         try:
-            groups[key] = DiscreteDistribution(by_slot[a:b])
+            groups[key] = DiscreteDistribution(masses)
         except ValueError as exc:
-            raise ConfigError(f"{path}: group {key}: {exc}") from exc
+            error = error or ConfigError(f"{path}: group {key}: {exc}")
+    if error:
+        raise error
     return groups
 
 
@@ -451,9 +451,7 @@ def _select_distribution(
 ) -> DiscreteDistribution:
     keys = [k for k in groups if m in (None, k[0]) and source in (None, k[1])]
     if source is None and len(keys) > 1:
-        preferred = [k for k in keys if k[1] == default_source]
-        if preferred:
-            keys = preferred
+        keys = [k for k in keys if k[1] == default_source] or keys
     if len(keys) == 1:
         return groups[keys[0]]
     if not keys:
@@ -521,7 +519,7 @@ def _config_flags(path: str | Path, command: str) -> list[str]:
         if key == "config" or "-" in key:
             raise ConfigError(f"{path}: unknown config key {key!r} for {command}")
         if isinstance(value, list):
-            value = ",".join(str(v) for v in value)
+            value = ",".join(map(str, value))
         flags.append(f"--{key.replace('_', '-')}={value}")
     return flags
 

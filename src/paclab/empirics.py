@@ -6,12 +6,13 @@ distribution that gets compared against the discretized theoretical
 bound.  Every trial owns an independent PCG64 stream seeded from
 (master_seed, m, trial_index) by a fixed 64-bit mix, so trial i sees
 the same stream whatever k is.  :func:`run_trials` derives the PCG64
-state words of all k streams of a sample size at once in vectorised
-uint64 arithmetic (:func:`pcg64_states`).  One PCG64 serves them all:
-trial i is seated by writing its four words into the generator's
-``pcg64_random_t``, reached through ``bit_generator.ctypes.state_address``,
-and one NumPy call per trial fills a row of a chunk buffer with the
-draws of ``Generator(PCG64(derive_trial_seed(...)))`` built per trial.
+state words of the k streams of a sample size in vectorised uint64
+arithmetic (:func:`pcg64_states`), up to 4,096 streams at a time.  One
+PCG64 serves them all: trial i is seated by writing its four words into
+the generator's ``pcg64_random_t``, reached through
+``bit_generator.ctypes.state_address``, and one NumPy call per trial
+fills a row of a chunk buffer with the draws of
+``Generator(PCG64(derive_trial_seed(...)))`` built per trial.
 Conjunction rows are raw outputs, decoded a chunk at a time.
 
 The trials of a schedule of calls can be shared with forked workers
@@ -103,6 +104,10 @@ _PCG_MULT_LO = 0x4385_DF64_9FCC_F645
 # Trials are drawn a chunk at a time into a buffer of this many bytes,
 # small enough that the buffer and its decoded copies leave peak RSS as is.
 _CHUNK_BYTES = 1 << 16
+# Seeds and state words are derived for at most this many trials at a time:
+# their temporaries, about 240 bytes a trial, then stay near 1 MiB however long
+# the range.  Every range of a default run (at most 1,000 trials) is one block.
+_STATE_TRIALS = 4096
 
 
 def _mul_hi64(a: np.ndarray, b: int) -> np.ndarray:
@@ -198,39 +203,43 @@ def _trial_draws(
     ``Generator.integers``), or the doubles of ``Generator.random``.
 
     One PCG64 serves every trial: trial i is seated by writing its four
-    state words into the generator's struct.  ``random_raw`` and
-    ``Generator.random`` do not read NumPy's buffered-uint32 flag, which
-    that write leaves alone; the ``Generator.integers`` replay does, so it
-    seats trial ``start`` through the ``state`` setter, which clears the flag.
+    state words, derived ``_STATE_TRIALS`` trials at a time, into the
+    generator's struct.  ``random_raw`` and ``Generator.random`` do not
+    read NumPy's buffered-uint32 flag, which that write leaves alone; the
+    ``Generator.integers`` replay does, so it seats trial ``start`` through
+    the ``state`` setter, which clears the flag.
     """
-    seeds = _trial_seeds(master_seed, m, start, stop)
-    words = pcg64_states(seeds)
-    bit_generator = np.random.PCG64(int(seeds[0]))
-    first = bit_generator.state
-    derived = [int(words[0, 1]) << 64 | int(words[0, 0]), int(words[0, 3]) << 64 | int(words[0, 2])]
-    if [first["state"]["state"], first["state"]["inc"]] != derived:
-        raise RuntimeError(f"derived PCG64 state disagrees with NumPy {np.__version__} for seed {int(seeds[0])}")
-    view = _state_view(bit_generator)
-    words = words[:, _word_order(view, words[0])]
-    generator = np.random.Generator(bit_generator)
     raw = isinstance(task, ConjunctionTask)
     width = task.draw_width(m, fixed_target)
     rows = max(1, _CHUNK_BYTES // (8 * width))
-    for first_row in range(0, len(words), rows):
-        chunk = np.empty((min(rows, len(words) - first_row), width), dtype=np.uint64 if raw else np.float64)
-        for row, state in zip(chunk, words[first_row : first_row + rows]):
-            view[:] = state
-            if raw:
-                row[:] = bit_generator.random_raw(width)
-            else:
-                generator.random(out=row)
-        if raw and first_row == 0:
-            bit_generator.state = first
-            codes, bits = task.decode(m, chunk[:1], fixed_target)
-            same = fixed_target or codes[0].tolist() == list(task.draw_target(generator).states)
-            if not (same and np.array_equal(bits[0], generator.integers(0, 2, size=(m, task.n), dtype=np.uint8))):
-                raise RuntimeError(f"raw-output decode disagrees with Generator.integers on NumPy {np.__version__}")
-        yield chunk
+    for block in range(start, stop, _STATE_TRIALS):
+        seeds = _trial_seeds(master_seed, m, block, min(block + _STATE_TRIALS, stop))
+        words = pcg64_states(seeds)
+        if block == start:
+            bit_generator = np.random.PCG64(int(seeds[0]))
+            first = bit_generator.state
+            derived = [int(words[0, 1]) << 64 | int(words[0, 0]), int(words[0, 3]) << 64 | int(words[0, 2])]
+            if [first["state"]["state"], first["state"]["inc"]] != derived:
+                raise RuntimeError(f"derived PCG64 state disagrees with NumPy {np.__version__} for seed {int(seeds[0])}")
+            view = _state_view(bit_generator)
+            order = _word_order(view, words[0])
+            generator = np.random.Generator(bit_generator)
+        words = words[:, order]
+        for first_row in range(0, len(words), rows):
+            chunk = np.empty((min(rows, len(words) - first_row), width), dtype=np.uint64 if raw else np.float64)
+            for row, state in zip(chunk, words[first_row : first_row + rows]):
+                view[:] = state
+                if raw:
+                    row[:] = bit_generator.random_raw(width)
+                else:
+                    generator.random(out=row)
+            if raw and block == start and first_row == 0:
+                bit_generator.state = first
+                codes, bits = task.decode(m, chunk[:1], fixed_target)
+                same = fixed_target or codes[0].tolist() == list(task.draw_target(generator).states)
+                if not (same and np.array_equal(bits[0], generator.integers(0, 2, size=(m, task.n), dtype=np.uint8))):
+                    raise RuntimeError(f"raw-output decode disagrees with Generator.integers on NumPy {np.__version__}")
+            yield chunk
 
 
 @dataclass(frozen=True)
@@ -276,6 +285,8 @@ class ExperimentConfig:
             raise ValueError("need at least 1 trial")
         if self.m_start < 1 or self.m_step < 1 or self.m_max < self.m_start:
             raise ValueError(f"bad sample-size schedule ({self.m_start}, {self.m_step}, {self.m_max})")
+        if self.m_max >= 2**63:  # as in BoundSpec; a longer schedule has no len()
+            raise ValueError(f"sample size m must be below 2**63, got m_max={self.m_max}")
 
     def schedule(self) -> range:
         return range(self.m_start, self.m_max + 1, self.m_step)

@@ -45,6 +45,14 @@ __all__ = [
 _LN2 = math.log(2.0)
 
 
+def _check_sample_size(m: int) -> None:
+    """A sample size is an int from 1 to 2**63 - 1: stored files read m as int64, and m*eps stays finite."""
+    if not isinstance(m, int) or m < 1:
+        raise ValueError(f"sample size m must be a positive integer, got {m!r}")
+    if m >= 2**63:
+        raise ValueError(f"sample size m must be below 2**63, got {m}")
+
+
 @dataclass(frozen=True)
 class BoundSpec:
     """One theoretical bound: sample size ``m`` and ``log_weight``, ln W.
@@ -58,8 +66,7 @@ class BoundSpec:
     log_weight: float
 
     def __post_init__(self) -> None:
-        if not isinstance(self.m, int) or self.m < 1:
-            raise ValueError(f"sample size m must be a positive integer, got {self.m!r}")
+        _check_sample_size(self.m)
         # Only finite_h can pass a bad ln W, its ln|H|: finite_vc's is finite and >= 0.
         if not math.isfinite(self.log_weight) or self.log_weight < 0.0:
             raise ValueError("finite-H bound needs ln|H| >= 0 (|H| >= 1)")
@@ -86,6 +93,7 @@ class BoundSpec:
         """
         if not isinstance(vc_dim, int) or vc_dim < 1:
             raise ValueError(f"VC dimension must be a positive integer, got {vc_dim!r}")
+        _check_sample_size(m)  # before m meets a float
         d = vc_dim
         return cls(m=m, log_weight=m * _LN2 if m < d else min(m * _LN2, d * (1.0 + math.log(m) - math.log(d))))
 

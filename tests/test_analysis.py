@@ -57,6 +57,12 @@ class TestKlDivergence:
         expected = 0.5 * math.log2(0.5 / 2e-16) + 0.5 * math.log2(0.5 / 0.25)
         assert kl_divergence(p, q) == pytest.approx(expected, rel=1e-12)
 
+    def test_positive_q_below_the_floor_is_used_as_it_is(self):
+        p = DiscreteDistribution((1e-320, 1.0))
+        assert kl_divergence(p, p) == 0.0  # flooring 1e-320 gave -1.0e-317
+        even, q = DiscreteDistribution((0.5, 0.5)), DiscreteDistribution((1e-17, 1.0 - 1e-17))
+        assert kl_divergence(even, q) == 0.5 * math.log2(0.5 / 1e-17) + 0.5 * math.log2(0.5 / (1.0 - 1e-17))
+
     def test_custom_floor(self):
         value = kl_divergence(point_mass_dist(0, 4), point_mass_dist(3, 4), floor=0.25)
         assert value == 2.0
@@ -81,7 +87,7 @@ class TestKlDivergence:
             total = 0.0
             for p_i, q_i in zip(p.masses, q.masses):
                 if p_i > 0.0:
-                    total += p_i * math.log2(p_i / max(q_i, 2e-16))
+                    total += p_i * math.log2(p_i / (q_i if q_i > 0.0 else 2e-16))
             return total
 
         rng = np.random.default_rng(73)

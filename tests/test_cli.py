@@ -1,5 +1,6 @@
 """Command-line behavior: config handling, outputs, reproducibility, exit codes."""
 
+import argparse
 import csv
 import errno
 import hashlib
@@ -9,6 +10,7 @@ import math
 import os
 import subprocess
 import sys
+import tracemalloc
 import warnings
 from pathlib import Path
 
@@ -461,6 +463,34 @@ class TestExitCodes:
         assert main(["kl", str(short), str(short)]) == 1
 
 
+def int_flags():
+    """(command, flag) for every int-typed flag of every subcommand, and bound's list-valued --m."""
+    parser = build_parser()
+    commands = next(action for action in parser._actions if isinstance(action, argparse._SubParsersAction)).choices
+    flags = [(name, action.option_strings[0]) for name, sub in commands.items() for action in sub._actions
+             if action.type is int]
+    return [*flags, ("bound", "--m")]
+
+
+@pytest.mark.parametrize("command, flag", int_flags(), ids=lambda arg: arg.strip("-"))
+@pytest.mark.parametrize("value", [0, -1, 2**63, 10**400], ids=["zero", "minus-one", "two-to-63", "ten-to-400"])
+def test_int_flag_at_the_extremes_exits_cleanly(tmp_path, capsys, command, flag, value):
+    # A run small enough to finish fast if the value is accepted; the flag under test comes last and wins.
+    out, dist = tmp_path / "out", tmp_path / "d.csv"
+    write_single_dist_csv(dist, [0.5, 0.5], m=1)
+    argv = {
+        "experiment": ["--task", "conjunction" if flag == "--n" else "threshold", "--trials", "2", "--slots", "2",
+                       "--m-start", "1", "--m-step", "1", "--m-max", "2", "--out-dir", str(out)],
+        "bound": ["--kind", "vc", "--vc-dim", "1", "--slots", "2", "--m", "1", "--out-dir", str(out)],
+        "kl": [str(dist), str(dist)],
+    }[command]
+    rc = main([command, *argv, f"{flag}={value}"])
+    captured = capsys.readouterr()
+    assert rc in (0, 1, 2)
+    assert "Traceback" not in captured.out + captured.err
+    assert rc == 0 or not out.exists()
+
+
 def default_config(task, **overrides):
     """The CLI's default experiment for ``task``, with overrides."""
     m_start = 25 if isinstance(task, ConjunctionTask) else 20
@@ -855,6 +885,11 @@ class TestReadDistributionsCsv:
              "duplicate slot 0 in group (7, 'Q')"),
             (dist_text(rows=[DIST_ROWS[0], DIST_ROWS[2], DIST_ROWS[1], DIST_ROWS[0], DIST_ROWS[3], DIST_ROWS[3]]),
              "duplicate slot 0 in group (7, 'P')"),
+            # Of several faults, a repeat comes first, then a slot outside 0..l-1, then a bad mass.
+            (dist_text(rows=[DIST_ROWS[0], ("7", "P", "2", "0.5", "1", "0.75"), DIST_ROWS[2], DIST_ROWS[2]]),
+             "duplicate slot 0 in group (7, 'Q')"),
+            (dist_text(rows=[(*DIST_ROWS[0][:5], "nan"), DIST_ROWS[1], DIST_ROWS[2], ("7", "Q", "2", "0.5", "1", "0.5")]),
+             "group (7, 'Q') has non-contiguous slot indices"),
             # Python's int() takes these; the int64 reader does not.
             (dist_text(rows=[(str(2**63), *row[1:]) for row in DIST_ROWS]), "malformed distribution row"),
             (dist_text(rows=[("1_000", *row[1:]) for row in DIST_ROWS]), "malformed distribution row"),
@@ -862,13 +897,45 @@ class TestReadDistributionsCsv:
         ],
         ids=["short-row", "missing-column", "non-numeric-mass", "non-numeric-index", "duplicate-row",
              "conflicting-row", "oversized-cell", "slot-gap", "negative-slot", "interleaved-repeat",
-             "interleaved-repeat-later-group", "m-above-int64", "underscored-m", "underscored-slot"],
+             "interleaved-repeat-later-group", "repeat-after-slot-gap", "slot-gap-after-bad-mass", "m-above-int64",
+             "underscored-m", "underscored-slot"],
     )
     def test_malformed_file_exits_1(self, tmp_path, capsys, text, message):
         path = tmp_path / "d.csv"
         path.write_text(text)
         assert main(["kl", str(path), str(path), "--m", "7"]) == 1
         assert capsys.readouterr().err.startswith(f"paclab: error: {path}: {message}")
+
+    @staticmethod
+    def hundred_groups(path, order=None):
+        """100 (m, source) groups of 1,000 slots each, one run per group, or their rows in ``order``."""
+        rows = [f"{g // 2 + 1},{'PQ'[g % 2]},{i},0,1,{(i + g) % 2 / 500}\n" for g in range(100) for i in range(1000)]
+        rows = rows if order is None else [rows[i] for i in order]
+        path.write_text(",".join(DISTRIBUTIONS_HEADER) + "\n" + "".join(rows))
+
+    def test_contiguous_groups_read_in_at_most_44_bytes_a_row(self, tmp_path):
+        # The parsed rows take 32 bytes a row and the built groups 8: each
+        # group is checked and built in turn, with no other array as long as the file.
+        path = tmp_path / "d.csv"
+        self.hundred_groups(path)
+        read_distributions_csv(path)  # NumPy's one-off allocations are not the reader's
+        tracemalloc.start()
+        try:
+            groups = read_distributions_csv(path)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert len(groups) == 100
+        assert peak <= 44 * 100_000
+
+    def test_shuffled_rows_read_to_the_same_groups(self, tmp_path):
+        # Every group comes back in many runs, in any order: its rows are gathered by index.
+        ordered, shuffled = tmp_path / "d.csv", tmp_path / "shuffled.csv"
+        self.hundred_groups(ordered)
+        self.hundred_groups(shuffled, np.random.default_rng(5).permutation(100_000))
+        expected = read_distributions_csv(ordered)
+        assert read_distributions_csv(shuffled) == expected
+        assert expected[(50, "Q")].masses.tolist() == [(i + 99) % 2 / 500 for i in range(1000)]
 
     def test_a_compressed_file_suffix_is_only_a_name(self, tmp_path):
         for name in ("d.csv.gz", "d.csv.bz2", "d.csv.xz", "d.csv.lzma"):
@@ -1106,6 +1173,12 @@ class TestKlCommand:
         path = tmp_path / "p.csv"
         write_single_dist_csv(path, [0.25, 0.25, 0.5])
         assert cmd_kl(path, path) == 0.0
+
+    def test_file_with_a_subnormal_mass_against_itself_prints_zero(self, tmp_path, capsys):
+        path = tmp_path / "p.csv"
+        write_single_dist_csv(path, [1e-320, 1.0])
+        assert main(["kl", str(path), str(path)]) == 0
+        assert capsys.readouterr().out == "0\n"
 
     def test_disjoint_fixtures_hit_ceiling(self, tmp_path):
         p_path = tmp_path / "p.csv"

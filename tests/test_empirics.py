@@ -449,6 +449,32 @@ class TestTrialRanges:
 
     @pytest.mark.parametrize("fixed_target", [False, True])
     @pytest.mark.parametrize("task", [ConjunctionTask(10), ThresholdTask()], ids=["conjunction", "threshold"])
+    @pytest.mark.parametrize("m", [25, 1250])
+    def test_state_words_derived_a_block_at_a_time(self, monkeypatch, task, m, fixed_target):
+        # Blocks of 4 trials cut the draw chunks (5 or more rows) at other places; no loss moves.
+        seed = 2024
+        target = task.draw_target(trial_rng(seed, m, FIXED_TARGET_INDEX)) if fixed_target else None
+        whole = empirics._range_losses(task, m, 3, 16, seed, fixed_target, target)
+        monkeypatch.setattr(empirics, "_STATE_TRIALS", 4)
+        assert empirics._range_losses(task, m, 3, 16, seed, fixed_target, target).tobytes() == whole.tobytes()
+
+    def test_a_long_range_holds_no_state_words_of_all_its_trials(self):
+        # Derived for all 400,000 trials at once, their temporaries raised the peak by about 90 MiB.
+        script = (
+            "import resource\n"
+            "from paclab.empirics import run_trials\n"
+            "from paclab.learners import ThresholdTask\n"
+            "run_trials(ThresholdTask(), 20, 100, 1)\n"
+            "before = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss\n"
+            "run_trials(ThresholdTask(), 20, 400_000, 1)\n"
+            "print(resource.getrusage(resource.RUSAGE_SELF).ru_maxrss - before)\n"
+        )
+        proc = subprocess.run([sys.executable, "-c", script], env=worker_env(), capture_output=True, text=True, timeout=120)
+        assert (proc.returncode, proc.stderr) == (0, "")
+        assert int(proc.stdout) < 20 * 1024  # KiB
+
+    @pytest.mark.parametrize("fixed_target", [False, True])
+    @pytest.mark.parametrize("task", [ConjunctionTask(10), ThresholdTask()], ids=["conjunction", "threshold"])
     @pytest.mark.parametrize("count", [2, 3])
     def test_pooled_run_matches_one_process(self, cpus, task, count, fixed_target):
         cpus(count, uncapped=True)
@@ -1106,3 +1132,10 @@ class TestExperimentConfig:
             ExperimentConfig(task=ThresholdTask(), num_slots=10, trials=0, m_start=5, m_step=5, m_max=50, master_seed=0)
         with pytest.raises(ValueError):
             ExperimentConfig(task=ThresholdTask(), num_slots=10, trials=10, m_start=50, m_step=5, m_max=5, master_seed=0)
+
+    @pytest.mark.parametrize("m_max", [2**63, 10**400])
+    def test_m_max_from_2_to_the_63_is_rejected(self, m_max):
+        # Beyond it the schedule has no len(), and stored files could not read its m back.
+        with pytest.raises(ValueError, match=rf"^sample size m must be below 2\*\*63, got m_max={m_max}$"):
+            ExperimentConfig(task=ThresholdTask(), num_slots=10, trials=10, m_start=5, m_step=5, m_max=m_max, master_seed=0)
+        assert ExperimentConfig(ThresholdTask(), 10, 10, 5, 2**62, 2**63 - 1, 0).schedule() == range(5, 2**63, 2**62)

@@ -66,6 +66,17 @@ class TestBoundSpec:
         with pytest.raises(ValueError, match=r"^sample size m must be a positive integer, got "):
             BoundSpec(m=m, log_weight=1.0)
 
+    @pytest.mark.parametrize("m", [2**63, 10**400])
+    def test_m_from_2_to_the_63_is_rejected_by_every_constructor(self, m):
+        # 10**400 does not convert to a float, so finite_vc checks m before m*ln 2.
+        for make in (lambda: BoundSpec(m, 1.0), lambda: BoundSpec.finite_h(m, 2.0), lambda: BoundSpec.finite_vc(m, 1)):
+            with pytest.raises(ValueError, match=rf"^sample size m must be below 2\*\*63, got {m}$"):
+                make()
+
+    def test_the_largest_m_evaluates(self):
+        spec = BoundSpec.finite_vc(m=2**63 - 1, vc_dim=1)
+        assert bound_cdf(spec, 0.5) == 1.0 and bound_point_mass(spec) == 0.0
+
     def test_a_spec_is_its_m_and_log_weight(self):
         # W = |H| = 2 and the VC-1 growth-function bound 2**1 are one function.
         assert BoundSpec.finite_h(m=1, h_size=2.0) == BoundSpec.finite_vc(m=1, vc_dim=1) == BoundSpec(1, math.log(2.0))
