@@ -2,18 +2,7 @@
 PAC-learnable tasks: theoretical CDFs for finite and finite-VC hypothesis
 classes, exact-loss ERM trials, and distribution comparison tooling."""
 
-from .analysis import (
-    CurvePoint,
-    ExperimentRecord,
-    MonotonicityReport,
-    build_curve,
-    check_monotone,
-    dist_mean,
-    dist_std,
-    kl_divergence,
-    stochastic_dominance,
-    two_standard_error_tolerances,
-)
+from .analysis import CurvePoint, ExperimentRecord, build_curve, kl_divergence, moments
 from .empirics import ExperimentConfig, TrialBatch, derive_trial_seed, histogram, run_trials
 from .learners import (
     ConjunctionHypothesis,
@@ -25,8 +14,6 @@ from .learners import (
     conjunction_loss_exact,
     label_conjunction,
     learn_threshold,
-    random_conjunction_target,
-    random_threshold_target,
     threshold_loss_exact,
     threshold_loss_monte_carlo,
 )

@@ -59,7 +59,6 @@ __all__ = [
     "cmd_experiment",
     "cmd_kl",
     "main",
-    "read_curve_csv",
     "read_distributions_csv",
     "run_experiment",
     "task_bound_spec",
@@ -335,7 +334,6 @@ def cmd_bound(
 # ---------------------------------------------------------------------------
 
 _DISTRIBUTION_DTYPE = np.dtype([("m", np.int64), ("source", object), ("slot_index", np.int64), ("mass", np.float64)])
-_CURVE_DTYPE = np.dtype([("m", np.int64)] + [(name, np.float64) for name in CURVE_HEADER[1:]])
 
 
 def _checked_lines(fh: TextIO) -> Iterator[str]:
@@ -372,35 +370,36 @@ def _by_name(path: str | Path) -> bool:
     return not (crs and quotes)
 
 
-def _read_columns(path: str | Path, header: Sequence[str], dtype: np.dtype, what: str) -> np.ndarray:
-    """The columns of a CSV named by ``dtype``'s fields, found by name in its header, in one ``np.loadtxt`` pass.
+def _read_columns(path: str | Path) -> np.ndarray:
+    """The distribution columns of a CSV, found by name in its header, in one ``np.loadtxt`` pass.
 
-    The file must have every column of ``header``, in any order.  Cells may
-    be quoted, ``#`` is data, blank lines are skipped and extra cells are
-    ignored; a short row or a cell that does not parse raises ConfigError.
-    NumPy reads the rows by name if it can, else as ``fh``'s checked lines.
+    The file must have every column of ``DISTRIBUTIONS_HEADER``, in any
+    order.  Cells may be quoted, ``#`` is data, blank lines are skipped and
+    extra cells are ignored; a short row or a cell that does not parse
+    raises ConfigError.  NumPy reads the rows by name if it can, else as
+    ``fh``'s checked lines.
     """
     try:
         with open(path, newline="", encoding="utf-8") as fh, warnings.catch_warnings():
             reader = csv.reader(fh)
             index = {name: i for i, name in enumerate(next(reader, []))}
-            if not set(header) <= index.keys():
-                raise ConfigError(f"{path}: expected columns {list(header)}")
+            if not set(DISTRIBUTIONS_HEADER) <= index.keys():
+                raise ConfigError(f"{path}: expected columns {DISTRIBUTIONS_HEADER}")
             warnings.filterwarnings("ignore", "loadtxt: input contained no data", UserWarning)  # the caller's to judge
             # skiprows counts lines, not rows; abspath, as NumPy would fetch a name that parses as a URL.
             data, skip = (os.path.abspath(path), reader.line_num) if _by_name(path) else (_checked_lines(fh), 0)
             return np.loadtxt(
-                data, dtype=dtype, delimiter=",", quotechar='"', comments=None, skiprows=skip, encoding="utf-8",
-                usecols=[index[name] for name in dtype.names], ndmin=1,
+                data, dtype=_DISTRIBUTION_DTYPE, delimiter=",", quotechar='"', comments=None, skiprows=skip,
+                encoding="utf-8", usecols=[index[name] for name in _DISTRIBUTION_DTYPE.names], ndmin=1,
             )
     except (ValueError, csv.Error) as exc:  # a UnicodeDecodeError's repr quotes the decoder's whole chunk
         detail = exc.reason if isinstance(exc, UnicodeDecodeError) else repr(exc)
-        raise ConfigError(f"{path}: malformed {what} row ({detail})") from exc
+        raise ConfigError(f"{path}: malformed distribution row ({detail})") from exc
 
 
 def read_distributions_csv(path: str | Path) -> dict[tuple[int, str], DiscreteDistribution]:
     """Load every (m, source) group from a distributions-schema CSV, in order of first appearance."""
-    rows = _read_columns(path, DISTRIBUTIONS_HEADER, _DISTRIBUTION_DTYPE, "distribution")
+    rows = _read_columns(path)
     if not len(rows):
         raise ConfigError(f"{path}: no distributions found")
     m, source, slot = rows["m"], rows["source"], rows["slot_index"]
@@ -435,11 +434,6 @@ def read_distributions_csv(path: str | Path) -> dict[tuple[int, str], DiscreteDi
     if error:
         raise error
     return groups
-
-
-def read_curve_csv(path: str | Path) -> list[dict]:
-    """Load curve.csv rows as dicts with typed values."""
-    return [dict(zip(CURVE_HEADER, row)) for row in _read_columns(path, CURVE_HEADER, _CURVE_DTYPE, "curve").tolist()]
 
 
 def _select_distribution(

@@ -25,6 +25,8 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
+from .theory import _check_vc_dim
+
 __all__ = [
     "ConjunctionHypothesis",
     "ConjunctionTask",
@@ -39,8 +41,6 @@ __all__ = [
     "label_conjunction_batch",
     "learn_conjunction_bits",
     "learn_threshold",
-    "random_conjunction_target",
-    "random_threshold_target",
     "threshold_loss_exact",
     "threshold_loss_monte_carlo",
 ]
@@ -84,18 +84,6 @@ class ThresholdHypothesis:
 # ---------------------------------------------------------------------------
 # Conjunction task
 # ---------------------------------------------------------------------------
-
-def random_conjunction_target(n: int, rng: np.random.Generator) -> ConjunctionHypothesis:
-    """Draw a target: each variable positive / negated / absent, 1/3 each.
-
-    Equivalent to uniform over all 3**n satisfiable conjunctions; a target
-    is never contradictory.
-    """
-    if n < 1:
-        raise ValueError(f"need at least one variable, got n={n!r}")
-    codes = rng.integers(0, 3, size=n)
-    return ConjunctionHypothesis(tuple(VariableState(int(c)) for c in codes))
-
 
 def label_conjunction(hypothesis: ConjunctionHypothesis, bits: Sequence[int]) -> bool:
     """True iff every literal of the conjunction is satisfied by ``bits``."""
@@ -203,11 +191,6 @@ def conjunction_loss_enumerate(target: ConjunctionHypothesis, learned: Conjuncti
 # Threshold task
 # ---------------------------------------------------------------------------
 
-def random_threshold_target(rng: np.random.Generator) -> ThresholdHypothesis:
-    """Cut point drawn uniformly from [0, 1)."""
-    return ThresholdHypothesis(float(rng.random()))
-
-
 # Bit patterns of non-negative doubles lie below 2**63, so the wrapping
 # difference a - b of two of them is at least 2**63 exactly when a < b.
 _NEGATIVE_GAP = 1 << 63
@@ -271,7 +254,8 @@ class ConjunctionTask:
             raise ValueError(f"need at least one variable, got n={self.n!r}")
 
     def draw_target(self, rng: np.random.Generator) -> ConjunctionHypothesis:
-        return random_conjunction_target(self.n, rng)
+        """Each variable positive, negated or absent, 1/3 each: uniform over the 3**n satisfiable conjunctions."""
+        return ConjunctionHypothesis(tuple(VariableState(int(c)) for c in rng.integers(0, 3, size=self.n)))
 
     def draw_width(self, m: int, fixed_target: bool) -> int:
         """Raw PCG64 outputs one trial reads: its target words (none if fixed), then m*n bit bytes."""
@@ -342,11 +326,11 @@ class ThresholdTask:
     name = "threshold"
 
     def __post_init__(self) -> None:
-        if not isinstance(self.vc_dim, int) or self.vc_dim < 1:
-            raise ValueError(f"VC dimension must be a positive integer, got {self.vc_dim!r}")
+        _check_vc_dim(self.vc_dim)
 
     def draw_target(self, rng: np.random.Generator) -> ThresholdHypothesis:
-        return random_threshold_target(rng)
+        """Cut point drawn uniformly from [0, 1)."""
+        return ThresholdHypothesis(float(rng.random()))
 
     def draw_width(self, m: int, fixed_target: bool) -> int:
         """Uniform doubles one trial reads: its target cut (none if fixed), then m points."""

@@ -53,6 +53,11 @@ def _check_sample_size(m: int) -> None:
         raise ValueError(f"sample size m must be below 2**63, got {m}")
 
 
+def _check_vc_dim(vc_dim):
+    if not isinstance(vc_dim, int) or vc_dim < 1:
+        raise ValueError(f"VC dimension must be a positive integer, got {vc_dim!r}")
+
+
 @dataclass(frozen=True)
 class BoundSpec:
     """One theoretical bound: sample size ``m`` and ``log_weight``, ln W.
@@ -91,8 +96,7 @@ class BoundSpec:
         Both bound the growth function; taking the smaller keeps ln W >= 0 and
         the CDF non-decreasing in m.
         """
-        if not isinstance(vc_dim, int) or vc_dim < 1:
-            raise ValueError(f"VC dimension must be a positive integer, got {vc_dim!r}")
+        _check_vc_dim(vc_dim)
         _check_sample_size(m)  # before m meets a float
         d = vc_dim
         return cls(m=m, log_weight=m * _LN2 if m < d else min(m * _LN2, d * (1.0 + math.log(m) - math.log(d))))
@@ -192,7 +196,10 @@ def sample_complexity_finite(h_size: float, eps: float, delta: float) -> int:
     return math.ceil((math.log(h_size) - math.log(delta)) / eps)
 
 
-def sample_complexity_vc(vc_dim: int, eps: float, delta: float, max_iterations: int = 10_000) -> int:
+_VC_ITERATION_CAP = 10_000
+
+
+def sample_complexity_vc(vc_dim: int, eps: float, delta: float) -> int:
     """Samples sufficient for a VC-d class, from the self-referential bound.
 
     The target ``m = ceil(ln((e*m/d)**d / delta) / eps)`` mentions m on
@@ -203,17 +210,14 @@ def sample_complexity_vc(vc_dim: int, eps: float, delta: float, max_iterations: 
     """
     if not 0.0 < eps < 1.0 or not 0.0 < delta < 1.0:
         raise ValueError("eps and delta must lie in (0, 1)")
-    if vc_dim < 1:
-        raise ValueError(f"VC dimension must be >= 1, got {vc_dim!r}")
-    d = vc_dim
-    m = d
-    for _ in range(max_iterations):
+    _check_vc_dim(vc_dim)
+    d = m = vc_dim
+    for _ in range(_VC_ITERATION_CAP):
         m_next = math.ceil((d * (1.0 + math.log(m) - math.log(d)) - math.log(delta)) / eps)
-        m_next = max(m_next, 1)
         if m_next == m:
             return m
         m = m_next
-    raise RuntimeError(f"sample-complexity iteration did not stabilize within {max_iterations} steps")
+    raise RuntimeError(f"sample-complexity iteration did not stabilize within {_VC_ITERATION_CAP} steps")
 
 
 def discretize_bound(spec: BoundSpec, num_slots: int) -> DiscreteDistribution:

@@ -11,13 +11,8 @@ import time
 import numpy as np
 import pytest
 
-from paclab.analysis import (
-    build_curve,
-    check_monotone,
-    kl_divergence,
-    stochastic_dominance,
-    two_standard_error_tolerances,
-)
+from monotone import check_monotone, stochastic_dominance, two_standard_error_tolerances
+from paclab.analysis import KL_FLOOR, build_curve, kl_divergence
 from paclab.cli import cmd_experiment, run_experiment
 from paclab.empirics import ExperimentConfig, run_trials
 from paclab.learners import (
@@ -28,7 +23,6 @@ from paclab.learners import (
     conjunction_loss_exact,
     label_conjunction_batch,
     learn_conjunction_bits,
-    random_conjunction_target,
     threshold_loss_exact,
     threshold_loss_monte_carlo,
 )
@@ -90,7 +84,8 @@ def test_criterion_2_cutoff_location():
 def test_criterion_3_kl_ceiling():
     p = DiscreteDistribution((1.0,) + (0.0,) * (SLOTS - 1))
     q = DiscreteDistribution((0.0,) * (SLOTS - 1) + (1.0,))
-    got = kl_divergence(p, q, floor=2e-16)
+    assert KL_FLOOR == 2e-16
+    got = kl_divergence(p, q)
     ok = abs(got - 52.0) <= 1.0
     report("3 KL ceiling", ok, f"disjoint-support KL = {got:.4f}, expected 52 +/- 1")
 
@@ -156,7 +151,7 @@ def test_criterion_6_oracle_equivalence():
     checked = 0
     for n in range(3, 13):
         for _ in range(1000):
-            target = random_conjunction_target(n, rng)
+            target = ConjunctionTask(n).draw_target(rng)
             m = int(rng.integers(0, 3 * n + 1))
             bits = rng.integers(0, 2, size=(m, n), dtype=np.uint8)
             learned = learn_conjunction_bits(bits, label_conjunction_batch(target, bits))

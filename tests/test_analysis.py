@@ -5,16 +5,9 @@ import math
 import numpy as np
 import pytest
 
-from paclab.analysis import (
-    ExperimentRecord,
-    build_curve,
-    check_monotone,
-    dist_mean,
-    dist_std,
-    kl_divergence,
-    stochastic_dominance,
-    two_standard_error_tolerances,
-)
+import paclab.analysis
+from monotone import check_monotone, stochastic_dominance, two_standard_error_tolerances
+from paclab.analysis import ExperimentRecord, build_curve, kl_divergence, moments
 from paclab.empirics import histogram, run_trials
 from paclab.learners import ConjunctionTask
 from paclab.theory import BoundSpec, DiscreteDistribution, bound_density, bound_point_mass, cutoff, discretize_bound
@@ -62,10 +55,15 @@ class TestKlDivergence:
         assert kl_divergence(p, p) == 0.0  # flooring 1e-320 gave -1.0e-317
         even, q = DiscreteDistribution((0.5, 0.5)), DiscreteDistribution((1e-17, 1.0 - 1e-17))
         assert kl_divergence(even, q) == 0.5 * math.log2(0.5 / 1e-17) + 0.5 * math.log2(0.5 / (1.0 - 1e-17))
+        # 0.5 / 1e-320 overflows to inf; the term is then 0.5 * (log2(0.5) - log2(1e-320)).
+        q = DiscreteDistribution((1e-320, 1.0))
+        assert kl_divergence(even, q) == 0.5 * (math.log2(0.5) - math.log2(1e-320)) + 0.5 * math.log2(0.5)
+        assert kl_divergence(even, q) == pytest.approx(530.5085, abs=1e-4)
+        assert kl_divergence(DiscreteDistribution((1.0, 0.0)), DiscreteDistribution((5e-324, 1.0))) == 1074.0
 
-    def test_custom_floor(self):
-        value = kl_divergence(point_mass_dist(0, 4), point_mass_dist(3, 4), floor=0.25)
-        assert value == 2.0
+    def test_custom_floor(self, monkeypatch):
+        monkeypatch.setattr(paclab.analysis, "KL_FLOOR", 0.25)
+        assert kl_divergence(point_mass_dist(0, 4), point_mass_dist(3, 4)) == 2.0
 
     def test_never_meaningfully_negative(self):
         rng = np.random.default_rng(67)
@@ -103,21 +101,15 @@ class TestKlDivergence:
         with pytest.raises(ValueError):
             kl_divergence(point_mass_dist(0, 10), point_mass_dist(0, 20))
 
-    def test_rejects_bad_floor(self):
-        with pytest.raises(ValueError):
-            kl_divergence(point_mass_dist(0), point_mass_dist(1), floor=0.0)
-
 
 class TestMoments:
     def test_point_mass_in_first_slot(self):
         d = point_mass_dist(0)
-        assert dist_mean(d) == pytest.approx(0.005)
-        assert dist_std(d) == 0.0
+        assert moments(d) == (pytest.approx(0.005), 0.0)
 
     def test_uniform_two_slots(self):
         d = DiscreteDistribution((0.5, 0.5))
-        assert dist_mean(d) == pytest.approx(0.5)
-        assert dist_std(d) == pytest.approx(0.25)
+        assert moments(d) == pytest.approx((0.5, 0.25))
 
     def test_match_the_scalar_loop_bit_for_bit(self):
         # The scalar loop is the reference: the vectorised moments must do the
@@ -143,11 +135,10 @@ class TestMoments:
         dists += [point_mass_dist(slot, 2000) for slot in (0, 777, 1999)]
         dists += [DiscreteDistribution((-0.0, 1.0)), DiscreteDistribution((5e-324, 1.0, -0.0, 0.0))]
         for d in dists:
-            assert dist_mean(d) == loop_mean(d)
-            assert dist_std(d) == loop_std(d)
+            assert moments(d) == (loop_mean(d), loop_std(d))
 
     def test_bound_means_decrease_strictly_along_schedule(self):
-        means = [dist_mean(discretize_bound(conj_bound(m), 100)) for m in CONJ_SCHEDULE]
+        means = [moments(discretize_bound(conj_bound(m), 100))[0] for m in CONJ_SCHEDULE]
         assert all(b < a for a, b in zip(means, means[1:]))
 
     def test_mean_matches_density_integral(self):
@@ -159,7 +150,7 @@ class TestMoments:
             xs = np.linspace(lo, 1.0 - 1e-12, 200_000)
             integral = float(np.trapezoid(xs * bound_density(spec, xs), xs))
             exact_mean = integral + 1.0 * bound_point_mass(spec)
-            assert dist_mean(q) == pytest.approx(exact_mean, abs=1 / (2 * num_slots) + 1e-6)
+            assert moments(q)[0] == pytest.approx(exact_mean, abs=1 / (2 * num_slots) + 1e-6)
 
 
 class TestCheckMonotone:
@@ -186,7 +177,7 @@ class TestCheckMonotone:
         assert report.fraction_monotone_steps == 0.5
 
     def test_bound_mean_curve_is_monotone_at_zero_tolerance(self):
-        means = [dist_mean(discretize_bound(conj_bound(m), 100)) for m in CONJ_SCHEDULE]
+        means = [moments(discretize_bound(conj_bound(m), 100))[0] for m in CONJ_SCHEDULE]
         assert check_monotone(means, 0.0).violations == ()
 
     def test_fraction_accounting(self):
@@ -262,10 +253,8 @@ class TestBuildCurve:
         records = self.make_records([25, 50, 100])
         curve = build_curve(records)
         for rec, pt in zip(records, curve):
-            assert pt.mean_p == dist_mean(rec.empirical)
-            assert pt.std_p == dist_std(rec.empirical)
-            assert pt.mean_q == dist_mean(rec.theoretical)
-            assert pt.std_q == dist_std(rec.theoretical)
+            assert (pt.mean_p, pt.std_p) == moments(rec.empirical)
+            assert (pt.mean_q, pt.std_q) == moments(rec.theoretical)
             assert pt.kl == kl_divergence(rec.empirical, rec.theoretical)
 
     def test_rejects_empty(self):

@@ -21,6 +21,7 @@ from paclab.analysis import build_curve, kl_divergence
 import paclab.cli
 import paclab.empirics
 from paclab.cli import (
+    CURVE_HEADER,
     DISTRIBUTIONS_HEADER,
     ConfigError,
     build_parser,
@@ -28,7 +29,6 @@ from paclab.cli import (
     cmd_experiment,
     cmd_kl,
     main,
-    read_curve_csv,
     read_distributions_csv,
     run_experiment,
     task_bound_spec,
@@ -61,6 +61,14 @@ def write_single_dist_csv(path, masses, m=1, source="P"):
     Path(path).write_text("\n".join(lines) + "\n")
 
 
+def read_curve(path):
+    """The rows of a curve.csv paclab wrote, as dicts: m an int, the statistics floats."""
+    with open(path, newline="") as fh:
+        rows = list(csv.DictReader(fh))
+    assert rows and list(rows[0]) == CURVE_HEADER
+    return [{"m": int(row["m"]), **{name: float(row[name]) for name in CURVE_HEADER[1:]}} for row in rows]
+
+
 class TestTaskBoundSpec:
     def test_conjunction_maps_to_finite_h(self):
         spec = task_bound_spec(ConjunctionTask(10), 25)
@@ -91,7 +99,7 @@ class TestExperimentCommand:
         for dist in groups.values():
             assert math.fsum(dist.masses) == pytest.approx(1.0, abs=1e-9)
 
-        curve = read_curve_csv(tmp_path / "curve.csv")
+        curve = read_curve(tmp_path / "curve.csv")
         assert [row["m"] for row in curve] == list(schedule)
         # curve statistics must be recomputable from the stored distributions
         for row in curve:
@@ -205,7 +213,7 @@ class TestExperimentCommand:
         for rec in records:
             assert groups[(rec.m, "P")].masses.tolist() == rec.empirical.masses.tolist()
             assert groups[(rec.m, "Q")].masses.tolist() == rec.theoretical.masses.tolist()
-        curve = read_curve_csv(tmp_path / "curve.csv")
+        curve = read_curve(tmp_path / "curve.csv")
         for row, pt in zip(curve, build_curve(records)):
             assert row["mean_p"] == pt.mean_p
             assert row["kl"] == pt.kl
@@ -1037,18 +1045,20 @@ class TestReaderDialect:
             assert groups[key].masses.tolist() == [slots[i] for i in range(len(slots))], key
 
     def test_both_readers_share_one_parser(self, tmp_path, monkeypatch):
+        # kl reads its P and its Q file through the one parser, and one file named twice once.
         cmd_experiment(small_config(), tmp_path)
         calls = []
         original = paclab.cli._read_columns
 
-        def spy(path, *args):
+        def spy(path):
             calls.append(Path(path).name)
-            return original(path, *args)
+            return original(path)
 
         monkeypatch.setattr(paclab.cli, "_read_columns", spy)
-        read_curve_csv(tmp_path / "curve.csv")
-        read_distributions_csv(tmp_path / "distributions.csv")
-        assert calls == ["curve.csv", "distributions.csv"]
+        copy = tmp_path / "copy.csv"
+        copy.write_bytes((tmp_path / "distributions.csv").read_bytes())
+        assert cmd_kl(tmp_path / "distributions.csv", copy, m=20) == cmd_kl(copy, copy, m=20)
+        assert calls == ["distributions.csv", "copy.csv", "copy.csv"]
 
 
 @pytest.fixture(params=["default", 50])
@@ -1143,31 +1153,6 @@ class TestByName:
                 assert paclab.cli._by_name(path) is (length < field_limit), (start, length)
 
 
-class TestReadCurveCsv:
-    def test_layout_does_not_matter(self, tmp_path):
-        cmd_experiment(small_config(), tmp_path)
-        path = tmp_path / "curve.csv"
-        rows = read_curve_csv(path)
-        assert [row["m"] for row in rows] == [20, 40, 60, 80]
-        table = [line.split(",") for line in path.read_text().splitlines()]
-        path.write_bytes("\r\n\r\n".join(",".join(["pad", *cells[::-1]]) for cells in table).encode())
-        assert read_curve_csv(path) == rows
-
-    @pytest.mark.parametrize(
-        "text",
-        [
-            "m,mean_p,mean_q,std_q,kl\n20,0.1,0.2,0.3,0.4\n",  # no std_p column
-            "m,mean_p,std_p,mean_q,std_q,kl\n20,0.1,abc,0.2,0.3,0.4\n",  # non-numeric cell
-            "m,mean_p,std_p,mean_q,std_q,kl\n20,0.1\n",  # short row
-        ],
-    )
-    def test_malformed_curve_is_config_error(self, tmp_path, text):
-        path = tmp_path / "curve.csv"
-        path.write_text(text)
-        with pytest.raises(ConfigError, match="curve.csv"):
-            read_curve_csv(path)
-
-
 class TestKlCommand:
     def test_file_with_itself_is_zero(self, tmp_path):
         path = tmp_path / "p.csv"
@@ -1180,6 +1165,17 @@ class TestKlCommand:
         assert main(["kl", str(path), str(path)]) == 0
         assert capsys.readouterr().out == "0\n"
 
+    def test_subnormal_q_mass_prints_a_finite_value(self, tmp_path, capsys):
+        # One file holding P and Q groups; kl picks P from the first name and Q from the second.
+        path = tmp_path / "pq.csv"
+        write_single_dist_csv(path, [0.5, 0.5])
+        write_single_dist_csv(tmp_path / "q.csv", [1e-320, 1.0], source="Q")
+        path.write_text(path.read_text() + "".join((tmp_path / "q.csv").read_text().splitlines(True)[1:]))
+        assert main(["kl", str(path), str(path)]) == 0
+        printed = capsys.readouterr().out
+        assert printed == f"{0.5 * (math.log2(0.5) - math.log2(1e-320)) + 0.5 * math.log2(0.5):.17g}\n"
+        assert float(printed) == pytest.approx(530.5085, abs=1e-4)
+
     def test_disjoint_fixtures_hit_ceiling(self, tmp_path):
         p_path = tmp_path / "p.csv"
         q_path = tmp_path / "q.csv"
@@ -1190,7 +1186,7 @@ class TestKlCommand:
     def test_matches_curve_column_on_experiment_output(self, tmp_path):
         cmd_experiment(small_config(), tmp_path)
         dist_path = tmp_path / "distributions.csv"
-        for row in read_curve_csv(tmp_path / "curve.csv"):
+        for row in read_curve(tmp_path / "curve.csv"):
             assert cmd_kl(dist_path, dist_path, m=row["m"]) == row["kl"]
 
     def test_ambiguous_selection_rejected(self, tmp_path):

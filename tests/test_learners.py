@@ -18,8 +18,6 @@ from paclab.learners import (
     label_conjunction_batch,
     learn_conjunction_bits,
     learn_threshold,
-    random_conjunction_target,
-    random_threshold_target,
     threshold_loss_exact,
     threshold_loss_monte_carlo,
 )
@@ -51,27 +49,27 @@ class TestConjunctionHypothesis:
 
 class TestRandomConjunctionTarget:
     def test_deterministic_given_seed(self):
-        t1 = random_conjunction_target(12, np.random.default_rng(99))
-        t2 = random_conjunction_target(12, np.random.default_rng(99))
+        t1 = ConjunctionTask(12).draw_target(np.random.default_rng(99))
+        t2 = ConjunctionTask(12).draw_target(np.random.default_rng(99))
         assert t1 == t2
 
     def test_never_contradictory(self):
         rng = np.random.default_rng(3)
         for _ in range(500):
-            assert B not in random_conjunction_target(6, rng).states
+            assert B not in ConjunctionTask(6).draw_target(rng).states
 
     def test_state_frequencies_one_third(self):
         rng = np.random.default_rng(11)
         counts = {P: 0, N: 0, A: 0}
         draws = 30_000
         for _ in range(draws):
-            counts[random_conjunction_target(1, rng).states[0]] += 1
+            counts[ConjunctionTask(1).draw_target(rng).states[0]] += 1
         for state, count in counts.items():
             assert count / draws == pytest.approx(1 / 3, abs=0.02), state
 
     def test_rejects_zero_variables(self):
         with pytest.raises(ValueError):
-            random_conjunction_target(0, np.random.default_rng(0))
+            ConjunctionTask(0)
 
 
 class TestLabelConjunction:
@@ -101,7 +99,7 @@ class TestLabelConjunction:
     def test_batch_agrees_with_scalar(self):
         rng = np.random.default_rng(21)
         for _ in range(50):
-            target = random_conjunction_target(7, rng)
+            target = ConjunctionTask(7).draw_target(rng)
             bits = rng.integers(0, 2, size=(40, 7), dtype=np.uint8)
             batch = label_conjunction_batch(target, bits)
             scalar = [label_conjunction(target, tuple(int(b) for b in row)) for row in bits]
@@ -133,7 +131,7 @@ class TestLearnConjunction:
     def test_consistent_with_positive_examples(self):
         rng = np.random.default_rng(5)
         for _ in range(200):
-            target = random_conjunction_target(8, rng)
+            target = ConjunctionTask(8).draw_target(rng)
             bits, labels = sample_bits(target, 30, rng)
             learned = learn_conjunction_bits(bits, labels)
             for row in bits[labels]:
@@ -142,7 +140,7 @@ class TestLearnConjunction:
     def test_learned_literals_superset_of_target(self):
         rng = np.random.default_rng(6)
         for _ in range(200):
-            target = random_conjunction_target(8, rng)
+            target = ConjunctionTask(8).draw_target(rng)
             learned = learn_conjunction_bits(*sample_bits(target, 20, rng))
             for t_state, l_state in zip(target.states, learned.states):
                 if t_state in (P, N):
@@ -157,7 +155,7 @@ class TestConjunctionLoss:
     def test_identical_hypotheses_lose_nothing(self):
         rng = np.random.default_rng(13)
         for _ in range(50):
-            t = random_conjunction_target(6, rng)
+            t = ConjunctionTask(6).draw_target(rng)
             assert conjunction_loss_exact(t, t) == 0.0
 
     def test_empty_vs_contradiction_is_one(self):
@@ -178,7 +176,7 @@ class TestConjunctionLoss:
         rng = np.random.default_rng(17)
         for n in (3, 6, 10, 12):
             for _ in range(100):
-                target = random_conjunction_target(n, rng)
+                target = ConjunctionTask(n).draw_target(rng)
                 learned = learn_conjunction_bits(*sample_bits(target, int(rng.integers(0, 3 * n + 1)), rng))
                 assert conjunction_loss_exact(target, learned) == conjunction_loss_enumerate(target, learned)
 
@@ -206,7 +204,7 @@ class TestConjunctionLoss:
     def test_losses_are_dyadic(self):
         rng = np.random.default_rng(23)
         for _ in range(200):
-            target = random_conjunction_target(10, rng)
+            target = ConjunctionTask(10).draw_target(rng)
             learned = learn_conjunction_bits(*sample_bits(target, 10, rng))
             loss = conjunction_loss_exact(target, learned)
             assert 0.0 <= loss <= 1.0
@@ -216,7 +214,7 @@ class TestConjunctionLoss:
         # ruled-out literals stay ruled out, so more positives never hurt
         rng = np.random.default_rng(29)
         for _ in range(50):
-            target = random_conjunction_target(6, rng)
+            target = ConjunctionTask(6).draw_target(rng)
             bits, labels = sample_bits(target, 40, rng)
             prev = 1.0
             for cut in (0, 5, 10, 20, 40):
@@ -236,7 +234,8 @@ class TestConjunctionLoss:
 
 class TestThresholdSampling:
     def test_target_deterministic(self):
-        assert random_threshold_target(np.random.default_rng(4)) == random_threshold_target(np.random.default_rng(4))
+        task = ThresholdTask()
+        assert task.draw_target(np.random.default_rng(4)) == task.draw_target(np.random.default_rng(4))
 
     def test_boundary_point_labeled_zero(self):
         # A point at the cut is a negative, so the learner takes it; one just below is not.
@@ -307,14 +306,14 @@ class TestLearnThreshold:
     def test_estimate_never_undershoots_target(self):
         rng = np.random.default_rng(37)
         for _ in range(200):
-            target = random_threshold_target(rng)
+            target = ThresholdTask().draw_target(rng)
             xs = rng.random(int(rng.integers(1, 40)))
             assert learn_threshold(xs, target.a) >= target.a
 
     def test_estimate_tightens_with_more_points(self):
         rng = np.random.default_rng(41)
         for _ in range(50):
-            target = random_threshold_target(rng)
+            target = ThresholdTask().draw_target(rng)
             xs = rng.random(60)
             prev = 1.0
             for cut in (5, 15, 30, 60):
@@ -342,7 +341,7 @@ class TestThresholdLoss:
     def test_matches_monte_carlo(self):
         rng = np.random.default_rng(43)
         for _ in range(10):
-            t = random_threshold_target(rng)
+            t = ThresholdTask().draw_target(rng)
             learned = ThresholdHypothesis(min(1.0, t.a + float(rng.random()) * 0.3))
             mc = threshold_loss_monte_carlo(t, learned, 1_000_000, rng)
             assert threshold_loss_exact(t, learned) == pytest.approx(mc, abs=0.002)
@@ -356,7 +355,7 @@ class TestTaskTrials:
         losses = task.trial_losses(12, [raw])
         for seed, loss in enumerate(losses):
             rng = np.random.default_rng(seed)
-            target = random_conjunction_target(8, rng)
+            target = ConjunctionTask(8).draw_target(rng)
             bits = rng.integers(0, 2, size=(12, 8), dtype=np.uint8)
             labels = [label_conjunction(target, tuple(int(b) for b in row)) for row in bits]
             expected = conjunction_loss_exact(target, learn_conjunction_bits(bits, labels))
@@ -367,7 +366,7 @@ class TestTaskTrials:
         losses = task.trial_losses(15, [np.stack([np.random.default_rng(seed).random(16) for seed in range(20)])])
         for seed, loss in enumerate(losses):
             rng = np.random.default_rng(seed)
-            target = random_threshold_target(rng)
+            target = ThresholdTask().draw_target(rng)
             xs = rng.random(15)
             expected = threshold_loss_exact(target, ThresholdHypothesis(min(negatives_of(target, xs).tolist(), default=1.0)))
             assert loss == pytest.approx(expected, abs=0.0)

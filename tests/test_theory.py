@@ -6,6 +6,7 @@ import sys
 import numpy as np
 import pytest
 
+import paclab.theory
 from paclab.theory import (
     BoundSpec,
     DiscreteDistribution,
@@ -346,15 +347,19 @@ class TestSampleComplexity:
     def test_vc_weak_requirement_gives_small_m(self):
         assert sample_complexity_vc(1, 0.999, 0.999) >= 1
 
-    def test_vc_iteration_cap_raises(self):
-        with pytest.raises(RuntimeError):
-            sample_complexity_vc(1, 0.01, 0.01, max_iterations=1)
+    def test_vc_iteration_cap_raises(self, monkeypatch):
+        monkeypatch.setattr(paclab.theory, "_VC_ITERATION_CAP", 1)
+        with pytest.raises(RuntimeError, match="within 1 steps"):
+            sample_complexity_vc(1, 0.01, 0.01)
 
     def test_vc_rejects_bad_domain(self):
         with pytest.raises(ValueError):
             sample_complexity_vc(0, 0.5, 0.5)
         with pytest.raises(ValueError):
             sample_complexity_vc(1, 1.5, 0.5)
+        # The message BoundSpec.finite_vc and ThresholdTask give.
+        with pytest.raises(ValueError, match=r"VC dimension must be a positive integer, got 1\.5"):
+            sample_complexity_vc(1.5, 0.1, 0.1)
 
 
 class TestDiscreteDistribution:
