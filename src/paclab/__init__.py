@@ -2,7 +2,7 @@
 PAC-learnable tasks: theoretical CDFs for finite and finite-VC hypothesis
 classes, exact-loss ERM trials, and distribution comparison tooling."""
 
-from .analysis import CurvePoint, ExperimentRecord, build_curve, kl_divergence, moments
+from .analysis import kl_divergence, moments
 from .empirics import ExperimentConfig, TrialBatch, derive_trial_seed, histogram, run_trials
 from .learners import (
     ConjunctionHypothesis,

@@ -1,28 +1,19 @@
 """Comparing empirical and theoretical loss distributions.
 
 KL divergence (base 2, with a tiny floor standing in for empty
-theoretical slots), slot-midpoint moments, and learning-curve assembly.
+theoretical slots) and slot-midpoint moments.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from itertools import repeat
-from typing import Sequence
 
 import numpy as np
 
 from .theory import DiscreteDistribution
 
-__all__ = [
-    "CurvePoint",
-    "ExperimentRecord",
-    "KL_FLOOR",
-    "build_curve",
-    "kl_divergence",
-    "moments",
-]
+__all__ = ["KL_FLOOR", "kl_divergence", "moments"]
 
 # Stand-in for a zero theoretical mass inside the KL sum; with base-2
 # logs an empty slot adds at most about 52 bits per unit of p mass.
@@ -63,43 +54,3 @@ def moments(d: DiscreteDistribution) -> tuple[float, float]:
     var = math.fsum((masses * squares).tolist())
     return mean, math.sqrt(max(var, 0.0))
 
-
-@dataclass(frozen=True)
-class ExperimentRecord:
-    """Empirical and theoretical distributions at one sample size."""
-
-    m: int
-    empirical: DiscreteDistribution
-    theoretical: DiscreteDistribution
-
-    def __post_init__(self) -> None:
-        if self.empirical.num_slots != self.theoretical.num_slots:
-            raise ValueError("empirical and theoretical slot counts differ")
-
-
-@dataclass(frozen=True)
-class CurvePoint:
-    """Summary statistics of one experiment record."""
-
-    m: int
-    mean_p: float
-    std_p: float
-    mean_q: float
-    std_q: float
-    kl: float
-
-
-def build_curve(records: Sequence[ExperimentRecord]) -> list[CurvePoint]:
-    """Means, deviations, and KL per record, in sample-size order."""
-    if not records:
-        raise ValueError("no records to build a curve from")
-    slot_counts = {r.empirical.num_slots for r in records}
-    if len(slot_counts) != 1:
-        raise ValueError(f"records mix slot counts: {sorted(slot_counts)}")
-    ms = [r.m for r in records]
-    if any(b <= a for a, b in zip(ms, ms[1:])):
-        raise ValueError(f"records must be sorted by strictly increasing m, got {ms}")
-    return [
-        CurvePoint(r.m, *moments(r.empirical), *moments(r.theoretical), kl_divergence(r.empirical, r.theoretical))
-        for r in records
-    ]

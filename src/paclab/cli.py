@@ -32,14 +32,14 @@ import os
 import sys
 import warnings
 from contextlib import closing
-from dataclasses import asdict, dataclass
+from dataclasses import asdict
 from pathlib import Path
 from typing import Iterable, Iterator, Sequence, TextIO
 
 import numpy as np
 
 from . import __version__, empirics
-from .analysis import ExperimentRecord, build_curve, kl_divergence
+from .analysis import kl_divergence, moments
 from .empirics import ExperimentConfig, Task, _range_count, histogram, run_trials, schedule_losses
 from .learners import ConjunctionTask, ThresholdTask
 from .theory import (
@@ -54,7 +54,6 @@ from .theory import (
 
 __all__ = [
     "ConfigError",
-    "RunManifest",
     "cmd_bound",
     "cmd_experiment",
     "cmd_kl",
@@ -64,15 +63,12 @@ __all__ = [
     "task_bound_spec",
 ]
 
-SEED_ENV_VAR = "PACLAB_SEED"
-DEFAULT_SEED = 2024
-
 # Built-in experiment defaults; the sample-size schedule depends on the task.
 _TASK_DEFAULTS = {
     "conjunction": {"n": 10, "m_start": 25, "m_step": 25, "m_max": 1250},
     "threshold": {"vc_dim": 1, "m_start": 20, "m_step": 20, "m_max": 1000},
 }
-_COMMON_DEFAULTS = {"slots": 100, "trials": 1000, "gt_mode": "per-trial", "out_dir": "paclab-out"}
+_COMMON_DEFAULTS = {"slots": 100, "trials": 1000, "seed": 2024, "gt_mode": "per-trial", "out_dir": "paclab-out"}
 _BOUND_DEFAULTS = {"kind": "finite-h", "m": [22, 35, 100], "slots": 100, "out_dir": "paclab-out"}
 
 _GRID_POINTS = 1000
@@ -100,19 +96,6 @@ class ConfigError(Exception):
     """Invalid configuration or unusable input data (exit code 1)."""
 
 
-@dataclass(frozen=True)
-class RunManifest:
-    """Everything needed to reproduce a run: config echo plus output map."""
-
-    command: str
-    version: str
-    config: dict
-    outputs: dict
-
-    def to_json(self) -> str:
-        return json.dumps(asdict(self), indent=2, sort_keys=True) + "\n"
-
-
 # ---------------------------------------------------------------------------
 # Formatting and atomic file output
 # ---------------------------------------------------------------------------
@@ -126,20 +109,21 @@ def _atomic_write(path: Path, text: str, blocks: Iterable[str] = ()) -> None:
     os.replace(tmp, path)
 
 
-def _write_run(out_dir: str | Path, command: str, echo: dict, tables: dict[str, tuple]) -> RunManifest:
-    """Makes ``out_dir``, writes each ``name: (file, header, blocks)`` table, then the manifest.
+def _write_run(out_dir: str | Path, command: str, echo: dict, tables: dict[str, tuple]) -> dict:
+    """Makes ``out_dir``, writes each ``name: (file, header, blocks)`` table, then
+    the manifest, and returns it: everything needed to reproduce the run.
 
     Every row of a block ends in a newline, and no cell needs quoting: each
     is a number or a P/Q source tag.  ``blocks`` may be a generator, drawn
     one block at a time.  A run that fails before this call leaves no directory.
     """
-    outputs = {name: filename for name, (filename, _, _) in tables.items()}
-    manifest = RunManifest(command, __version__, echo, outputs | {"manifest": "manifest.json"})
+    outputs = {name: filename for name, (filename, _, _) in tables.items()} | {"manifest": "manifest.json"}
+    manifest = {"command": command, "version": __version__, "config": echo, "outputs": outputs}
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
     for filename, header, blocks in tables.values():
         _atomic_write(out / filename, ",".join(header) + "\n", blocks)
-    _atomic_write(out / "manifest.json", manifest.to_json())
+    _atomic_write(out / "manifest.json", json.dumps(manifest, indent=2, sort_keys=True) + "\n")
     return manifest
 
 
@@ -157,23 +141,23 @@ def task_bound_spec(task: Task, m: int) -> BoundSpec:
     return BoundSpec.finite_vc(m=m, vc_dim=task.vc_dim)
 
 
-def run_experiment(config: ExperimentConfig) -> list[ExperimentRecord]:
-    """Empirical and theoretical distributions for every scheduled m.
+def run_experiment(config: ExperimentConfig) -> list[tuple[int, DiscreteDistribution, DiscreteDistribution]]:
+    """``(m, P, Q)`` for every scheduled m, in schedule order: the empirical
+    loss histogram P and the discretized bound Q, on one slot count.
 
     The trials of the whole schedule are shared between the usable CPUs by
     workers forked and reaped inside its first ``run_trials`` call.  The
     queue's memfd is closed on return, and when any step raises.
     """
-    records = []
+    results = []
     schedule = config.schedule()
     pool = schedule_losses(config.task, schedule, config.trials, config.master_seed, fixed_target=config.fixed_target)
     with closing(pool):
         for m in schedule:
             batch = run_trials(config.task, m, config.trials, config.master_seed, fixed_target=config.fixed_target, pool=pool)
-            empirical = histogram(batch.losses, config.num_slots)
-            theoretical = discretize_bound(task_bound_spec(config.task, m), config.num_slots)
-            records.append(ExperimentRecord(m=m, empirical=empirical, theoretical=theoretical))
-    return records
+            p = histogram(batch.losses, config.num_slots)
+            results.append((m, p, discretize_bound(task_bound_spec(config.task, m), config.num_slots)))
+    return results
 
 
 def _experiment_bytes(config: ExperimentConfig) -> int:
@@ -220,23 +204,21 @@ def _distribution_lines(
     return head + head.join(rows)
 
 
-def cmd_experiment(config: ExperimentConfig, out_dir: str | Path) -> RunManifest:
+def cmd_experiment(config: ExperimentConfig, out_dir: str | Path) -> dict:
     """Run the experiment and write distributions.csv, curve.csv, manifest.json.
 
     A run over the size budget fails before any trial.
     """
     _check_size(_experiment_bytes(config))
-    records = run_experiment(config)
-    curve = build_curve(records)
+    results = run_experiment(config)
 
     cells = _slot_cells(config.num_slots)
     dist_blocks = (
-        _distribution_lines(rec.m, source, dist, *cells)
-        for rec in records
-        for source, dist in (("P", rec.empirical), ("Q", rec.theoretical))
+        _distribution_lines(m, source, dist, *cells) for m, p, q in results for source, dist in (("P", p), ("Q", q))
     )
     curve_lines = [
-        "%d,%.17g,%.17g,%.17g,%.17g,%.17g\n" % (pt.m, pt.mean_p, pt.std_p, pt.mean_q, pt.std_q, pt.kl) for pt in curve
+        "%d,%.17g,%.17g,%.17g,%.17g,%.17g\n" % (m, *moments(p), *moments(q), kl_divergence(p, q))
+        for m, p, q in results
     ]
 
     echo = {
@@ -269,7 +251,7 @@ def cmd_bound(
     log_h_size: float | None = None,
     vc_dim: int | None = None,
     slots: int = 100,
-) -> RunManifest:
+) -> dict:
     """Tabulate CDF/density curves, cutoffs, atoms, and slot masses per m.
 
     Writes bound_grid.csv (m, eps, cdf, density on a fixed grid over
@@ -488,7 +470,10 @@ def _parse_m_list(value: str) -> list[int]:
 def _config_flags(path: str | Path, command: str) -> list[str]:
     """``command``'s key=value lines, JSON config or manifest as ``--key=value``
     flags: ``_`` becomes ``-``, and a JSON list a comma-joined value."""
-    text = Path(path).read_text(encoding="utf-8")
+    try:
+        text = Path(path).read_text(encoding="utf-8")
+    except UnicodeDecodeError as exc:  # its str quotes no path
+        raise ConfigError(f"{path}: not UTF-8 at byte {exc.start} ({exc.reason})") from exc
     raw: dict = {}
     try:
         obj = json.loads(text)
@@ -545,7 +530,7 @@ def build_parser() -> argparse.ArgumentParser:
     exp.add_argument("--m-start", dest="m_start", type=int)
     exp.add_argument("--m-step", dest="m_step", type=int)
     exp.add_argument("--m-max", dest="m_max", type=int)
-    exp.add_argument("--seed", type=int, help=f"master seed (falls back to ${SEED_ENV_VAR})")
+    exp.add_argument("--seed", type=int, help="master seed")
     exp.add_argument("--gt-mode", dest="gt_mode", choices=["per-trial", "fixed"])
     exp.add_argument("--out-dir", dest="out_dir")
     exp.add_argument("--config", help="key=value file, JSON config, or a previous manifest.json")
@@ -579,12 +564,6 @@ def _handle_experiment(args: argparse.Namespace) -> int:
     if other_key in given:
         raise ConfigError(f"{other_key} does not apply to the {task_name} task")
     opts = _TASK_DEFAULTS[task_name] | _COMMON_DEFAULTS | given
-    if "seed" not in opts:
-        env = os.environ.get(SEED_ENV_VAR, str(DEFAULT_SEED))
-        try:
-            opts["seed"] = int(env)
-        except ValueError:
-            raise ConfigError(f"{SEED_ENV_VAR} must be an integer, got {env!r}") from None
     task = ConjunctionTask(n=opts["n"]) if task_name == "conjunction" else ThresholdTask(vc_dim=opts["vc_dim"])
     config = ExperimentConfig(
         task=task,
@@ -597,7 +576,7 @@ def _handle_experiment(args: argparse.Namespace) -> int:
         fixed_target=(opts["gt_mode"] == "fixed"),
     )
     manifest = cmd_experiment(config, opts["out_dir"])
-    print(f"wrote {', '.join(sorted(manifest.outputs.values()))} to {opts['out_dir']}")
+    print(f"wrote {', '.join(sorted(manifest['outputs'].values()))} to {opts['out_dir']}")
     return 0
 
 
@@ -614,7 +593,7 @@ def _handle_bound(args: argparse.Namespace) -> int:
         vc_dim=opts.get("vc_dim"),
         slots=opts["slots"],
     )
-    print(f"wrote {', '.join(sorted(manifest.outputs.values()))}")
+    print(f"wrote {', '.join(sorted(manifest['outputs'].values()))}")
     return 0
 
 

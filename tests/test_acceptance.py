@@ -12,7 +12,7 @@ import numpy as np
 import pytest
 
 from monotone import check_monotone, stochastic_dominance, two_standard_error_tolerances
-from paclab.analysis import KL_FLOOR, build_curve, kl_divergence
+from paclab.analysis import KL_FLOOR, kl_divergence, moments
 from paclab.cli import cmd_experiment, run_experiment
 from paclab.empirics import ExperimentConfig, run_trials
 from paclab.learners import (
@@ -47,14 +47,15 @@ def report(criterion: str, ok: bool, detail: str) -> None:
 
 
 def experiment_curve(task, m_start, m_step, m_max):
+    """``(m, mean_p, std_p, mean_q, kl)`` per sample size of a pinned-seed experiment, and its runtime."""
     config = ExperimentConfig(
         task=task, num_slots=SLOTS, trials=K,
         m_start=m_start, m_step=m_step, m_max=m_max, master_seed=SEED,
     )
     start = time.perf_counter()
-    records = run_experiment(config)
+    results = run_experiment(config)
     elapsed = time.perf_counter() - start
-    return build_curve(records), elapsed
+    return [(m, *moments(p), moments(q)[0], kl_divergence(p, q)) for m, p, q in results], elapsed
 
 
 @pytest.fixture(scope="module")
@@ -92,7 +93,7 @@ def test_criterion_3_kl_ceiling():
 
 def test_criterion_4a_conjunction_bound_dominates_means(conjunction_results):
     curve, _ = conjunction_results
-    gaps = [(pt.m, pt.mean_q - pt.mean_p) for pt in curve]
+    gaps = [(m, mean_q - mean_p) for m, mean_p, _, mean_q, _ in curve]
     worst_m, worst = min(gaps, key=lambda t: t[1])
     ok = worst >= 0.0 and len(curve) == 50
     report("4a conjunction mean(Q) >= mean(P)", ok, f"min gap {worst:.6f} at m={worst_m} over {len(curve)} sizes")
@@ -100,8 +101,8 @@ def test_criterion_4a_conjunction_bound_dominates_means(conjunction_results):
 
 def test_criterion_4b_conjunction_curve_monotone(conjunction_results):
     curve, _ = conjunction_results
-    taus = two_standard_error_tolerances([pt.std_p for pt in curve], K)
-    result = check_monotone([pt.mean_p for pt in curve], taus)
+    taus = two_standard_error_tolerances([std_p for _, _, std_p, _, _ in curve], K)
+    result = check_monotone([mean_p for _, mean_p, _, _, _ in curve], taus)
     ok = result.fraction_monotone_steps >= 0.95
     report(
         "4b conjunction empirical curve monotone",
@@ -112,7 +113,7 @@ def test_criterion_4b_conjunction_curve_monotone(conjunction_results):
 
 def test_criterion_4c_conjunction_kl_drop(conjunction_results):
     curve, elapsed = conjunction_results
-    kls = {pt.m: pt.kl for pt in curve}
+    kls = {m: kl for m, _, _, _, kl in curve}
     near_ceiling = kls[25] >= 40.0
     settled = kls[1250] < 0.5
     high_through_800 = all(kl >= 0.5 for m, kl in kls.items() if m <= 800)
@@ -127,7 +128,7 @@ def test_criterion_4c_conjunction_kl_drop(conjunction_results):
 
 def test_criterion_5a_threshold_bound_dominates_means(threshold_results):
     curve, _ = threshold_results
-    gaps = [(pt.m, pt.mean_q - pt.mean_p) for pt in curve]
+    gaps = [(m, mean_q - mean_p) for m, mean_p, _, mean_q, _ in curve]
     worst_m, worst = min(gaps, key=lambda t: t[1])
     ok = worst >= 0.0 and len(curve) == 50
     report("5a threshold mean(Q) >= mean(P)", ok, f"min gap {worst:.6f} at m={worst_m} over {len(curve)} sizes")
@@ -135,8 +136,8 @@ def test_criterion_5a_threshold_bound_dominates_means(threshold_results):
 
 def test_criterion_5b_threshold_curve_monotone(threshold_results):
     curve, elapsed = threshold_results
-    taus = two_standard_error_tolerances([pt.std_p for pt in curve], K)
-    result = check_monotone([pt.mean_p for pt in curve], taus)
+    taus = two_standard_error_tolerances([std_p for _, _, std_p, _, _ in curve], K)
+    result = check_monotone([mean_p for _, mean_p, _, _, _ in curve], taus)
     ok = result.fraction_monotone_steps >= 0.95 and elapsed <= 60.0
     report(
         "5b threshold empirical curve monotone",

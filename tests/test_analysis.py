@@ -1,4 +1,4 @@
-"""KL divergence, moments, monotonicity reports, dominance, curve building."""
+"""KL divergence, moments, monotonicity reports, dominance."""
 
 import math
 
@@ -7,9 +7,8 @@ import pytest
 
 import paclab.analysis
 from monotone import check_monotone, stochastic_dominance, two_standard_error_tolerances
-from paclab.analysis import ExperimentRecord, build_curve, kl_divergence, moments
-from paclab.empirics import histogram, run_trials
-from paclab.learners import ConjunctionTask
+from paclab.analysis import kl_divergence, moments
+from paclab.empirics import histogram
 from paclab.theory import BoundSpec, DiscreteDistribution, bound_density, bound_point_mass, cutoff, discretize_bound
 
 CONJ_SCHEDULE = list(range(25, 1251, 25))
@@ -229,54 +228,3 @@ class TestStochasticDominance:
         with pytest.raises(ValueError):
             stochastic_dominance(point_mass_dist(0, 10), point_mass_dist(0, 12))
 
-
-class TestBuildCurve:
-    def make_records(self, ms):
-        records = []
-        for m in ms:
-            batch = run_trials(ConjunctionTask(10), m, 50, 2024)
-            records.append(
-                ExperimentRecord(
-                    m=m,
-                    empirical=histogram(batch.losses, 100),
-                    theoretical=discretize_bound(conj_bound(m), 100),
-                )
-            )
-        return records
-
-    def test_single_record(self):
-        curve = build_curve(self.make_records([25]))
-        assert len(curve) == 1
-        assert curve[0].m == 25
-
-    def test_columns_match_recomputation(self):
-        records = self.make_records([25, 50, 100])
-        curve = build_curve(records)
-        for rec, pt in zip(records, curve):
-            assert (pt.mean_p, pt.std_p) == moments(rec.empirical)
-            assert (pt.mean_q, pt.std_q) == moments(rec.theoretical)
-            assert pt.kl == kl_divergence(rec.empirical, rec.theoretical)
-
-    def test_rejects_empty(self):
-        with pytest.raises(ValueError):
-            build_curve([])
-
-    def test_rejects_unsorted_or_duplicate_m(self):
-        records = self.make_records([25, 50])
-        with pytest.raises(ValueError):
-            build_curve(records[::-1])
-        with pytest.raises(ValueError):
-            build_curve([records[0], records[0]])
-
-    def test_rejects_mixed_slot_counts(self):
-        rec25 = self.make_records([25])[0]
-        batch = run_trials(ConjunctionTask(10), 50, 50, 2024)
-        rec50 = ExperimentRecord(
-            m=50, empirical=histogram(batch.losses, 40), theoretical=discretize_bound(conj_bound(50), 40)
-        )
-        with pytest.raises(ValueError):
-            build_curve([rec25, rec50])
-
-    def test_record_validates_slot_agreement(self):
-        with pytest.raises(ValueError):
-            ExperimentRecord(m=5, empirical=point_mass_dist(0, 10), theoretical=point_mass_dist(0, 20))

@@ -17,7 +17,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from paclab.analysis import build_curve, kl_divergence
+from paclab.analysis import kl_divergence, moments
 import paclab.cli
 import paclab.empirics
 from paclab.cli import (
@@ -181,9 +181,9 @@ class TestExperimentCommand:
 
     def test_q_follows_task_vc_dim(self):
         config = small_config(task=ThresholdTask(vc_dim=2))
-        for rec in run_experiment(config):
-            assert rec.theoretical == discretize_bound(BoundSpec.finite_vc(rec.m, 2), config.num_slots)
-        assert rec.theoretical != discretize_bound(BoundSpec.finite_vc(rec.m, 1), config.num_slots)
+        for m, _, q in run_experiment(config):
+            assert q == discretize_bound(BoundSpec.finite_vc(m, 2), config.num_slots)
+        assert q != discretize_bound(BoundSpec.finite_vc(m, 1), config.num_slots)
 
     def test_bad_vc_dim_fails_before_any_trial(self, tmp_path, monkeypatch):
         def no_trials(*args, **kwargs):
@@ -206,17 +206,17 @@ class TestExperimentCommand:
         ]
 
     def test_floats_round_trip_exactly(self, tmp_path):
+        # Every stored mass and every curve.csv column reads back as the float computed from the (m, P, Q) triples.
         config = small_config()
         cmd_experiment(config, tmp_path)
         groups = read_distributions_csv(tmp_path / "distributions.csv")
-        records = run_experiment(config)
-        for rec in records:
-            assert groups[(rec.m, "P")].masses.tolist() == rec.empirical.masses.tolist()
-            assert groups[(rec.m, "Q")].masses.tolist() == rec.theoretical.masses.tolist()
-        curve = read_curve(tmp_path / "curve.csv")
-        for row, pt in zip(curve, build_curve(records)):
-            assert row["mean_p"] == pt.mean_p
-            assert row["kl"] == pt.kl
+        results = run_experiment(config)
+        assert [m for m, _, _ in results] == list(config.schedule())
+        for m, p, q in results:
+            assert groups[(m, "P")].masses.tolist() == p.masses.tolist()
+            assert groups[(m, "Q")].masses.tolist() == q.masses.tolist()
+        rows = [tuple(row.values()) for row in read_curve(tmp_path / "curve.csv")]
+        assert rows == [(m, *moments(p), *moments(q), kl_divergence(p, q)) for m, p, q in results]
 
 
 _THR = ["--task", "threshold", "--trials", "3", "--m-max", "40"]
@@ -385,23 +385,28 @@ class TestConfigHandling:
         assert manifest["config"]["trials"] == 7
         assert manifest["config"]["seed"] == 5
 
-    def test_env_seed_fallback(self, tmp_path, monkeypatch):
+    def test_environment_does_not_change_the_seed(self, tmp_path, monkeypatch):
+        # Only --seed or a config's seed key sets the seed: a pinned configuration gives the same bytes anywhere.
+        argv = ["experiment", "--task", "threshold", "--trials", "5", "--m-max", "40", "--out-dir"]
+        monkeypatch.delenv("PACLAB_SEED", raising=False)
+        assert main([*argv, str(tmp_path / "unset")]) == 0
         monkeypatch.setenv("PACLAB_SEED", "777")
-        out = tmp_path / "out"
-        rc = main(["experiment", "--task", "threshold", "--trials", "5", "--m-max", "40", "--out-dir", str(out)])
-        assert rc == 0
-        assert json.loads((out / "manifest.json").read_text())["config"]["seed"] == 777
+        assert main([*argv, str(tmp_path / "set")]) == 0
+        assert json.loads((tmp_path / "set" / "manifest.json").read_text())["config"]["seed"] == 2024
+        for name in ("distributions.csv", "curve.csv", "manifest.json"):
+            assert (tmp_path / "set" / name).read_bytes() == (tmp_path / "unset" / name).read_bytes(), name
 
-    def test_explicit_seed_beats_env(self, tmp_path, monkeypatch):
-        monkeypatch.setenv("PACLAB_SEED", "777")
+    @pytest.mark.parametrize("text", [b"trials=5\nseed=\xff\n", b'{"trials": 5, "seed": "\xff"}'], ids=["flat", "json"])
+    @pytest.mark.parametrize("command", ["experiment", "bound"])
+    def test_config_that_is_not_utf8_names_itself(self, tmp_path, capsys, command, text):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_bytes(text)
         out = tmp_path / "out"
-        main(["experiment", "--task", "threshold", "--trials", "5", "--m-max", "40", "--seed", "9", "--out-dir", str(out)])
-        assert json.loads((out / "manifest.json").read_text())["config"]["seed"] == 9
-
-    def test_bad_env_seed_is_config_error(self, tmp_path, monkeypatch):
-        monkeypatch.setenv("PACLAB_SEED", "not-a-number")
-        rc = main(["experiment", "--task", "threshold", "--trials", "5", "--m-max", "40", "--out-dir", str(tmp_path)])
-        assert rc == 1
+        assert main([command, "--config", str(cfg), "--out-dir", str(out)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"paclab: error: {cfg}: ") and "invalid start byte" in err
+        assert err.count("\n") == 1
+        assert not out.exists()
 
     def test_gt_mode_flag_round_trips(self, tmp_path):
         out = tmp_path / "out"
@@ -820,9 +825,9 @@ class TestWriterMatchesPerRowFormatting:
         config = small_config(task=ThresholdTask(), num_slots=300)
         cmd_experiment(config, tmp_path)
         want = [",".join(DISTRIBUTIONS_HEADER) + "\n"]
-        for record in run_experiment(config):
-            want.append(reference_distribution_lines(record.m, "P", record.empirical.masses, 300))
-            want.append(reference_distribution_lines(record.m, "Q", record.theoretical.masses, 300))
+        for m, p, q in run_experiment(config):
+            want.append(reference_distribution_lines(m, "P", p.masses, 300))
+            want.append(reference_distribution_lines(m, "Q", q.masses, 300))
         assert (tmp_path / "distributions.csv").read_text() == "".join(want)
         assert not list(tmp_path.glob("*.tmp"))
 
@@ -1244,8 +1249,7 @@ GOLDEN_SHA256 = {
     reason="goldens were recorded with NumPy 2.4.x; NEP 19 does not promise Generator streams across versions",
 )
 @pytest.mark.parametrize("task", sorted(GOLDEN_SHA256))
-def test_default_experiment_matches_golden_hashes(tmp_path, monkeypatch, task):
-    monkeypatch.delenv("PACLAB_SEED", raising=False)
+def test_default_experiment_matches_golden_hashes(tmp_path, task):
     assert main(["experiment", "--task", task, "--out-dir", str(tmp_path)]) == 0
     for name, want in GOLDEN_SHA256[task].items():
         assert hashlib.sha256((tmp_path / name).read_bytes()).hexdigest() == want, name
@@ -1269,8 +1273,7 @@ FIXED_TARGET_GOLDEN_SHA256 = {
     reason="goldens were recorded with NumPy 2.4.x; NEP 19 does not promise Generator streams across versions",
 )
 @pytest.mark.parametrize("task", sorted(FIXED_TARGET_GOLDEN_SHA256))
-def test_fixed_target_experiment_matches_golden_hashes(tmp_path, monkeypatch, task):
-    monkeypatch.delenv("PACLAB_SEED", raising=False)
+def test_fixed_target_experiment_matches_golden_hashes(tmp_path, task):
     assert main(["experiment", "--task", task, "--gt-mode", "fixed", "--out-dir", str(tmp_path)]) == 0
     for name, want in FIXED_TARGET_GOLDEN_SHA256[task].items():
         assert hashlib.sha256((tmp_path / name).read_bytes()).hexdigest() == want, name
@@ -1301,7 +1304,6 @@ def test_golden_hashes_whatever_the_range_count(tmp_path, monkeypatch, task, cpu
 def test_golden_hashes_when_a_fork_is_refused(tmp_path, monkeypatch, task, cpus, refused):
     # A fork refused under a process limit stops the forking; the processes
     # already running drain the queue and the run writes the golden bytes.
-    monkeypatch.delenv("PACLAB_SEED", raising=False)
     monkeypatch.setattr(paclab.empirics, "_usable_cpus", lambda: cpus)
     monkeypatch.setattr(paclab.empirics, "_MAX_RANGES", cpus)
     fork, forks = os.fork, []

@@ -746,8 +746,8 @@ def fail_in_parent(monkeypatch, error):
 SMALL_RUN = ExperimentConfig(ConjunctionTask(10), 10, 100, 250, 250, 1250, 2024)
 
 
-def empirical_masses(records):
-    return [record.empirical.masses.tolist() for record in records]
+def empirical_masses(results):
+    return [p.masses.tolist() for _, p, _ in results]
 
 
 @pytest.mark.usefixtures("deadline")

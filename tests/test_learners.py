@@ -67,10 +67,6 @@ class TestRandomConjunctionTarget:
         for state, count in counts.items():
             assert count / draws == pytest.approx(1 / 3, abs=0.02), state
 
-    def test_rejects_zero_variables(self):
-        with pytest.raises(ValueError):
-            ConjunctionTask(0)
-
 
 class TestLabelConjunction:
     # target not-x1 and x3 and x5 labels (0,1,1,0,1) positive
