@@ -1,5 +1,6 @@
 """KL divergence, moments, monotonicity reports, dominance."""
 
+import csv
 import math
 
 import numpy as np
@@ -8,7 +9,9 @@ import pytest
 import paclab.analysis
 from monotone import check_monotone, stochastic_dominance, two_standard_error_tolerances
 from paclab.analysis import kl_divergence, moments
-from paclab.empirics import histogram
+from paclab.cli import CURVE_HEADER, cmd_experiment, run_experiment
+from paclab.empirics import ExperimentConfig, histogram
+from paclab.learners import ConjunctionTask
 from paclab.theory import BoundSpec, DiscreteDistribution, bound_density, bound_point_mass, cutoff, discretize_bound
 
 CONJ_SCHEDULE = list(range(25, 1251, 25))
@@ -228,3 +231,32 @@ class TestStochasticDominance:
         with pytest.raises(ValueError):
             stochastic_dominance(point_mass_dist(0, 10), point_mass_dist(0, 12))
 
+
+
+class TestBuildCurve:
+    """curve.csv holds one row per m of the schedule, each the statistics of that m's (P, Q) pair."""
+
+    def write_curve(self, tmp_path, m_start, m_max):
+        config = ExperimentConfig(
+            task=ConjunctionTask(10), num_slots=100, trials=50,
+            m_start=m_start, m_step=25, m_max=m_max, master_seed=2024,
+        )
+        cmd_experiment(config, tmp_path)
+        with open(tmp_path / "curve.csv", newline="") as fh:
+            rows = list(csv.reader(fh))
+        assert rows[0] == CURVE_HEADER
+        return config, [(int(row[0]), *map(float, row[1:])) for row in rows[1:]]
+
+    def test_single_record(self, tmp_path):
+        _, curve = self.write_curve(tmp_path, 25, 25)
+        assert len(curve) == 1
+        assert curve[0][0] == 25
+
+    def test_columns_match_recomputation(self, tmp_path):
+        config, curve = self.write_curve(tmp_path, 25, 100)
+        results = run_experiment(config)
+        assert [row[0] for row in curve] == [m for m, _, _ in results] == [25, 50, 75, 100]
+        for (m, mean_p, std_p, mean_q, std_q, kl), (_, p, q) in zip(curve, results):
+            assert (mean_p, std_p) == moments(p)
+            assert (mean_q, std_q) == moments(q)
+            assert kl == kl_divergence(p, q)
