@@ -38,9 +38,9 @@ from typing import Iterable, Iterator, Sequence, TextIO
 
 import numpy as np
 
-from . import __version__, empirics
+from . import __version__
 from .analysis import kl_divergence, moments
-from .empirics import ExperimentConfig, Task, _range_count, histogram, run_trials, schedule_losses
+from .empirics import _MAX_RANGES, ExperimentConfig, Task, histogram, run_trials, schedule_losses
 from .learners import ConjunctionTask, ThresholdTask
 from .theory import (
     BoundSpec,
@@ -161,12 +161,12 @@ def run_experiment(config: ExperimentConfig) -> list[tuple[int, DiscreteDistribu
 
 
 def _experiment_bytes(config: ExperimentConfig) -> int:
-    """Estimated peak memory of ``cmd_experiment(config)`` over its processes:
-    its CSV rows, one sample size's trials and the schedule's losses."""
+    """Estimated peak memory of ``cmd_experiment(config)`` over the most processes the
+    engine runs, whatever the CPU count: its CSV rows, trials, draw buffers and losses."""
     sizes = len(config.schedule())
     per_trial = _TRIAL_BYTES + (_VARIABLE_BYTES * config.task.n if isinstance(config.task, ConjunctionTask) else 0)
     width = config.task.draw_width(config.m_max, config.fixed_target)
-    draw_buffers = _range_count(config.trials, width, empirics._usable_cpus()) * _DRAW_COPIES * 8 * width
+    draw_buffers = _MAX_RANGES * _DRAW_COPIES * 8 * width
     return sizes * (2 * config.num_slots + 1) * _ROW_BYTES + config.trials * per_trial + draw_buffers + 8 * config.trials * sizes
 
 

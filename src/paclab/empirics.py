@@ -74,9 +74,9 @@ def _mix64(z):
 def derive_trial_seed(master_seed: int, m: int, trial_index: int) -> int:
     """64-bit seed for one trial, a pure function of its coordinates.
 
-    The master seed absorbs m and the trial index through two SplitMix64
-    finalizer rounds.  The constants are load-bearing: changing them
-    changes every experiment byte downstream.
+    The master seed absorbs m and the trial index, all three taken mod
+    2**64, through two SplitMix64 finalizer rounds.  The constants are
+    load-bearing: changing them changes every experiment byte downstream.
     """
     h = master_seed & _MASK64
     for word in (m, trial_index):
@@ -244,19 +244,9 @@ def _trial_draws(
 
 @dataclass(frozen=True)
 class TrialBatch:
-    """k exact losses from independent trials at one sample size."""
+    """The exact losses of k independent trials at one sample size, in trial order."""
 
-    task: Task
-    m: int
-    k: int
-    master_seed: int
     losses: np.ndarray = field(repr=False)
-
-    def __post_init__(self) -> None:
-        if len(self.losses) != self.k:
-            raise ValueError(f"expected {self.k} losses, got {len(self.losses)}")
-        if not np.all((self.losses >= 0.0) & (self.losses <= 1.0)):  # NaN fails both
-            raise ValueError("losses must lie in [0, 1]")
 
 
 @dataclass(frozen=True)
@@ -287,15 +277,20 @@ class ExperimentConfig:
             raise ValueError(f"bad sample-size schedule ({self.m_start}, {self.m_step}, {self.m_max})")
         if self.m_max >= 2**63:  # as in BoundSpec; a longer schedule has no len()
             raise ValueError(f"sample size m must be below 2**63, got m_max={self.m_max}")
+        # The trial seeds take it mod 2**64, so a seed outside that range would alias another.
+        if not isinstance(self.master_seed, int) or not 0 <= self.master_seed <= _MASK64:
+            raise ValueError(f"master seed must be an int from 0 to 2**64 - 1, got {self.master_seed!r}")
 
     def schedule(self) -> range:
         return range(self.m_start, self.m_max + 1, self.m_step)
 
 
-def _range_losses(
-    task: Task, m: int, start: int, stop: int, master_seed: int, fixed_target: bool, target
-) -> np.ndarray:
-    """Losses of trials start <= i < stop: the unit of work a worker computes."""
+def _range_losses(task: Task, m: int, start: int, stop: int, master_seed: int, fixed_target: bool) -> np.ndarray:
+    """Losses of trials start <= i < stop: the unit of work a worker computes.  In fixed-target
+    mode they share the ground truth drawn from the stream of trial index ``FIXED_TARGET_INDEX``."""
+    target = None
+    if fixed_target:
+        target = task.draw_target(np.random.Generator(np.random.PCG64(derive_trial_seed(master_seed, m, FIXED_TARGET_INDEX))))
     return task.trial_losses(m, _trial_draws(task, m, start, stop, master_seed, fixed_target), target=target)
 
 
@@ -346,22 +341,15 @@ def _range_count(k: int, width: int, cpus: int) -> int:
     return max(1, min(cpus, _MAX_RANGES, k, k * width // _MIN_RANGE_DRAWS))
 
 
-def _shared_target(task: Task, m: int, master_seed: int, fixed_target: bool):
-    """The ground truth every trial at m shares in fixed-target mode; None in per-trial mode."""
-    if not fixed_target:
-        return None
-    return task.draw_target(np.random.Generator(np.random.PCG64(derive_trial_seed(master_seed, m, FIXED_TARGET_INDEX))))
-
-
 def schedule_losses(task: Task, ms: Iterable[int], k: int, master_seed: int, *, fixed_target: bool = False) -> Generator:
     """The losses of ``run_trials(task, m, k, master_seed, fixed_target=...)``
     for each m of ``ms`` in turn, computed by this process and forked workers.
 
-    Yields ``(call, losses)`` in schedule order, ``call`` being the
-    ``run_trials`` argument tuple; ``run_trials(..., pool=...)`` takes them
-    one call at a time.  The first ``next()`` does all the work.  It queues
-    each m's ``_range_count`` equal ranges for the usable CPUs (read once),
-    the most draws first, forks the workers (as many as the system grants:
+    Yields ``(call, losses)`` in schedule order, ``call`` being the ``run_trials``
+    argument tuple: iterate it, or let ``run_trials(..., pool=...)`` take one call
+    at a time, as ``run_experiment`` does.  The first ``next()`` does all the work.
+    It queues each m's ``_range_count`` equal ranges for the usable CPUs (read
+    once), the most draws first, forks the workers (as many as the system grants:
     a fork refused with ``OSError`` stops the forking), claims ranges beside
     them until the queue is empty, waits for them and computes any range
     they left.  Whatever happens, it reaps them and unmaps the shared buffer
@@ -376,11 +364,11 @@ def schedule_losses(task: Task, ms: Iterable[int], k: int, master_seed: int, *, 
     cpus, calls, units, forks = _usable_cpus(), [], [], 0
     for row, m in enumerate(ms):
         calls.append((task, m, k, master_seed, fixed_target))
-        width, target = task.draw_width(m, fixed_target), _shared_target(task, m, master_seed, fixed_target)
+        width = task.draw_width(m, fixed_target)
         count = _range_count(k, width, cpus)
         forks = max(forks, count - 1)
         for start, stop in ((k * i // count, k * (i + 1) // count) for i in range(count)):
-            units.append(((stop - start) * width, row, (task, m, start, stop, master_seed, fixed_target, target)))
+            units.append(((stop - start) * width, row, (task, m, start, stop, master_seed, fixed_target)))
     # The last ranges claimed are the shortest, so the processes run out of work together.
     units.sort(key=itemgetter(0), reverse=True)
     # The processes share a memfd: a claim counter, the losses, and a done byte per range;
@@ -451,20 +439,20 @@ def run_trials(
     Each trial draws a fresh ground truth from its own stream (or reuses
     the shared one in fixed-target mode), samples m labeled instances,
     learns, and records the exact loss.  Losses are ordered by trial
-    index, and trial i's loss does not depend on k.  With a ``pool`` from
-    :func:`schedule_losses` they are its next row, whichever process computed
-    them; a call off its plan, or any after a failed one, raises ``RuntimeError``.
+    index, and trial i's loss does not depend on k.  With ``run_experiment``'s
+    ``pool`` from :func:`schedule_losses` they are its next row, whichever process
+    computed them; a call off its plan, or any after a failed one, raises ``RuntimeError``.
     """
     if m < 1 or k < 1:
         raise ValueError(f"need m >= 1 and k >= 1, got m={m}, k={k}")
     if pool is None:
-        losses = _range_losses(task, m, 0, k, master_seed, fixed_target, _shared_target(task, m, master_seed, fixed_target))
+        losses = _range_losses(task, m, 0, k, master_seed, fixed_target)
     else:
         call, losses = next(pool, (None, None))
         if call != (task, m, k, master_seed, fixed_target):
             pool.close()
             raise RuntimeError(f"run_trials at m={m} is not the next call the trial workers planned")
-    return TrialBatch(task=task, m=m, k=k, master_seed=master_seed, losses=losses)
+    return TrialBatch(losses)
 
 
 def histogram(losses: np.ndarray, num_slots: int) -> DiscreteDistribution:

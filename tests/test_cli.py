@@ -230,7 +230,7 @@ PARITY_CASES = [
     ("experiment", _THR, "m_start", "40"),
     ("experiment", _THR, "m_step", "10"),
     ("experiment", ["--task", "threshold", "--trials", "3"], "m_max", "60"),
-    ("experiment", _THR, "seed", "-7"),
+    ("experiment", _THR, "seed", "7"),
     ("experiment", _THR, "gt_mode", "fixed"),
     ("experiment", _THR, "out_dir", "elsewhere"),
     ("bound", ["--vc-dim", "2", "--m", "5"], "kind", "vc"),
@@ -395,6 +395,19 @@ class TestConfigHandling:
         assert json.loads((tmp_path / "set" / "manifest.json").read_text())["config"]["seed"] == 2024
         for name in ("distributions.csv", "curve.csv", "manifest.json"):
             assert (tmp_path / "set" / name).read_bytes() == (tmp_path / "unset" / name).read_bytes(), name
+
+    @pytest.mark.parametrize("seed, rc", [(-1, 1), (2**64, 1), (2**64 + 5, 1), (0, 0), (2**64 - 1, 0)])
+    def test_seed_outside_64_bits_is_rejected(self, tmp_path, capsys, seed, rc):
+        # The trial seeds take the master seed mod 2**64: -1 would run the trials of 2**64 - 1.
+        out = tmp_path / "out"
+        argv = ["experiment", "--task", "threshold", "--trials", "2", "--m-max", "40", "--seed", str(seed)]
+        assert main([*argv, "--out-dir", str(out)]) == rc
+        if rc:
+            message = f"paclab: error: master seed must be an int from 0 to 2**64 - 1, got {seed}"
+            assert capsys.readouterr().err.splitlines() == [message]
+            assert not out.exists()
+        else:
+            assert json.loads((out / "manifest.json").read_text())["config"]["seed"] == seed
 
     @pytest.mark.parametrize("text", [b"trials=5\nseed=\xff\n", b'{"trials": 5, "seed": "\xff"}'], ids=["flat", "json"])
     @pytest.mark.parametrize("command", ["experiment", "bound"])
@@ -568,6 +581,15 @@ class TestSizeBudget:
     def test_huge_runs_exceed_budget(self, overrides):
         config = default_config(ConjunctionTask(overrides.pop("n", 10)), **overrides)
         assert paclab.cli._experiment_bytes(config) > paclab.cli.SIZE_BUDGET_BYTES
+
+    def test_estimate_does_not_depend_on_the_cpu_count(self, monkeypatch):
+        # It counts draw buffers for the most processes the engine runs, so a
+        # configuration fits the budget on every machine or on none.
+        estimates = []
+        for cpus in (1, 2):
+            monkeypatch.setattr(paclab.empirics, "_usable_cpus", lambda: cpus)
+            estimates.append(paclab.cli._experiment_bytes(default_config(ConjunctionTask(10))))
+        assert estimates[0] == estimates[1]
 
     def test_huge_bound_exceeds_budget(self):
         assert paclab.cli._bound_bytes(3, 100_000_000) > paclab.cli.SIZE_BUDGET_BYTES

@@ -23,7 +23,6 @@ from paclab.cli import run_experiment
 from paclab.empirics import (
     FIXED_TARGET_INDEX,
     ExperimentConfig,
-    TrialBatch,
     derive_trial_seed,
     histogram,
     pcg64_states,
@@ -306,7 +305,6 @@ class TestRawDecode:
 class TestRunTrials:
     def test_batch_shape_and_range(self):
         batch = run_trials(ConjunctionTask(10), 25, 300, 2024)
-        assert batch.k == 300
         assert batch.losses.shape == (300,)
         assert batch.losses.min() >= 0.0 and batch.losses.max() <= 1.0
 
@@ -359,15 +357,6 @@ class TestRunTrials:
         with pytest.raises(ValueError):
             run_trials(ThresholdTask(), 10, 0, 1)
 
-    def test_batch_validates_loss_count(self):
-        with pytest.raises(ValueError):
-            TrialBatch(task=ThresholdTask(), m=5, k=3, master_seed=1, losses=np.zeros(2))
-
-    @pytest.mark.parametrize("bad", [1.5, -0.25, math.nan])
-    def test_batch_validates_loss_range(self, bad):
-        with pytest.raises(ValueError, match="losses must lie in"):
-            TrialBatch(task=ThresholdTask(), m=5, k=2, master_seed=1, losses=np.array([0.5, bad]))
-
 
 def assert_no_child_left():
     with pytest.raises(ChildProcessError):
@@ -376,7 +365,7 @@ def assert_no_child_left():
 
 @pytest.fixture
 def cpus(monkeypatch):
-    """Sets the usable CPU count that ``run_trials`` sees.  ``uncapped`` also
+    """Sets the usable CPU count that ``schedule_losses`` sees.  ``uncapped`` also
     lifts the cap on the range count to it, so more than two ranges run."""
     def set_cpus(count, uncapped=False):
         monkeypatch.setattr(empirics, "_usable_cpus", lambda: count)
@@ -402,12 +391,12 @@ def cgroup(monkeypatch, tmp_path):
 
 
 def pooled_losses(task, ms, k, seed, fixed_target=False):
-    """Losses of ``run_trials`` at each m of ``ms`` in turn, through a
-    pool built for those calls; no worker outlives them."""
-    pool = schedule_losses(task, ms, k, seed, fixed_target=fixed_target)
-    losses = [run_trials(task, m, k, seed, fixed_target=fixed_target, pool=pool).losses for m in ms]
+    """The rows ``schedule_losses`` yields for each m of ``ms`` in turn, each
+    for its planned ``run_trials`` call; no worker outlives them."""
+    calls, losses = zip(*schedule_losses(task, ms, k, seed, fixed_target=fixed_target))
+    assert list(calls) == [(task, m, k, seed, fixed_target) for m in ms]
     assert_no_child_left()
-    return losses
+    return list(losses)
 
 
 def planned_queue(monkeypatch, task, ms, k):
@@ -439,12 +428,11 @@ class TestTrialRanges:
     @pytest.mark.parametrize("m", [25, 1250])
     def test_split_ranges_concatenate_to_the_whole(self, task, m, fixed_target):
         k, seed = 13, 2024  # at m = 1250 a 64 KiB chunk holds 5 or 6 rows
-        target = task.draw_target(trial_rng(seed, m, FIXED_TARGET_INDEX)) if fixed_target else None
-        whole = empirics._range_losses(task, m, 0, k, seed, fixed_target, target)
+        whole = empirics._range_losses(task, m, 0, k, seed, fixed_target)
         assert whole.tolist() == reference_losses(task, m, k, seed, fixed_target)
         for split in (1, k // 2, k - 1):
-            head = empirics._range_losses(task, m, 0, split, seed, fixed_target, target)
-            tail = empirics._range_losses(task, m, split, k, seed, fixed_target, target)
+            head = empirics._range_losses(task, m, 0, split, seed, fixed_target)
+            tail = empirics._range_losses(task, m, split, k, seed, fixed_target)
             assert np.concatenate([head, tail]).tobytes() == whole.tobytes(), split
 
     @pytest.mark.parametrize("fixed_target", [False, True])
@@ -453,10 +441,9 @@ class TestTrialRanges:
     def test_state_words_derived_a_block_at_a_time(self, monkeypatch, task, m, fixed_target):
         # Blocks of 4 trials cut the draw chunks (5 or more rows) at other places; no loss moves.
         seed = 2024
-        target = task.draw_target(trial_rng(seed, m, FIXED_TARGET_INDEX)) if fixed_target else None
-        whole = empirics._range_losses(task, m, 3, 16, seed, fixed_target, target)
+        whole = empirics._range_losses(task, m, 3, 16, seed, fixed_target)
         monkeypatch.setattr(empirics, "_STATE_TRIALS", 4)
-        assert empirics._range_losses(task, m, 3, 16, seed, fixed_target, target).tobytes() == whole.tobytes()
+        assert empirics._range_losses(task, m, 3, 16, seed, fixed_target).tobytes() == whole.tobytes()
 
     def test_a_long_range_holds_no_state_words_of_all_its_trials(self):
         # Derived for all 400,000 trials at once, their temporaries raised the peak by about 90 MiB.
@@ -619,11 +606,11 @@ class TestTrialQueue:
     def test_planned_schedule_matches_one_process(self, cpus, task, fixed_target):
         cpus(2)
         pool = schedule_losses(task, self.SCHEDULE, 300, 2024, fixed_target=fixed_target)
-        for m in self.SCHEDULE:
-            pooled = run_trials(task, m, 300, 2024, fixed_target=fixed_target, pool=pool)
+        for m, (call, pooled) in zip(self.SCHEDULE, pool, strict=True):
+            assert call == (task, m, 300, 2024, fixed_target)
             alone = run_trials(task, m, 300, 2024, fixed_target=fixed_target)
-            assert pooled.losses.tobytes() == alone.losses.tobytes()
-            assert_no_child_left()  # the first call reaped the workers
+            assert pooled.tobytes() == alone.losses.tobytes()
+            assert_no_child_left()  # the first next() reaped the workers
 
     def test_the_first_call_forks_and_reaps(self, cpus, monkeypatch):
         cpus(2)
@@ -631,12 +618,11 @@ class TestTrialQueue:
         monkeypatch.setattr(os, "fork", lambda: forks.append(1) or fork())
         pool = schedule_losses(ConjunctionTask(10), self.SCHEDULE, 300, 2024)
         assert forks == []
-        for m in self.SCHEDULE:
-            pooled = run_trials(ConjunctionTask(10), m, 300, 2024, pool=pool)
+        for m, (_, pooled) in zip(self.SCHEDULE, pool, strict=True):
             assert forks == [1]
             assert_no_child_left()
             assert "paclab-trials" not in Path("/proc/self/maps").read_text()  # nor is the buffer mapped
-            assert pooled.losses.tobytes() == run_trials(ConjunctionTask(10), m, 300, 2024).losses.tobytes()
+            assert pooled.tobytes() == run_trials(ConjunctionTask(10), m, 300, 2024).losses.tobytes()
 
     @pytest.mark.parametrize(
         "task, m, seed, k, fixed_target",
@@ -661,10 +647,11 @@ class TestTrialQueue:
         with pytest.raises(RuntimeError, match="m=400 is not the next call"):  # nor is the planned one after it
             run_trials(ThresholdTask(), 400, 300, 2024, pool=pool)
 
-    def test_plan_larger_than_a_pipe(self, cpus, monkeypatch, tmp_path):
-        # Four processes on at most two CPUs claim 8,400 one-trial ranges,
-        # more than a 64 KiB pipe could hold as 8-byte indices.  A lost update
-        # of the shared counter would hand one range to two of them.
+    def test_thousands_of_ranges_are_each_claimed_once(self, cpus, monkeypatch, tmp_path):
+        # Four processes on at most two CPUs claim 8,400 one-trial ranges, each
+        # the next number of the memfd's claim counter, taken under os.lockf;
+        # there must be more claims than 64 KiB of 8-byte numbers.  A lost update
+        # of the counter would hand one range to two of them.
         cpus(4, uncapped=True)
         monkeypatch.setattr(empirics, "_MIN_RANGE_DRAWS", 1)
         schedule = list(range(1, 2101))
@@ -678,8 +665,7 @@ class TestTrialQueue:
         with monkeypatch.context() as patch:
             patch.setattr(empirics, "_range_losses", range_losses)
             try:
-                pool = schedule_losses(ThresholdTask(), schedule, 4, 2024)
-                pooled = [run_trials(ThresholdTask(), m, 4, 2024, pool=pool).losses.tobytes() for m in schedule]
+                pooled = [losses.tobytes() for _, losses in schedule_losses(ThresholdTask(), schedule, 4, 2024)]
             finally:
                 os.close(log)
         assert_no_child_left()
@@ -769,7 +755,7 @@ class TestTrialWorkerFailures:
         assert capfd.readouterr().err == ""
 
     def test_exception_surfaces_at_the_first_call(self, cpus, monkeypatch, capfd):
-        # The first call computes the whole queue, so a range of a later m
+        # The first next() computes the whole queue, so a range of a later m
         # that fails in both processes fails it.
         cpus(2)
         original = empirics._range_losses
@@ -782,7 +768,7 @@ class TestTrialWorkerFailures:
         monkeypatch.setattr(empirics, "_range_losses", range_losses)
         pool = schedule_losses(ThresholdTask(), [400, 800, 1200], 300, 2024)
         with pytest.raises(ValueError, match="range at m=800 failed"):
-            run_trials(ThresholdTask(), 400, 300, 2024, pool=pool)
+            next(pool)
         assert_no_child_left()
         assert capfd.readouterr().err == ""
 
@@ -903,22 +889,21 @@ class TestTrialWorkerFailures:
             "    return original(task, m, start, *args)\n"
             "empirics._range_losses = range_losses\n"
             "print('start')\n"
-            "pool = empirics.schedule_losses(ConjunctionTask(10), [1250], 100, 2024)\n"
-            "pooled = empirics.run_trials(ConjunctionTask(10), 1250, 100, 2024, pool=pool).losses\n"
-            "print('one-process bytes:', pooled.tobytes() == original(ConjunctionTask(10), 1250, 0, 100, 2024, False, None).tobytes())\n"
+            "[(_, pooled)] = empirics.schedule_losses(ConjunctionTask(10), [1250], 100, 2024)\n"
+            "print('one-process bytes:', pooled.tobytes() == original(ConjunctionTask(10), 1250, 0, 100, 2024, False).tobytes())\n"
         )
         proc = subprocess.run([sys.executable, "-c", script], env=worker_env(), capture_output=True, text=True, timeout=60)
         assert (proc.returncode, proc.stderr) == (0, "")
         assert proc.stdout.splitlines() == ["start", "one-process bytes: True"]
 
     def test_ctrl_c_leaves_no_process_and_one_traceback(self):
-        # The signal lands while the first call and the worker share a
+        # The signal lands while the first next() and the worker share a
         # queue of about 20 s of trials.
         script = WORKER_SCRIPT + (
             "pool = empirics.schedule_losses(ConjunctionTask(10), [1250] * 1000, 2000, 2024)\n"
             "print('split', flush=True)\n"
-            "for _ in range(1000):\n"
-            "    empirics.run_trials(ConjunctionTask(10), 1250, 2000, 2024, pool=pool)\n"
+            "for _ in pool:\n"
+            "    pass\n"
         )
         proc = subprocess.Popen(
             [sys.executable, "-c", script], env=worker_env(), stdout=subprocess.PIPE, stderr=subprocess.PIPE,
@@ -1139,3 +1124,10 @@ class TestExperimentConfig:
         with pytest.raises(ValueError, match=rf"^sample size m must be below 2\*\*63, got m_max={m_max}$"):
             ExperimentConfig(task=ThresholdTask(), num_slots=10, trials=10, m_start=5, m_step=5, m_max=m_max, master_seed=0)
         assert ExperimentConfig(ThresholdTask(), 10, 10, 5, 2**62, 2**63 - 1, 0).schedule() == range(5, 2**63, 2**62)
+
+    @pytest.mark.parametrize("seed", [-1, 2**64, 2024.0])
+    def test_master_seed_outside_64_bits_is_rejected(self, seed):
+        # derive_trial_seed takes it mod 2**64, so -1 would run the trials of 2**64 - 1.
+        with pytest.raises(ValueError, match=rf"^master seed must be an int from 0 to 2\*\*64 - 1, got {seed}$"):
+            ExperimentConfig(ThresholdTask(), 10, 10, 5, 5, 50, seed)
+        assert ExperimentConfig(ThresholdTask(), 10, 10, 5, 5, 50, 2**64 - 1).master_seed == 2**64 - 1

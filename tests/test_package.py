@@ -1,8 +1,9 @@
-"""The package's public face: the README's code runs, and the export lists agree."""
+"""The package's public face: the README's code runs, the export lists agree, and the version is written once."""
 
 import ast
 import importlib
 import re
+import warnings
 from pathlib import Path
 
 import pytest
@@ -41,3 +42,11 @@ def test_package_imports_only_names_its_modules_export():
     for node in imports:
         exported = importlib.import_module(f"paclab.{node.module}").__all__
         assert [alias.name for alias in node.names if alias.name not in exported] == [], node.module
+
+
+def test_pyproject_takes_the_package_version():
+    pyprojecttoml = pytest.importorskip("setuptools.config.pyprojecttoml")
+    with warnings.catch_warnings():  # older setuptools warns that [tool.setuptools] is beta
+        warnings.simplefilter("ignore")
+        project = pyprojecttoml.read_configuration(README.parent / "pyproject.toml")["project"]
+    assert project["dynamic"] == ["version"] and project["version"] == paclab.__version__
