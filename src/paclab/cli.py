@@ -19,7 +19,8 @@ as ``%.17g`` so that parsing them back recovers the exact float.  Reading
 finds columns by header name; a short row, a missing column, a
 non-numeric cell and a repeated slot of an (m, source) group are input
 errors.  Exit codes: 0 success, 1 invalid configuration or input data,
-2 I/O failure.
+2 I/O failure, 3 a NumPy whose random streams the trial engine does not
+reproduce.
 """
 
 from __future__ import annotations
@@ -40,7 +41,7 @@ import numpy as np
 
 from . import __version__
 from .analysis import kl_divergence, moments
-from .empirics import _MAX_RANGES, ExperimentConfig, Task, histogram, run_trials, schedule_losses
+from .empirics import _MAX_RANGES, ExperimentConfig, NumpyMismatch, Task, histogram, run_trials, schedule_losses
 from .learners import ConjunctionTask, ThresholdTask
 from .theory import (
     BoundSpec,
@@ -327,51 +328,23 @@ def _checked_lines(fh: TextIO) -> Iterator[str]:
         yield line
 
 
-def _by_name(path: str | Path) -> bool:
-    """Whether ``np.loadtxt`` reading ``path`` by name, in chunks, gets what its lines would give it.
-
-    Not for a pipe (it reads once), a suffix NumPy decompresses, a byte that
-    is not ASCII (a decode error would quote other bytes), a CR in a file with
-    a quote (NumPy reads a quoted CR as LF), or a line of ``csv.field_size_limit()``
-    bytes before its LF, CR or CRLF: only such a line can hold a cell over the
-    limit, which NumPy does not check.  In blocks of at most the limit, only a
-    line across a block boundary can be that long.
-    """
-    if not os.path.isfile(path) or str(path).endswith((".gz", ".bz2", ".xz", ".lzma")):
-        return False
-    limit, run, crs, quotes = csv.field_size_limit(), 0, 0, 0  # run: bytes since the last line end
-    with open(path, "rb") as raw:
-        while block := raw.read(min(limit, 1 << 20)):
-            if b"\r" in block:
-                crs, block = crs + 1, block.replace(b"\r", b"\n")
-            first, last = block.find(b"\n"), block.rfind(b"\n")
-            if not block.isascii() or run + (first if first >= 0 else len(block)) >= limit:
-                return False
-            run = len(block) - 1 - last if last >= 0 else run + len(block)
-            quotes += b'"' in block
-    return not (crs and quotes)
-
-
 def _read_columns(path: str | Path) -> np.ndarray:
     """The distribution columns of a CSV, found by name in its header, in one ``np.loadtxt`` pass.
 
     The file must have every column of ``DISTRIBUTIONS_HEADER``, in any
     order.  Cells may be quoted, ``#`` is data, blank lines are skipped and
     extra cells are ignored; a short row or a cell that does not parse
-    raises ConfigError.  NumPy reads the rows by name if it can, else as
-    ``fh``'s checked lines.
+    raises ConfigError.  NumPy reads the rows as ``fh``'s checked lines, so a
+    pipe is read once and a name is only a path.
     """
     try:
         with open(path, newline="", encoding="utf-8") as fh, warnings.catch_warnings():
-            reader = csv.reader(fh)
-            index = {name: i for i, name in enumerate(next(reader, []))}
+            index = {name: i for i, name in enumerate(next(csv.reader(fh), []))}
             if not set(DISTRIBUTIONS_HEADER) <= index.keys():
                 raise ConfigError(f"{path}: expected columns {DISTRIBUTIONS_HEADER}")
             warnings.filterwarnings("ignore", "loadtxt: input contained no data", UserWarning)  # the caller's to judge
-            # skiprows counts lines, not rows; abspath, as NumPy would fetch a name that parses as a URL.
-            data, skip = (os.path.abspath(path), reader.line_num) if _by_name(path) else (_checked_lines(fh), 0)
             return np.loadtxt(
-                data, dtype=_DISTRIBUTION_DTYPE, delimiter=",", quotechar='"', comments=None, skiprows=skip,
+                _checked_lines(fh), dtype=_DISTRIBUTION_DTYPE, delimiter=",", quotechar='"', comments=None,
                 encoding="utf-8", usecols=[index[name] for name in _DISTRIBUTION_DTYPE.names], ndmin=1,
             )
     except (ValueError, csv.Error) as exc:  # a UnicodeDecodeError's repr quotes the decoder's whole chunk
@@ -622,6 +595,9 @@ def main(argv: Sequence[str] | None = None) -> int:
     except OSError as exc:
         print(f"paclab: i/o error: {exc}", file=sys.stderr)
         return 2
+    except NumpyMismatch as exc:  # each message names the NumPy version
+        print(f"paclab: error: {exc}", file=sys.stderr)
+        return 3
 
 
 if __name__ == "__main__":

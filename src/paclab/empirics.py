@@ -20,7 +20,7 @@ The trials of a schedule of calls can be shared with forked workers
 from one queue and writes their losses into one shared buffer, the parent
 computes any range a worker leaves unfinished, and the bytes are the same
 however the trials are split.
-Three checks run once per range and raise ``RuntimeError``: its first
+Three checks run once per range and raise :class:`NumpyMismatch`: its first
 trial's derived words must equal ``PCG64(seed).state``; the struct must
 read them in the order of a native ``__uint128_t`` or of NumPy's
 emulated ``pcg128_t`` (high word first); and, for conjunctions, its
@@ -43,6 +43,7 @@ from .theory import DiscreteDistribution
 __all__ = [
     "ExperimentConfig",
     "FIXED_TARGET_INDEX",
+    "NumpyMismatch",
     "TrialBatch",
     "derive_trial_seed",
     "histogram",
@@ -171,6 +172,10 @@ def pcg64_states(seeds: np.ndarray) -> np.ndarray:
     return np.stack([lo, hi + inc_hi + (lo < inc_lo), inc_lo, inc_hi], axis=-1)
 
 
+class NumpyMismatch(RuntimeError):
+    """This NumPy's PCG64 state, its struct layout or its ``Generator.integers`` draws differ from the engine's."""
+
+
 def _state_view(bit_generator: np.random.PCG64) -> np.ndarray:
     """Writable view of the four uint64 words of ``bit_generator``'s ``pcg64_random_t``.
 
@@ -191,7 +196,7 @@ def _word_order(reading: np.ndarray, words: np.ndarray) -> list[int]:
     for order in _WORD_ORDERS:
         if reading.tolist() == words[order].tolist():
             return order
-    raise RuntimeError(f"PCG64 state layout of NumPy {np.__version__} is neither native nor emulated 128-bit")
+    raise NumpyMismatch(f"PCG64 state layout of NumPy {np.__version__} is neither native nor emulated 128-bit")
 
 
 def _trial_draws(
@@ -220,7 +225,7 @@ def _trial_draws(
             first = bit_generator.state
             derived = [int(words[0, 1]) << 64 | int(words[0, 0]), int(words[0, 3]) << 64 | int(words[0, 2])]
             if [first["state"]["state"], first["state"]["inc"]] != derived:
-                raise RuntimeError(f"derived PCG64 state disagrees with NumPy {np.__version__} for seed {int(seeds[0])}")
+                raise NumpyMismatch(f"derived PCG64 state disagrees with NumPy {np.__version__} for seed {int(seeds[0])}")
             view = _state_view(bit_generator)
             order = _word_order(view, words[0])
             generator = np.random.Generator(bit_generator)
@@ -238,7 +243,7 @@ def _trial_draws(
                 codes, bits = task.decode(m, chunk[:1], fixed_target)
                 same = fixed_target or codes[0].tolist() == list(task.draw_target(generator).states)
                 if not (same and np.array_equal(bits[0], generator.integers(0, 2, size=(m, task.n), dtype=np.uint8))):
-                    raise RuntimeError(f"raw-output decode disagrees with Generator.integers on NumPy {np.__version__}")
+                    raise NumpyMismatch(f"raw-output decode disagrees with Generator.integers on NumPy {np.__version__}")
             yield chunk
 
 

@@ -478,6 +478,23 @@ class TestExitCodes:
         assert capsys.readouterr().err == "paclab: error: third call failed\n"
         assert not out.exists()
 
+    @pytest.mark.parametrize(
+        "task, name, fake",
+        [
+            ("threshold", "_state_view", lambda real: lambda bit_generator: np.zeros(4, np.uint64)),
+            ("conjunction", "_word_order", lambda real: lambda reading, words: real(reading + 1, words)),
+        ],
+        ids=["state-view", "word-order"],
+    )
+    def test_numpy_mismatch_exits_3_in_one_line(self, tmp_path, monkeypatch, capsys, task, name, fake):
+        # The engine's once-per-range checks find this NumPy's PCG64 struct read in neither known order.
+        monkeypatch.setattr(paclab.empirics, name, fake(getattr(paclab.empirics, name)))
+        out = tmp_path / "out"
+        assert main(["experiment", "--task", task, "--trials", "5", "--out-dir", str(out)]) == 3
+        err = capsys.readouterr().err
+        assert err.startswith("paclab: error: ") and err.count("\n") == 1 and f"NumPy {np.__version__}" in err
+        assert not out.exists()
+
     def test_malformed_csv_is_config_error(self, tmp_path):
         bad = tmp_path / "bad.csv"
         bad.write_text("definitely,not,the,right,schema\n1,2,3,4,5\n")
@@ -1100,7 +1117,7 @@ def field_limit(request):
 
 def straddling_text(limit, note):
     """A distributions file whose second row, ending in ``note``, starts 20 bytes before
-    byte ``2 * limit``: a long enough row crosses that multiple of the limit and no other."""
+    byte ``2 * limit``, after blank lines: a row of over 20 bytes crosses that byte."""
     head = dist_text((*DISTRIBUTIONS_HEADER, "note"), [(*DIST_ROWS[0], "x")])
     tail = dist_text((), [(*row, note if i == 0 else "x") for i, row in enumerate(DIST_ROWS[1:])])[1:]
     return head + "\n" * (2 * limit - 20 - len(head)) + tail
@@ -1129,8 +1146,8 @@ class TestFieldSizeLimit:
         path.write_text(dist_text((*DISTRIBUTIONS_HEADER, "note"), [(*row, f'"{lines}"') for row in DIST_ROWS]))
         assert read_distributions_csv(path) == DIST_GROUPS
 
-    @pytest.mark.parametrize("limits", [1, 2], ids=["one-boundary", "a-whole-block"])
-    def test_oversized_cell_across_a_block_boundary(self, tmp_path, capsys, field_limit, limits):
+    @pytest.mark.parametrize("limits", [1, 2], ids=["one-limit", "two-limits"])
+    def test_oversized_cell_after_blank_lines(self, tmp_path, capsys, field_limit, limits):
         path = tmp_path / "d.csv"
         path.write_text(straddling_text(field_limit, "z" * (limits * field_limit + 1)))
         assert main(["kl", str(path), str(path), "--m", "7"]) == 1
@@ -1148,36 +1165,43 @@ class TestFieldSizeLimit:
 
 
 class TestByName:
-    """Which files NumPy reads by name, in its chunked mode; the rest are read line by line."""
+    """Files named to the reader, whatever their line ends, quotes, bytes or line lengths: each is
+    read once, line by line, to its groups."""
 
     def test_experiment_output_and_a_crlf_copy(self, tmp_path):
         cmd_experiment(small_config(), tmp_path)
         path, crlf = tmp_path / "distributions.csv", tmp_path / "crlf.csv"
         crlf.write_bytes(path.read_bytes().replace(b"\n", b"\r\n"))
-        assert paclab.cli._by_name(path) and paclab.cli._by_name(crlf)
         assert read_distributions_csv(crlf) == read_distributions_csv(path)
+        for row in read_curve(tmp_path / "curve.csv"):
+            assert cmd_kl(crlf, crlf, m=row["m"]) == cmd_kl(path, path, m=row["m"]) == row["kl"]
 
     @pytest.mark.parametrize(
-        "text, expected",
+        "text",
         [
-            (dist_text((*DISTRIBUTIONS_HEADER, '"no\nte"'), [(*row, '"a\nb"') for row in DIST_ROWS]), True),
-            (dist_text((*DISTRIBUTIONS_HEADER, "note"), [(*row, '"a\nb"') for row in DIST_ROWS], newline="\r\n"), False),
-            (dist_text((*DISTRIBUTIONS_HEADER, "note"), [(*row, "\u00e9") for row in DIST_ROWS]), False),
+            dist_text((*DISTRIBUTIONS_HEADER, '"no\nte"'), [(*row, '"a\nb"') for row in DIST_ROWS]),
+            dist_text((*DISTRIBUTIONS_HEADER, "note"), [(*row, '"a\nb"') for row in DIST_ROWS], newline="\r\n"),
+            dist_text((*DISTRIBUTIONS_HEADER, "note"), [(*row, "\u00e9") for row in DIST_ROWS]),
         ],
         ids=["quoted-newlines", "quote-and-cr", "not-ascii"],
     )
-    def test_conditions(self, tmp_path, text, expected):
+    def test_conditions(self, tmp_path, text):
         path = tmp_path / "d.csv"
         path.write_bytes(text.encode())
-        assert paclab.cli._by_name(path) is expected
+        assert read_distributions_csv(path) == DIST_GROUPS
+        assert cmd_kl(path, path, m=7) == kl_divergence(DIST_GROUPS[7, "P"], DIST_GROUPS[7, "Q"])
 
     @pytest.mark.parametrize("end", ["\n", "\r", "\r\n"], ids=["lf", "cr", "crlf"])
     def test_a_line_of_the_limit_in_bytes_is_read_line_by_line(self, tmp_path, field_limit, end):
+        # The first row is limit - 1 or limit bytes before its line end, after ``start`` blank lines.
         path = tmp_path / "d.csv"
+        cells = ",".join(DIST_ROWS[0]) + ","
         for start in (0, 1, field_limit // 2, field_limit - 1, field_limit, 2 * field_limit - 1):
             for length in (field_limit - 1, field_limit):
-                path.write_text(end * start + "x" * length + end + "y" + end, newline="")
-                assert paclab.cli._by_name(path) is (length < field_limit), (start, length)
+                rows = [(*DIST_ROWS[0], "x" * (length - len(cells))), *[(*row, "y") for row in DIST_ROWS[1:]]]
+                head, body = dist_text((*DISTRIBUTIONS_HEADER, "note"), rows, newline=end).split(end, 1)
+                path.write_text(head + end * (start + 1) + body, newline="")
+                assert read_distributions_csv(path) == DIST_GROUPS, (start, length)
 
 
 class TestKlCommand:

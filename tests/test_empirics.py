@@ -140,7 +140,7 @@ class TestStreamSeeding:
 
     def test_state_mismatch_raises(self, monkeypatch):
         monkeypatch.setattr(empirics, "pcg64_states", lambda seeds: np.ones((len(seeds), 4), dtype=np.uint64))
-        with pytest.raises(RuntimeError, match="derived PCG64 state"):
+        with pytest.raises(empirics.NumpyMismatch, match="derived PCG64 state"):
             run_trials(ThresholdTask(), 5, 3, 2024)
 
     @pytest.mark.parametrize("order", [NATIVE_ORDER, EMULATED_ORDER], ids=["native", "emulated"])
@@ -155,13 +155,13 @@ class TestStreamSeeding:
         readings = [row[order] for order in orders if order not in (NATIVE_ORDER, EMULATED_ORDER)]
         readings += [np.zeros(4, dtype=np.uint64), row ^ np.array([0, 0, 0, 1], dtype=np.uint64)]
         for reading in readings:
-            with pytest.raises(RuntimeError, match="layout"):
+            with pytest.raises(empirics.NumpyMismatch, match="layout"):
                 empirics._word_order(reading, row)
 
     @pytest.mark.parametrize("task", [ConjunctionTask(4), ThresholdTask()], ids=["conjunction", "threshold"])
     def test_misread_state_view_raises(self, monkeypatch, task):
         monkeypatch.setattr(empirics, "_state_view", lambda bit_generator: np.zeros(4, dtype=np.uint64))
-        with pytest.raises(RuntimeError, match="layout"):
+        with pytest.raises(empirics.NumpyMismatch, match="layout"):
             run_trials(task, 5, 3, 2024)
 
     @pytest.mark.parametrize("fixed_target", [False, True])
@@ -298,7 +298,7 @@ class TestRawDecode:
             return codes, flipped
 
         monkeypatch.setattr(ConjunctionTask, "decode", bad_decode)
-        with pytest.raises(RuntimeError, match="decode"):
+        with pytest.raises(empirics.NumpyMismatch, match="decode"):
             run_trials(ConjunctionTask(10), 25, 3, 2024, fixed_target=fixed_target)
 
 
