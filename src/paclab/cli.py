@@ -6,7 +6,8 @@ Three subcommands:
   histograms, discretized bounds, curve statistics) and writes
   ``distributions.csv``, ``curve.csv``, and ``manifest.json``.
 * ``bound`` tabulates a single bound family: CDF/density on a fixed grid,
-  cutoff and point mass per sample size, and the discretized slot masses.
+  cutoff and point mass per sample size, and the discretized slot masses;
+  on two usable CPUs a forked worker formats the back half of a large grid.
 * ``kl`` recomputes the divergence between two distributions stored in
   CSV form.
 
@@ -43,15 +44,7 @@ from . import __version__
 from .analysis import kl_divergence, moments
 from .empirics import _MAX_RANGES, ExperimentConfig, NumpyMismatch, Task, histogram, run_trials, schedule_losses
 from .learners import ConjunctionTask, ThresholdTask
-from .theory import (
-    BoundSpec,
-    DiscreteDistribution,
-    bound_cdf,
-    bound_density,
-    bound_point_mass,
-    cutoff,
-    discretize_bound,
-)
+from .theory import BoundSpec, DiscreteDistribution, bound_point_mass, cutoff, discretize_bound
 
 __all__ = [
     "ConfigError",
@@ -172,7 +165,8 @@ def _experiment_bytes(config: ExperimentConfig) -> int:
 
 
 def _bound_bytes(m_count: int, slots: int) -> int:
-    """Estimated peak memory of ``cmd_bound`` over ``m_count`` sample sizes: its CSV rows."""
+    """Estimated peak memory of ``cmd_bound`` over ``m_count`` sample sizes and the most
+    processes it runs, whatever the CPU count: its CSV rows, which cover the grid worker too."""
     return m_count * (_GRID_POINTS + 1 + slots) * _ROW_BYTES
 
 
@@ -260,6 +254,9 @@ def cmd_bound(
     (discretized slot masses, same schema as distributions.csv), and a
     manifest; a bad parameter (a repeated m too) or a run over the size
     budget fails before any work and before the directory is created.
+    With two usable CPUs, a worker formats the back half of a large grid
+    while this process does the rest (``boundgrid.split_blocks``); the bytes
+    are the same, and ``taskset -c 0`` keeps the run in one process.
     """
     if not m_list:
         raise ConfigError("need at least one sample size m")
@@ -289,27 +286,17 @@ def cmd_bound(
     if slots < 2:
         raise ConfigError("need at least 2 slots")
 
-    grid = np.linspace(0.0, _GRID_TOP, _GRID_POINTS)
-    eps_cells = [f"{eps:.17g}," for eps in grid.tolist()]
     cells = _slot_cells(slots)
-    grid_lines = []
-    summary_lines = []
-    q_lines = []
-    for m, spec in zip(m_list, specs):
-        rows = [
-            f"{eps}1,{density:.17g}\n" if cdf == 1.0 else f"{eps}{cdf:.17g},{density:.17g}\n"
-            for eps, cdf, density in zip(eps_cells, bound_cdf(spec, grid).tolist(), bound_density(spec, grid).tolist())
-        ]
-        head = f"{m},"
-        grid_lines.append(head + head.join(rows))
-        summary_lines.append("%d,%.17g,%.17g\n" % (m, cutoff(spec), bound_point_mass(spec)))
-        q_lines.append(_distribution_lines(m, "Q", discretize_bound(spec, slots), *cells))
+    from .boundgrid import bound_grid_blocks  # compiled by this command alone
 
-    return _write_run(out_dir, "bound", echo, {
-        "grid": ("bound_grid.csv", ["m", "eps", "cdf", "density"], grid_lines),
-        "summary": ("bound_summary.csv", ["m", "cutoff", "point_mass"], summary_lines),
-        "distributions": ("bound_q.csv", DISTRIBUTIONS_HEADER, q_lines),
-    })
+    with bound_grid_blocks(specs, np.linspace(0.0, _GRID_TOP, _GRID_POINTS)) as grid_lines:
+        summary_lines = ["%d,%.17g,%.17g\n" % (m, cutoff(spec), bound_point_mass(spec)) for m, spec in zip(m_list, specs)]
+        q_lines = [_distribution_lines(m, "Q", discretize_bound(spec, slots), *cells) for m, spec in zip(m_list, specs)]
+        return _write_run(out_dir, "bound", echo, {
+            "grid": ("bound_grid.csv", ["m", "eps", "cdf", "density"], grid_lines),
+            "summary": ("bound_summary.csv", ["m", "cutoff", "point_mass"], summary_lines),
+            "distributions": ("bound_q.csv", DISTRIBUTIONS_HEADER, q_lines),
+        })
 
 
 # ---------------------------------------------------------------------------

@@ -19,7 +19,8 @@ The trials of a schedule of calls can be shared with forked workers
 (:func:`schedule_losses`): each process claims ranges of consecutive trials
 from one queue and writes their losses into one shared buffer, the parent
 computes any range a worker leaves unfinished, and the bytes are the same
-however the trials are split.
+however the trials are split.  Every fork goes through one helper,
+:func:`_forked`, which :mod:`paclab.boundgrid` uses too.
 Three checks run once per range and raise :class:`NumpyMismatch`: its first
 trial's derived words must equal ``PCG64(seed).state``; the struct must
 read them in the order of a native ``__uint128_t`` or of NumPy's
@@ -31,9 +32,10 @@ from __future__ import annotations
 
 import ctypes
 import os
+from contextlib import contextmanager
 from dataclasses import dataclass, field
 from operator import itemgetter
-from typing import Generator, Iterable, Iterator
+from typing import Callable, Generator, Iterable, Iterator
 
 import numpy as np
 
@@ -346,6 +348,47 @@ def _range_count(k: int, width: int, cpus: int) -> int:
     return max(1, min(cpus, _MAX_RANGES, k, k * width // _MIN_RANGE_DRAWS))
 
 
+@contextmanager
+def _forked(count: int, work: Callable[[], object]) -> Iterator[Callable[[], None]]:
+    """Forks up to ``count`` workers that run ``work()`` and yields a function that
+    waits for them to exit; on leaving the block, kills and reaps them."""
+    import gc
+    import signal
+
+    pids = []
+
+    def wait() -> None:
+        for pid in pids:  # leaves it to be reaped below
+            os.waitid(os.P_PID, pid, os.WEXITED | os.WNOWAIT)
+
+    try:
+        # SIGINT is blocked until each worker is on the list the finally reaps, and
+        # stays blocked in them.  Frozen objects are skipped by a worker's
+        # garbage collector, which so runs no finalizer of the parent's.
+        mask = signal.pthread_sigmask(signal.SIG_BLOCK, [signal.SIGINT])
+        gc.freeze()
+        try:
+            for _ in range(count):
+                try:
+                    pid = os.fork()
+                except OSError:  # EAGAIN or ENOMEM: the processes already running do the work
+                    break
+                if pid == 0:
+                    try:  # os._exit: a worker never unwinds into the parent's stack
+                        work()
+                    finally:
+                        os._exit(0)
+                pids.append(pid)
+        finally:
+            gc.unfreeze()
+            signal.pthread_sigmask(signal.SIG_SETMASK, mask)
+        yield wait
+    finally:
+        for pid in pids:
+            os.kill(pid, signal.SIGKILL)
+            os.waitpid(pid, 0)
+
+
 def schedule_losses(task: Task, ms: Iterable[int], k: int, master_seed: int, *, fixed_target: bool = False) -> Generator:
     """The losses of ``run_trials(task, m, k, master_seed, fixed_target=...)``
     for each m of ``ms`` in turn, computed by this process and forked workers.
@@ -354,17 +397,14 @@ def schedule_losses(task: Task, ms: Iterable[int], k: int, master_seed: int, *, 
     argument tuple: iterate it, or let ``run_trials(..., pool=...)`` take one call
     at a time, as ``run_experiment`` does.  The first ``next()`` does all the work.
     It queues each m's ``_range_count`` equal ranges for the usable CPUs (read
-    once), the most draws first, forks the workers (as many as the system grants:
-    a fork refused with ``OSError`` stops the forking), claims ranges beside
-    them until the queue is empty, waits for them and computes any range
-    they left.  Whatever happens, it reaps them and unmaps the shared buffer
-    before that ``next()`` returns or raises.  Each ``next()`` then reads its
-    row from the buffer's memfd, which is closed when the generator ends or
-    is closed.  Workers keep SIGINT blocked, so Ctrl-C interrupts the parent alone.
+    once), the most draws first, forks the workers through :func:`_forked`,
+    claims ranges beside them until the queue is empty, waits for them and
+    computes any range they left.  Whatever happens, it reaps them and unmaps
+    the shared buffer before that ``next()`` returns or raises.  Each ``next()``
+    then reads its row from the buffer's memfd, which is closed when the
+    generator ends or is closed.
     """
-    import gc
     import mmap
-    import signal
 
     cpus, calls, units, forks = _usable_cpus(), [], [], 0
     for row, m in enumerate(ms):
@@ -378,7 +418,7 @@ def schedule_losses(task: Task, ms: Iterable[int], k: int, master_seed: int, *, 
     units.sort(key=itemgetter(0), reverse=True)
     # The processes share a memfd: a claim counter, the losses, and a done byte per range;
     # a range is claimed under a record lock on it, which the kernel releases if its holder dies.
-    size, pids = 8 * (1 + len(calls) * k) + len(units), []
+    size = 8 * (1 + len(calls) * k) + len(units)
     with open(os.memfd_create("paclab-trials"), "r+b", buffering=0) as memfd:
         fd = memfd.fileno()
         try:
@@ -400,36 +440,13 @@ def schedule_losses(task: Task, ms: Iterable[int], k: int, master_seed: int, *, 
                     losses[row, request[2] : request[3]] = _range_losses(*request)
                     done[unit] = 1
 
-            # SIGINT is blocked until each worker is on the list the finally reaps, and
-            # stays blocked in them.  Frozen objects are skipped by a worker's
-            # garbage collector, which so runs no finalizer of the parent's.
-            mask = signal.pthread_sigmask(signal.SIG_BLOCK, [signal.SIGINT])
-            gc.freeze()
-            try:
-                for _ in range(forks):
-                    try:
-                        pid = os.fork()
-                    except OSError:  # EAGAIN or ENOMEM: the processes already running drain the queue
-                        break
-                    if pid == 0:
-                        try:  # os._exit: a worker never unwinds into the parent's stack
-                            drain()
-                        finally:
-                            os._exit(0)
-                    pids.append(pid)
-            finally:
-                gc.unfreeze()
-                signal.pthread_sigmask(signal.SIG_SETMASK, mask)
-            drain()
-            for pid in pids:  # wait for it to exit, leaving it to be reaped below
-                os.waitid(os.P_PID, pid, os.WEXITED | os.WNOWAIT)
+            with _forked(forks, drain) as wait:
+                drain()
+                wait()
             for unit in np.flatnonzero(done == 0).tolist():  # ranges a worker left
                 _, row, request = units[unit]
                 losses[row, request[2] : request[3]] = _range_losses(*request)
         finally:
-            for pid in pids:
-                os.kill(pid, signal.SIGKILL)
-                os.waitpid(pid, 0)
             counter = losses = done = None  # the views alone own the mapping, which a traceback would keep
         memfd.seek(8)  # a row is read when its call comes, so no loss is held twice
         for call in calls:

@@ -8,6 +8,7 @@ import inspect
 import json
 import math
 import os
+import signal
 import subprocess
 import sys
 import tracemalloc
@@ -18,6 +19,7 @@ import numpy as np
 import pytest
 
 from paclab.analysis import kl_divergence, moments
+import paclab.boundgrid
 import paclab.cli
 import paclab.empirics
 from paclab.cli import (
@@ -576,6 +578,39 @@ print(json.dumps({{"estimate": cli._experiment_bytes(config), "parent": peak() -
 """
 
 
+# The same for a split bound over the wide-io sample sizes: the growth of
+# the process's peak RSS over a one-process warm-up run, and the grid
+# worker's peak RSS growth from its first block on; argv[1] is the output directory.
+BOUND_RSS_SCRIPT = """
+import json, os, resource, sys
+from pathlib import Path
+import paclab.boundgrid as boundgrid
+import paclab.cli as cli
+import paclab.empirics as empirics
+out = Path(sys.argv[1])
+def peak():
+    return resource.getrusage(resource.RUSAGE_SELF).ru_maxrss * 1024
+parent, starts, split_blocks = os.getpid(), {}, boundgrid.split_blocks
+def measured_split_blocks(block, items, item_rows):
+    def measured_block(item):
+        start = starts.setdefault(os.getpid(), peak())
+        text = block(item)
+        if os.getpid() != parent:
+            (out / f"worker-{os.getpid()}.rss").write_text(str(peak() - start))
+        return text
+    return split_blocks(measured_block, items, item_rows)
+boundgrid.split_blocks = measured_split_blocks
+m_list = list(range(20, 1001, 20))
+empirics._usable_cpus = lambda: 1
+cli.cmd_bound("vc", m_list, out, vc_dim=1, slots=50)
+empirics._usable_cpus = lambda: 2
+before = peak()
+cli.cmd_bound("vc", m_list, out, vc_dim=1, slots=50)
+workers = [int(path.read_text()) for path in out.glob("worker-*.rss")]
+print(json.dumps({"estimate": cli._bound_bytes(len(m_list), 50), "parent": peak() - before, "workers": workers}))
+"""
+
+
 class TestSizeBudget:
     @pytest.mark.parametrize(
         "config",
@@ -630,6 +665,17 @@ class TestSizeBudget:
         assert proc.returncode == 0, proc.stderr
         result = json.loads(proc.stdout)
         assert len(result["workers"]) <= 1, result  # a worker that claimed no range wrote none
+        assert result["estimate"] >= result["parent"] + sum(result["workers"]), result
+
+    def test_estimate_covers_a_split_bound(self, tmp_path):
+        # Peak memory of a bound whose grid is split, in a fresh interpreter:
+        # the growth of the parent's peak RSS plus that of its grid worker's.
+        env = dict(os.environ, PYTHONPATH=str(Path(paclab.cli.__file__).parents[1]))
+        argv = [sys.executable, "-c", BOUND_RSS_SCRIPT, str(tmp_path)]
+        proc = subprocess.run(argv, env=env, capture_output=True, text=True, timeout=120)
+        assert proc.returncode == 0, proc.stderr
+        result = json.loads(proc.stdout)
+        assert len(result["workers"]) == 1, result
         assert result["estimate"] >= result["parent"] + sum(result["workers"]), result
 
     def test_estimate_counts_the_schedule_loss_buffer(self, tmp_path, monkeypatch, capsys):
@@ -776,7 +822,7 @@ class TestBoundCommand:
         def no_work(*args):
             raise AssertionError("bound tabulated a repeated m")
 
-        monkeypatch.setattr(paclab.cli, "bound_cdf", no_work)
+        monkeypatch.setattr(paclab.boundgrid, "bound_cdf", no_work)
         out = tmp_path / "out"
         assert main(["bound", "--kind", kind, "--vc-dim" if kind == "vc" else "--h-size", "3", "--m", "5,7,5",
                      "--out-dir", str(out)]) == 1
@@ -1382,10 +1428,98 @@ DEFAULT_BOUND_SHA256 = {
 }
 
 
-def test_default_bound_matches_golden_hashes(tmp_path):
+@pytest.fixture
+def grid_cpus(monkeypatch):
+    """Sets the usable CPU count ``split_blocks`` sees, with every bound grid
+    large enough to split, so two CPUs fork a worker for the back half of m."""
+    def set_cpus(count):
+        monkeypatch.setattr(paclab.empirics, "_usable_cpus", lambda: count)
+        monkeypatch.setattr(paclab.boundgrid, "_MIN_SPLIT_ROWS", 1)
+
+    return set_cpus
+
+
+def grid_evaluations(monkeypatch, action=None):
+    """The m of each bound grid this process evaluates, in turn; a forked
+    grid worker runs ``action`` on each m it evaluates instead of recording it."""
+    original, parent, evaluated = paclab.boundgrid.bound_cdf, os.getpid(), []
+
+    def bound_cdf(spec, eps):
+        if os.getpid() == parent:
+            evaluated.append(spec.m)
+        elif action is not None:
+            action()
+        return original(spec, eps)
+
+    monkeypatch.setattr(paclab.boundgrid, "bound_cdf", bound_cdf)
+    return evaluated
+
+
+@pytest.mark.parametrize("cpus", [1, 2])
+def test_default_bound_matches_golden_hashes(tmp_path, monkeypatch, grid_cpus, cpus):
+    grid_cpus(cpus)
+    evaluated = grid_evaluations(monkeypatch)
     assert main(["bound", "--out-dir", str(tmp_path)]) == 0
     for name, want in DEFAULT_BOUND_SHA256.items():
         assert hashlib.sha256((tmp_path / name).read_bytes()).hexdigest() == want, name
+    assert evaluated == ([22, 35, 100] if cpus == 1 else [22])  # on two CPUs the worker took 35 and 100
+    with pytest.raises(ChildProcessError):  # the grid worker was reaped
+        os.waitpid(-1, os.WNOHANG)
+
+
+@pytest.mark.parametrize("m_list, forks", [("22,35,100", 0), (",".join(map(str, range(20, 1001, 20))), 1)],
+                         ids=["default-3-m", "wide-io-50-m"])
+def test_only_a_grid_of_enough_rows_is_split(tmp_path, monkeypatch, m_list, forks):
+    # The default bound's 3,000 grid rows stay in one process, where a fork would cost more than it saves.
+    # A worker is forked before the slot masses are computed, so the parent computes them beside it.
+    monkeypatch.setattr(paclab.empirics, "_usable_cpus", lambda: 2)
+    fork, discretize, events = os.fork, paclab.cli.discretize_bound, []
+    monkeypatch.setattr(os, "fork", lambda: events.append("fork") or fork())
+    monkeypatch.setattr(paclab.cli, "discretize_bound", lambda *args: events.append("q") or discretize(*args))
+    assert main(["bound", "--kind", "vc", "--vc-dim", "1", "--m", m_list, "--out-dir", str(tmp_path)]) == 0
+    assert events.count("fork") == forks
+    assert events.index("q") == forks
+
+
+def test_only_the_bound_command_imports_the_grid_split():
+    # paclab.boundgrid is compiled when bound runs, so importing the CLI for another command costs no memory for it.
+    env = dict(os.environ, PYTHONPATH=str(Path(paclab.cli.__file__).parents[1]))
+    code = "import sys, paclab.cli; print('paclab.boundgrid' in sys.modules)"
+    proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=60)
+    assert proc.stdout == "False\n", proc.stderr
+
+
+def kill_self():
+    os.kill(os.getpid(), signal.SIGKILL)
+
+
+def raise_in_worker():
+    raise ValueError("grid block failed in the worker")
+
+
+@pytest.mark.parametrize("failure", ["refused-fork", "worker-raises", "worker-killed"])
+def test_bound_golden_hashes_when_the_grid_worker_fails(tmp_path, monkeypatch, capfd, grid_cpus, failure):
+    # Blocks a worker did not mark done are formatted by the parent instead.
+    grid_cpus(2)
+    forks = []
+    if failure == "refused-fork":
+
+        def refusing_fork():
+            forks.append(1)
+            raise BlockingIOError(errno.EAGAIN, "Resource temporarily unavailable")
+
+        monkeypatch.setattr(os, "fork", refusing_fork)
+    evaluated = grid_evaluations(monkeypatch, {"worker-raises": raise_in_worker, "worker-killed": kill_self}.get(failure))
+    before = sorted(os.listdir("/proc/self/fd"))
+    assert main(["bound", "--out-dir", str(tmp_path)]) == 0
+    assert evaluated == [22, 35, 100]
+    assert len(forks) == (failure == "refused-fork")
+    for name, want in DEFAULT_BOUND_SHA256.items():
+        assert sha256_hex((tmp_path / name).read_bytes()) == want, name
+    assert capfd.readouterr().err == ""
+    assert sorted(os.listdir("/proc/self/fd")) == before
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
 
 
 # sha256 of the outputs of the benchmark's wide-io workload at seed 2024, as
@@ -1406,11 +1540,15 @@ def sha256_hex(data: bytes) -> str:
     return hashlib.sha256(data).hexdigest()
 
 
-def test_wide_io_bound_matches_golden_hashes(tmp_path):
+@pytest.mark.parametrize("cpus", [1, 2])
+def test_wide_io_bound_matches_golden_hashes(tmp_path, grid_cpus, cpus):
+    grid_cpus(cpus)
     m_list = ",".join(str(m) for m in range(20, 1001, 20))
     assert main(["bound", "--kind", "vc", "--vc-dim", "1", "--m", m_list, "--out-dir", str(tmp_path)]) == 0
     for name, want in WIDE_IO_BOUND_SHA256.items():
         assert sha256_hex((tmp_path / name).read_bytes()) == want, name
+    with pytest.raises(ChildProcessError):  # the grid worker was reaped
+        os.waitpid(-1, os.WNOHANG)
 
 
 @pytest.mark.skipif(

@@ -16,6 +16,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+import paclab.boundgrid as boundgrid
 import paclab.cli
 import paclab.empirics as empirics
 from paclab.analysis import moments
@@ -921,6 +922,64 @@ class TestTrialWorkerFailures:
         assert err.count("Traceback") == 1 and err.rstrip().endswith("KeyboardInterrupt")
         with pytest.raises(ProcessLookupError):
             os.killpg(proc.pid, 0)
+
+
+@pytest.mark.usefixtures("deadline")
+class TestSplitBlocks:
+    """``split_blocks`` gives the one-process text however its items are split."""
+
+    @pytest.fixture(autouse=True)
+    def split_everything(self, cpus, monkeypatch):
+        cpus(2)
+        monkeypatch.setattr(boundgrid, "_MIN_SPLIT_ROWS", 1)
+
+    @staticmethod
+    def block(item):
+        return "".join(f"{item},{row}\n" for row in range(item))
+
+    @pytest.mark.parametrize("count", [1, 2, 3, 8])
+    def test_text_is_the_one_process_text(self, count):
+        items = list(range(1, count + 1))
+        with boundgrid.split_blocks(self.block, items, 1) as blocks:
+            assert "".join(blocks) == "".join(map(self.block, items))
+        assert_no_child_left()
+
+    def test_the_worker_formats_the_back_half(self):
+        parent, formatted = os.getpid(), []
+
+        def block(item):
+            if os.getpid() == parent:
+                formatted.append(item)
+            return self.block(item)
+
+        with boundgrid.split_blocks(block, [3, 1, 4, 1, 5], 1) as blocks:
+            assert "".join(blocks) == "".join(map(self.block, [3, 1, 4, 1, 5]))
+        assert formatted == [3, 1]
+
+    def test_few_rows_fork_nothing(self, monkeypatch):
+        monkeypatch.setattr(boundgrid, "_MIN_SPLIT_ROWS", 10)
+
+        def no_fork():
+            raise AssertionError("forked for 9 rows")
+
+        monkeypatch.setattr(os, "fork", no_fork)
+        with boundgrid.split_blocks(self.block, [1, 2, 3], 3) as blocks:
+            assert "".join(blocks) == "".join(map(self.block, [1, 2, 3]))
+
+    def test_parent_error_reaps_the_worker_and_closes_the_memfd(self):
+        before, parent = sorted(os.listdir("/proc/self/fd")), os.getpid()
+
+        def block(item):
+            if os.getpid() == parent:
+                raise ValueError("front block failed")
+            return self.block(item)
+
+        with pytest.raises(ValueError, match="front block failed") as failure:
+            with boundgrid.split_blocks(block, [1, 2, 3, 4], 1) as blocks:
+                "".join(blocks)
+        # Checked while ``failure`` holds the traceback, and so the frames of the failed call.
+        assert sorted(os.listdir("/proc/self/fd")) == before, failure
+        assert_no_child_left()
 
 
 # Prelude of the scripts above: two usable CPUs, so a worker is forked.
