@@ -30,3 +30,14 @@ from .theory import (
 )
 
 __version__ = "0.2.0"
+
+# The columns of distributions.csv and bound_q.csv: one row a slot of an (m, source) group.
+DISTRIBUTIONS_HEADER = ["m", "source", "slot_index", "slot_lo", "slot_hi", "mass"]
+
+
+class ConfigError(Exception):
+    """Invalid configuration or unusable input data (exit code 1).
+
+    Defined here, not in ``paclab.cli``, so that the CLI run as ``python -m
+    paclab.cli`` and the modules it imports raise and catch the one class.
+    """

@@ -27,20 +27,18 @@ reproduce.
 from __future__ import annotations
 
 import argparse
-import csv
 import json
 import math
 import os
 import sys
-import warnings
 from contextlib import closing
 from dataclasses import asdict
 from pathlib import Path
-from typing import Iterable, Iterator, Sequence, TextIO
+from typing import Iterable, Sequence
 
 import numpy as np
 
-from . import __version__
+from . import DISTRIBUTIONS_HEADER, ConfigError, __version__
 from .analysis import kl_divergence, moments
 from .empirics import _MAX_RANGES, ExperimentConfig, NumpyMismatch, Task, histogram, run_trials, schedule_losses
 from .learners import ConjunctionTask, ThresholdTask
@@ -82,12 +80,7 @@ _TRIAL_BYTES = 256
 _VARIABLE_BYTES = 48
 _DRAW_COPIES = 8
 
-DISTRIBUTIONS_HEADER = ["m", "source", "slot_index", "slot_lo", "slot_hi", "mass"]
 CURVE_HEADER = ["m", "mean_p", "std_p", "mean_q", "std_q", "kl"]
-
-
-class ConfigError(Exception):
-    """Invalid configuration or unusable input data (exit code 1)."""
 
 
 # ---------------------------------------------------------------------------
@@ -303,79 +296,11 @@ def cmd_bound(
 # Stored-distribution KL
 # ---------------------------------------------------------------------------
 
-_DISTRIBUTION_DTYPE = np.dtype([("m", np.int64), ("source", object), ("slot_index", np.int64), ("mass", np.float64)])
-
-
-def _checked_lines(fh: TextIO) -> Iterator[str]:
-    """The lines of ``fh``; one long enough to hold a cell over ``csv.field_size_limit()`` is split to check."""
-    limit = csv.field_size_limit()
-    for line in fh:
-        if len(line) > limit:
-            next(csv.reader([line]))  # csv.Error on a cell over the limit
-        yield line
-
-
-def _read_columns(path: str | Path) -> np.ndarray:
-    """The distribution columns of a CSV, found by name in its header, in one ``np.loadtxt`` pass.
-
-    The file must have every column of ``DISTRIBUTIONS_HEADER``, in any
-    order.  Cells may be quoted, ``#`` is data, blank lines are skipped and
-    extra cells are ignored; a short row or a cell that does not parse
-    raises ConfigError.  NumPy reads the rows as ``fh``'s checked lines, so a
-    pipe is read once and a name is only a path.
-    """
-    try:
-        with open(path, newline="", encoding="utf-8") as fh, warnings.catch_warnings():
-            index = {name: i for i, name in enumerate(next(csv.reader(fh), []))}
-            if not set(DISTRIBUTIONS_HEADER) <= index.keys():
-                raise ConfigError(f"{path}: expected columns {DISTRIBUTIONS_HEADER}")
-            warnings.filterwarnings("ignore", "loadtxt: input contained no data", UserWarning)  # the caller's to judge
-            return np.loadtxt(
-                _checked_lines(fh), dtype=_DISTRIBUTION_DTYPE, delimiter=",", quotechar='"', comments=None,
-                encoding="utf-8", usecols=[index[name] for name in _DISTRIBUTION_DTYPE.names], ndmin=1,
-            )
-    except (ValueError, csv.Error) as exc:  # a UnicodeDecodeError's repr quotes the decoder's whole chunk
-        detail = exc.reason if isinstance(exc, UnicodeDecodeError) else repr(exc)
-        raise ConfigError(f"{path}: malformed distribution row ({detail})") from exc
-
-
 def read_distributions_csv(path: str | Path) -> dict[tuple[int, str], DiscreteDistribution]:
     """Load every (m, source) group from a distributions-schema CSV, in order of first appearance."""
-    rows = _read_columns(path)
-    if not len(rows):
-        raise ConfigError(f"{path}: no distributions found")
-    m, source, slot = rows["m"], rows["source"], rows["slot_index"]
-    # Runs of rows of one group: one run per group in every file paclab writes.
-    starts = np.flatnonzero(np.r_[True, (m[1:] != m[:-1]) | (source[1:] != source[:-1])])
-    ids = {}
-    runs = np.array([ids.setdefault(key, len(ids)) for key in zip(m[starts].tolist(), source[starts].tolist())],
-                    np.min_scalar_type(len(ids)))  # a stable sort of ids of 16 bits or less is a radix sort
-    keys, sizes = list(ids), np.diff(np.r_[starts, len(rows)])
-    if len(runs) == len(keys):  # a group's rows: a slice of the file, else their indices in file order
-        picks = map(slice, starts, starts + sizes)
-    else:
-        row_group = np.repeat(runs, sizes)
-        picks = np.split(np.argsort(row_group, kind="stable"), np.cumsum(np.bincount(row_group))[:-1])
-    # Each group is built in turn; its l slots must be 0..l-1 once each, and a bad mass waits for every group's slots.
-    groups, error = {}, None
-    for key, index in zip(keys, picks):
-        slots = slot[index]
-        if slots.min() < 0 or slots.max() >= len(slots) or np.bincount(slots).max() > 1:
-            row_group = np.repeat(runs, sizes)
-            _, first = np.unique(np.c_[row_group, slot], axis=0, return_index=True)
-            repeats = np.setdiff1d(np.arange(len(slot)), first)
-            if len(repeats):
-                raise ConfigError(f"{path}: duplicate slot {slot[repeats[0]]} in group {keys[row_group[repeats[0]]]}")
-            raise ConfigError(f"{path}: group {key} has non-contiguous slot indices")
-        masses = np.empty(len(slots))
-        masses[slots] = rows["mass"][index]
-        try:
-            groups[key] = DiscreteDistribution(masses)
-        except ValueError as exc:
-            error = error or ConfigError(f"{path}: group {key}: {exc}")
-    if error:
-        raise error
-    return groups
+    from .distcsv import read_groups  # compiled by kl alone
+
+    return read_groups(path)
 
 
 def _select_distribution(

@@ -21,6 +21,7 @@ import pytest
 from paclab.analysis import kl_divergence, moments
 import paclab.boundgrid
 import paclab.cli
+import paclab.distcsv
 import paclab.empirics
 from paclab.cli import (
     CURVE_HEADER,
@@ -935,6 +936,37 @@ def dist_text(header=tuple(DISTRIBUTIONS_HEADER), rows=DIST_ROWS, newline="\n"):
     return newline.join(lines) + newline
 
 
+MALFORMED_FILES = [
+    (dist_text(rows=[*DIST_ROWS, ("7", "P", "0")]), "malformed distribution row"),
+    (dist_text(DISTRIBUTIONS_HEADER[:-1], [row[:-1] for row in DIST_ROWS]), "expected columns"),
+    (dist_text(rows=[*DIST_ROWS[:-1], ("7", "Q", "1", "0.5", "1", "half")]), "malformed distribution row"),
+    (dist_text(rows=[*DIST_ROWS[:-1], ("7", "Q", "one", "0.5", "1", "0.5")]), "malformed distribution row"),
+    (dist_text(rows=[*DIST_ROWS, DIST_ROWS[1]]), "duplicate slot 1 in group (7, 'P')"),
+    (dist_text(rows=[*DIST_ROWS, ("7", "P", "1", "0.5", "1", "0.5")]), "duplicate slot 1 in group (7, 'P')"),
+    (dist_text(rows=[*DIST_ROWS, ("7", "P", "1", "0.5", "1", "0" * 200_000)]), "malformed distribution row"),
+    (dist_text(rows=[*DIST_ROWS[:-1], ("7", "Q", "2", "0.5", "1", "0.5")]), "group (7, 'Q') has non-contiguous slot indices"),
+    (dist_text(rows=[*DIST_ROWS[:-1], ("7", "Q", "-1", "0.5", "1", "0.5")]), "group (7, 'Q') has non-contiguous slot indices"),
+    # Groups whose rows interleave: the first repeat in file order is named.
+    (dist_text(rows=[DIST_ROWS[2], DIST_ROWS[0], DIST_ROWS[3], DIST_ROWS[1], DIST_ROWS[2], DIST_ROWS[0]]),
+     "duplicate slot 0 in group (7, 'Q')"),
+    (dist_text(rows=[DIST_ROWS[0], DIST_ROWS[2], DIST_ROWS[1], DIST_ROWS[0], DIST_ROWS[3], DIST_ROWS[3]]),
+     "duplicate slot 0 in group (7, 'P')"),
+    # Of several faults, a repeat comes first, then a slot outside 0..l-1, then a bad mass.
+    (dist_text(rows=[DIST_ROWS[0], ("7", "P", "2", "0.5", "1", "0.75"), DIST_ROWS[2], DIST_ROWS[2]]),
+     "duplicate slot 0 in group (7, 'Q')"),
+    (dist_text(rows=[(*DIST_ROWS[0][:5], "nan"), DIST_ROWS[1], DIST_ROWS[2], ("7", "Q", "2", "0.5", "1", "0.5")]),
+     "group (7, 'Q') has non-contiguous slot indices"),
+    # Python's int() takes these; the int64 reader does not.
+    (dist_text(rows=[(str(2**63), *row[1:]) for row in DIST_ROWS]), "malformed distribution row"),
+    (dist_text(rows=[("1_000", *row[1:]) for row in DIST_ROWS]), "malformed distribution row"),
+    (dist_text(rows=[("7", "P", "1_0", *DIST_ROWS[0][3:]), *DIST_ROWS[1:]]), "malformed distribution row"),
+]
+MALFORMED_IDS = ["short-row", "missing-column", "non-numeric-mass", "non-numeric-index", "duplicate-row",
+                 "conflicting-row", "oversized-cell", "slot-gap", "negative-slot", "interleaved-repeat",
+                 "interleaved-repeat-later-group", "repeat-after-slot-gap", "slot-gap-after-bad-mass", "m-above-int64",
+                 "underscored-m", "underscored-slot"]
+
+
 class TestReadDistributionsCsv:
     @pytest.mark.parametrize(
         "text",
@@ -966,38 +998,7 @@ class TestReadDistributionsCsv:
         path.write_bytes(text.encode())
         assert read_distributions_csv(path) == DIST_GROUPS
 
-    @pytest.mark.parametrize(
-        "text, message",
-        [
-            (dist_text(rows=[*DIST_ROWS, ("7", "P", "0")]), "malformed distribution row"),
-            (dist_text(DISTRIBUTIONS_HEADER[:-1], [row[:-1] for row in DIST_ROWS]), "expected columns"),
-            (dist_text(rows=[*DIST_ROWS[:-1], ("7", "Q", "1", "0.5", "1", "half")]), "malformed distribution row"),
-            (dist_text(rows=[*DIST_ROWS[:-1], ("7", "Q", "one", "0.5", "1", "0.5")]), "malformed distribution row"),
-            (dist_text(rows=[*DIST_ROWS, DIST_ROWS[1]]), "duplicate slot 1 in group (7, 'P')"),
-            (dist_text(rows=[*DIST_ROWS, ("7", "P", "1", "0.5", "1", "0.5")]), "duplicate slot 1 in group (7, 'P')"),
-            (dist_text(rows=[*DIST_ROWS, ("7", "P", "1", "0.5", "1", "0" * 200_000)]), "malformed distribution row"),
-            (dist_text(rows=[*DIST_ROWS[:-1], ("7", "Q", "2", "0.5", "1", "0.5")]), "group (7, 'Q') has non-contiguous slot indices"),
-            (dist_text(rows=[*DIST_ROWS[:-1], ("7", "Q", "-1", "0.5", "1", "0.5")]), "group (7, 'Q') has non-contiguous slot indices"),
-            # Groups whose rows interleave: the first repeat in file order is named.
-            (dist_text(rows=[DIST_ROWS[2], DIST_ROWS[0], DIST_ROWS[3], DIST_ROWS[1], DIST_ROWS[2], DIST_ROWS[0]]),
-             "duplicate slot 0 in group (7, 'Q')"),
-            (dist_text(rows=[DIST_ROWS[0], DIST_ROWS[2], DIST_ROWS[1], DIST_ROWS[0], DIST_ROWS[3], DIST_ROWS[3]]),
-             "duplicate slot 0 in group (7, 'P')"),
-            # Of several faults, a repeat comes first, then a slot outside 0..l-1, then a bad mass.
-            (dist_text(rows=[DIST_ROWS[0], ("7", "P", "2", "0.5", "1", "0.75"), DIST_ROWS[2], DIST_ROWS[2]]),
-             "duplicate slot 0 in group (7, 'Q')"),
-            (dist_text(rows=[(*DIST_ROWS[0][:5], "nan"), DIST_ROWS[1], DIST_ROWS[2], ("7", "Q", "2", "0.5", "1", "0.5")]),
-             "group (7, 'Q') has non-contiguous slot indices"),
-            # Python's int() takes these; the int64 reader does not.
-            (dist_text(rows=[(str(2**63), *row[1:]) for row in DIST_ROWS]), "malformed distribution row"),
-            (dist_text(rows=[("1_000", *row[1:]) for row in DIST_ROWS]), "malformed distribution row"),
-            (dist_text(rows=[("7", "P", "1_0", *DIST_ROWS[0][3:]), *DIST_ROWS[1:]]), "malformed distribution row"),
-        ],
-        ids=["short-row", "missing-column", "non-numeric-mass", "non-numeric-index", "duplicate-row",
-             "conflicting-row", "oversized-cell", "slot-gap", "negative-slot", "interleaved-repeat",
-             "interleaved-repeat-later-group", "repeat-after-slot-gap", "slot-gap-after-bad-mass", "m-above-int64",
-             "underscored-m", "underscored-slot"],
-    )
+    @pytest.mark.parametrize("text, message", MALFORMED_FILES, ids=MALFORMED_IDS)
     def test_malformed_file_exits_1(self, tmp_path, capsys, text, message):
         path = tmp_path / "d.csv"
         path.write_text(text)
@@ -1011,20 +1012,34 @@ class TestReadDistributionsCsv:
         rows = rows if order is None else [rows[i] for i in order]
         path.write_text(",".join(DISTRIBUTIONS_HEADER) + "\n" + "".join(rows))
 
-    def test_contiguous_groups_read_in_at_most_44_bytes_a_row(self, tmp_path):
-        # The parsed rows take 32 bytes a row and the built groups 8: each
-        # group is checked and built in turn, with no other array as long as the file.
-        path = tmp_path / "d.csv"
-        self.hundred_groups(path)
+    @staticmethod
+    def traced_peak(path):
+        """The peak of memory traced while ``path`` is read a second time, and its group count."""
         read_distributions_csv(path)  # NumPy's one-off allocations are not the reader's
         tracemalloc.start()
         try:
             groups = read_distributions_csv(path)
-            peak = tracemalloc.get_traced_memory()[1]
+            return tracemalloc.get_traced_memory()[1], len(groups)
         finally:
             tracemalloc.stop()
-        assert len(groups) == 100
-        assert peak <= 44 * 100_000
+
+    def test_contiguous_groups_read_in_at_most_24_bytes_a_row(self, tmp_path):
+        # Each group keeps a copy of its slots (2 bytes a row here) and masses (8) until
+        # the end of the file, and its built masses take 8; a parsed block of 2**14 rows is freed when copied.
+        path = tmp_path / "d.csv"
+        self.hundred_groups(path)
+        peak, count = self.traced_peak(path)
+        assert count == 100
+        assert peak <= 24 * 100_000
+
+    def test_shuffled_rows_read_in_at_most_40_bytes_a_row(self, tmp_path):
+        # A gathered row also keeps its place in its block (2 bytes), and a block of thousands
+        # of runs makes a key only for each run that starts a group.
+        path = tmp_path / "d.csv"
+        self.hundred_groups(path, np.random.default_rng(5).permutation(100_000))
+        peak, count = self.traced_peak(path)
+        assert count == 100
+        assert peak <= 40 * 100_000
 
     def test_shuffled_rows_read_to_the_same_groups(self, tmp_path):
         # Every group comes back in many runs, in any order: its rows are gathered by index.
@@ -1138,17 +1153,80 @@ class TestReaderDialect:
         # kl reads its P and its Q file through the one parser, and one file named twice once.
         cmd_experiment(small_config(), tmp_path)
         calls = []
-        original = paclab.cli._read_columns
+        original = paclab.distcsv._read_pieces
 
         def spy(path):
             calls.append(Path(path).name)
             return original(path)
 
-        monkeypatch.setattr(paclab.cli, "_read_columns", spy)
+        monkeypatch.setattr(paclab.distcsv, "_read_pieces", spy)
         copy = tmp_path / "copy.csv"
         copy.write_bytes((tmp_path / "distributions.csv").read_bytes())
         assert cmd_kl(tmp_path / "distributions.csv", copy, m=20) == cmd_kl(copy, copy, m=20)
         assert calls == ["distributions.csv", "copy.csv", "copy.csv"]
+
+
+@pytest.fixture(params=[1, 2, 3, 5])
+def small_blocks(request, monkeypatch):
+    """The reader's block shrunk to a few rows: 10 rows fill whole blocks of 1, 2 and 5, and not of 3."""
+    monkeypatch.setattr(paclab.distcsv, "_BLOCK_ROWS", request.param)
+    return request.param
+
+
+# Two groups of five slots: ten rows, each with a note cell.
+FIVE_SLOTS = [("7", source, str(i), "0", "1", "0.2", "x") for source in "PQ" for i in range(5)]
+FIVE_GROUPS = {(7, "P"): DiscreteDistribution((0.2,) * 5), (7, "Q"): DiscreteDistribution((0.2,) * 5)}
+NOTE_HEADER = (*DISTRIBUTIONS_HEADER, "note")
+
+
+class TestBlocks:
+    """The rows are parsed in blocks of ``_BLOCK_ROWS``: rows, blank lines and faults at a
+    block's edge read as they would in one pass, and no NumPy warning escapes."""
+
+    @pytest.mark.parametrize(
+        "text",
+        [
+            dist_text(NOTE_HEADER, FIVE_SLOTS),
+            dist_text(NOTE_HEADER, FIVE_SLOTS).replace("\n", "\n\n"),
+            dist_text(NOTE_HEADER, [(*row[:6], '"a\n\nb"') for row in FIVE_SLOTS]),
+            dist_text(NOTE_HEADER, [row for pair in zip(FIVE_SLOTS[:5], FIVE_SLOTS[5:]) for row in pair]),
+            dist_text(NOTE_HEADER, [*FIVE_SLOTS[:3], *FIVE_SLOTS[5:8], *FIVE_SLOTS[3:5], *FIVE_SLOTS[8:]]),
+        ],
+        ids=["plain", "blank-lines", "quoted-newlines", "interleaved", "two-runs-a-group"],
+    )
+    def test_rows_across_blocks_read_to_the_same_groups(self, tmp_path, small_blocks, text):
+        path = tmp_path / "d.csv"
+        path.write_text(text)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert read_distributions_csv(path) == FIVE_GROUPS
+
+    @pytest.mark.parametrize(
+        "fault",
+        [(*FIVE_SLOTS[8][:5], "half", "x"), ("7", "Q", "3"), ("7", "Q", "three", *FIVE_SLOTS[8][3:])],
+        ids=["non-numeric-mass", "short-row", "non-numeric-index"],
+    )
+    @pytest.mark.parametrize("gap", ["\n", "\n\n"], ids=["packed", "blank-lines"])
+    def test_a_fault_past_the_first_block_is_named_as_in_one_pass(self, tmp_path, capsys, small_blocks, fault, gap):
+        # The fault is data row 8, after a quoted line break; each NumPy call numbers its rows from 0, skipping blank lines.
+        rows = [*FIVE_SLOTS[:7], (*FIVE_SLOTS[7][:6], '"a\nb"'), fault, FIVE_SLOTS[9]]
+        text = dist_text(NOTE_HEADER, rows).replace("\n", gap)
+        with pytest.raises(ValueError) as one_pass:
+            np.loadtxt(text.splitlines(keepends=True)[1:], dtype=paclab.distcsv._DISTRIBUTION_DTYPE, delimiter=",",
+                       quotechar='"', comments=None, usecols=[0, 1, 2, 5], ndmin=1)
+        path = tmp_path / "d.csv"
+        path.write_text(text)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert main(["kl", str(path), str(path), "--m", "7"]) == 1
+        assert capsys.readouterr().err == f"paclab: error: {path}: malformed distribution row ({one_pass.value!r})\n"
+
+    @pytest.mark.parametrize("text, message", MALFORMED_FILES, ids=MALFORMED_IDS)
+    def test_malformed_file_exits_1_in_small_blocks(self, tmp_path, capsys, small_blocks, text, message):
+        path = tmp_path / "d.csv"
+        path.write_text(text)
+        assert main(["kl", str(path), str(path), "--m", "7"]) == 1
+        assert capsys.readouterr().err.startswith(f"paclab: error: {path}: {message}")
 
 
 @pytest.fixture(params=["default", 50])
@@ -1488,6 +1566,22 @@ def test_only_the_bound_command_imports_the_grid_split():
     proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=60)
     assert proc.stdout == "False\n", proc.stderr
 
+
+def test_only_the_kl_command_imports_the_reader():
+    # paclab.distcsv, and csv with it, are compiled when kl reads a file, so the other commands pay for neither.
+    env = dict(os.environ, PYTHONPATH=str(Path(paclab.cli.__file__).parents[1]))
+    code = "import sys, paclab.cli; print(sorted({'csv', 'paclab.distcsv'} & sys.modules.keys()))"
+    proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=60)
+    assert proc.stdout == "[]\n", proc.stderr
+
+def test_reader_fault_exits_1_when_the_cli_runs_as_a_module(tmp_path):
+    # Run as ``python -m paclab.cli`` the CLI is __main__, and the reader it imports must raise the class it catches.
+    env = dict(os.environ, PYTHONPATH=str(Path(paclab.cli.__file__).parents[1]))
+    path = tmp_path / "d.csv"
+    path.write_text(dist_text(rows=[*DIST_ROWS, DIST_ROWS[1]]))
+    argv = [sys.executable, "-m", "paclab.cli", "kl", str(path), str(path), "--m", "7"]
+    proc = subprocess.run(argv, env=env, capture_output=True, text=True, timeout=60)
+    assert (proc.returncode, proc.stderr) == (1, f"paclab: error: {path}: duplicate slot 1 in group (7, 'P')\n")
 
 def kill_self():
     os.kill(os.getpid(), signal.SIGKILL)

@@ -11,7 +11,7 @@ import pytest
 import paclab
 
 README = Path(__file__).resolve().parent.parent / "README.md"
-MODULES = ["analysis", "cli", "empirics", "learners", "theory"]
+MODULES = ["analysis", "cli", "distcsv", "empirics", "learners", "theory"]
 
 
 def readme_python_blocks():
