@@ -9,7 +9,8 @@ Three subcommands:
   cutoff and point mass per sample size, and the discretized slot masses;
   on two usable CPUs a forked worker formats the back half of a large grid.
 * ``kl`` recomputes the divergence between two distributions stored in
-  CSV form.
+  CSV form; on two usable CPUs a forked worker parses the back half of a
+  large regular file (``taskset -c 0`` gives one process).
 
 A subcommand's argparse parser is its one schema: a ``--config`` file is
 read as its flags (key ``m_start`` as ``--m-start``) ahead of the command

@@ -1066,8 +1066,11 @@ class TestReadDistributionsCsv:
         assert read_distributions_csv("a://b/c") == DIST_GROUPS
 
     @pytest.mark.skipif(not os.path.isdir("/dev/fd"), reason="needs /dev/fd")
-    def test_a_pipe_is_read_once(self):
-        # As `paclab kl <(cat p.csv) <(cat q.csv)` passes it: a second open would find the pipe drained.
+    def test_a_pipe_is_read_once(self, monkeypatch, read_cpus):
+        # As `paclab kl <(cat p.csv) <(cat q.csv)` passes it: a second open would find the pipe drained,
+        # and a pipe is never split between two CPUs.
+        read_cpus(2)
+        forks = counted_forks(monkeypatch)
         read_end, write_end = os.pipe()
         try:
             os.write(write_end, dist_text().encode())
@@ -1075,6 +1078,7 @@ class TestReadDistributionsCsv:
             assert read_distributions_csv(f"/dev/fd/{read_end}") == DIST_GROUPS
         finally:
             os.close(read_end)
+        assert forks == []
 
     def test_duplicate_row_in_experiment_output_rejected(self, tmp_path, capsys):
         cmd_experiment(small_config(), tmp_path)
@@ -1326,6 +1330,222 @@ class TestByName:
                 head, body = dist_text((*DISTRIBUTIONS_HEADER, "note"), rows, newline=end).split(end, 1)
                 path.write_text(head + end * (start + 1) + body, newline="")
                 assert read_distributions_csv(path) == DIST_GROUPS, (start, length)
+
+
+@pytest.fixture
+def read_cpus(monkeypatch):
+    """Sets the usable CPU count the reader sees, with every regular file large
+    enough to split, so two CPUs fork a worker for the back half of its lines."""
+    def set_cpus(count):
+        monkeypatch.setattr(paclab.empirics, "_usable_cpus", lambda: count)
+        monkeypatch.setattr(paclab.distcsv, "_MIN_SPLIT_BYTES", 1)
+
+    return set_cpus
+
+
+def counted_forks(monkeypatch, refuse=False):
+    """The ``os.fork`` calls made from now on, each refused if ``refuse``."""
+    fork, forks = os.fork, []
+
+    def counting_fork():
+        forks.append(1)
+        if refuse:
+            raise BlockingIOError(errno.EAGAIN, "Resource temporarily unavailable")
+        return fork()
+
+    monkeypatch.setattr(os, "fork", counting_fork)
+    return forks
+
+
+def parsed_here(monkeypatch, action=None):
+    """The rows of each block this process parses, in turn; a forked
+    worker runs ``action`` on each block it parses instead of recording it."""
+    original, parent, counts = paclab.distcsv._add_block, os.getpid(), []
+
+    def add_block(groups, start, rows):
+        if os.getpid() == parent:
+            counts.append(len(rows))
+        elif action is not None:
+            action()
+        return original(groups, start, rows)
+
+    monkeypatch.setattr(paclab.distcsv, "_add_block", add_block)
+    return counts
+
+
+def split_rows():
+    """10,000 rows: 40 (m, source) groups of 250 slots, one run per group, m from 1 to 20."""
+    return [f"{g // 2 + 1},{'PQ'[g % 2]},{i},0,1,{(i + g) % 2 / 125}\n" for g in range(40) for i in range(250)]
+
+
+def write_rows(path, rows):
+    path.write_bytes((",".join(DISTRIBUTIONS_HEADER) + "\n" + "".join(rows)).encode(errors="surrogateescape"))
+
+
+def kl_run(capsys, path):
+    """The exit code, stdout and stderr of ``paclab kl path path --m 5``."""
+    code = main(["kl", str(path), str(path), "--m", "5"])
+    return (code, *capsys.readouterr())
+
+
+def back_half_fault(rows, fault):
+    """``rows`` with ``fault`` a few rows before the end, far past the middle of the file."""
+    if fault == "duplicate-slots-in-both-halves":
+        # Row 4,000 repeats a slot before the middle, and row 7,001 one of row 6,000, past it: one pass names
+        # the first.  The worker numbers its rows from the middle, where the second is near row 2,000.
+        return [*rows[:4000], rows[0], *rows[4000:7000], rows[6000], *rows[7000:]]
+    row = rows[-5]
+    faulty = {
+        "bad-cell": row.replace(",0,1,", ",0,1,x"),
+        "short-row": ",".join(row.split(",")[:3]) + "\n",
+        "non-numeric-index": row.replace(",Q,", ",Q,x"),
+        "duplicate-slot": row + rows[-10],
+        "non-utf-8": row.replace(",0,1,", ",0,1,\udcff"),  # written as the byte 0xFF
+    }[fault]
+    return [*rows[:-5], faulty, *rows[-4:]]
+
+
+class TestSplitRead:
+    """On two usable CPUs a large regular file is read as two halves, the back one by a
+    forked worker; what the reader returns or reports is what one pass gives."""
+
+    def test_the_cut_is_the_first_line_start_past_the_middle(self, tmp_path, read_cpus):
+        read_cpus(2)
+        path = tmp_path / "d.csv"
+        write_rows(path, split_rows())
+        data = path.read_bytes()
+        with open(path, "rb") as fh:
+            offset, lines = paclab.distcsv._cut(fh.fileno())
+        assert offset == data.index(b"\n", len(data) // 2) + 1
+        assert lines == data[:offset].count(b"\n")
+
+    @pytest.mark.parametrize("layout", ["plain", "shuffled", "blank-lines"])
+    def test_one_and_two_cpus_read_the_same_groups(self, tmp_path, capsys, monkeypatch, read_cpus, layout):
+        rows = split_rows()
+        if layout == "shuffled":
+            rows = [rows[i] for i in np.random.default_rng(5).permutation(len(rows))]
+        elif layout == "blank-lines":
+            rows = [row + "\n" * (i % 7 == 0) for i, row in enumerate(rows)]
+        path = tmp_path / "d.csv"
+        write_rows(path, rows)
+        data, read = path.read_bytes(), {}
+        front = data[: data.index(b"\n", len(data) // 2) + 1].split(b"\n")[1:]
+        for cpus in (1, 2):
+            read_cpus(cpus)
+            forks, here = counted_forks(monkeypatch), parsed_here(monkeypatch)
+            before = sorted(os.listdir("/proc/self/fd"))
+            read[cpus] = read_distributions_csv(path), kl_run(capsys, path)
+            assert len(forks) == 2 * (cpus - 1)  # kl reads the file again
+            assert sum(here) == 2 * (10_000 if cpus == 1 else sum(map(bool, front)))
+            assert sorted(os.listdir("/proc/self/fd")) == before
+            with pytest.raises(ChildProcessError):  # the worker was reaped
+                os.waitpid(-1, os.WNOHANG)
+        assert read[1] == read[2]
+        assert len(read[1][0]) == 40 and read[1][1][0] == 0 and read[1][1][1].count("\n") == 1
+
+    @pytest.mark.parametrize("fault", ["bad-cell", "short-row", "non-numeric-index", "duplicate-slot",
+                                       "duplicate-slots-in-both-halves", "non-utf-8"])
+    def test_a_fault_in_the_back_half_is_reported_as_in_one_pass(self, tmp_path, capsys, read_cpus, fault):
+        path = tmp_path / "d.csv"
+        write_rows(path, back_half_fault(split_rows(), fault))
+        runs = []
+        for cpus in (1, 2):
+            read_cpus(cpus)
+            runs.append(kl_run(capsys, path))
+        assert runs[0] == runs[1]
+        code, out, err = runs[0]
+        assert (code, out, err.count("\n")) == (1, "", 1)
+        # NumPy names a short row's row from 1, and a bad cell's from 0.
+        assert {"short-row": "at row 9996", "duplicate-slot": "duplicate slot 240 in group (20, 'Q')",
+                "duplicate-slots-in-both-halves": "duplicate slot 0 in group (1, 'P')",
+                "non-utf-8": "(invalid start byte)"}.get(fault, "at row 9995") in err
+
+    def test_a_cell_over_the_limit_in_the_back_half_is_reported_as_in_one_pass(self, tmp_path, capsys, read_cpus,
+                                                                                field_limit):
+        rows = split_rows()
+        rows[-5] = rows[-5].replace(",0,1,", ",0,1," + "0" * (field_limit + 10))
+        path = tmp_path / "d.csv"
+        write_rows(path, rows)
+        runs = []
+        for cpus in (1, 2):
+            read_cpus(cpus)
+            runs.append(kl_run(capsys, path))
+        assert runs[0] == runs[1]
+        assert runs[0][0] == 1 and f"field larger than field limit ({field_limit})" in runs[0][2]
+
+    @pytest.mark.parametrize("failure", ["worker-raises", "worker-killed", "refused-fork"])
+    def test_the_back_half_of_a_failed_worker_is_read_here(self, tmp_path, monkeypatch, capfd, read_cpus, failure):
+        path = tmp_path / "d.csv"
+        write_rows(path, split_rows())
+        read_cpus(1)
+        expected = read_distributions_csv(path)
+        read_cpus(2)
+        forks = counted_forks(monkeypatch, refuse=failure == "refused-fork")
+        here = parsed_here(monkeypatch, {"worker-raises": raise_in_worker, "worker-killed": kill_self}.get(failure))
+        before = sorted(os.listdir("/proc/self/fd"))
+        assert read_distributions_csv(path) == expected
+        assert len(forks) == 1 and sum(here) == 10_000
+        assert capfd.readouterr().err == ""
+        assert sorted(os.listdir("/proc/self/fd")) == before
+        with pytest.raises(ChildProcessError):
+            os.waitpid(-1, os.WNOHANG)
+
+    @pytest.mark.parametrize("where, splits", [(1, False), (-1, True)], ids=["before-the-middle", "after-the-middle"])
+    @pytest.mark.parametrize("change", ["quoted-cell", "cr-line-end", "crlf-line-end"])
+    def test_a_quote_or_cr_keeps_the_read_in_one_pass_only_before_the_middle(self, tmp_path, monkeypatch, read_cpus,
+                                                                            change, where, splits):
+        rows = split_rows()
+        read_cpus(1)
+        path = tmp_path / "d.csv"
+        write_rows(path, rows)
+        expected = read_distributions_csv(path)
+        # A line ended by a lone CR is a line that no count of LF bytes sees.
+        rows[where] = {"quoted-cell": rows[where].replace(",0,1,", ',"0",1,'), "cr-line-end": rows[where][:-1] + "\r",
+                       "crlf-line-end": rows[where][:-1] + "\r\n"}[change]
+        write_rows(path, rows)
+        read_cpus(2)
+        forks = counted_forks(monkeypatch)
+        assert read_distributions_csv(path) == expected
+        assert len(forks) == splits
+
+    def test_only_a_file_of_enough_bytes_is_split(self, tmp_path, monkeypatch, read_cpus):
+        path = tmp_path / "d.csv"
+        write_rows(path, split_rows())
+        read_cpus(2)
+        forks = counted_forks(monkeypatch)
+        for least, splits in [(path.stat().st_size + 1, 0), (path.stat().st_size, 1)]:
+            monkeypatch.setattr(paclab.distcsv, "_MIN_SPLIT_BYTES", least)
+            assert len(read_distributions_csv(path)) == 40
+            assert len(forks) == splits
+            forks.clear()
+
+    @pytest.mark.parametrize("fault", [None, "bad-cell"], ids=["plain", "bad-cell"])
+    def test_a_split_read_under_warnings_as_errors_prints_what_one_cpu_does(self, tmp_path, fault):
+        # The worker ends by os._exit: a file or warning it left would print "Exception ignored ..." on stderr.
+        rows = split_rows()
+        path = tmp_path / "d.csv"
+        write_rows(path, rows if fault is None else back_half_fault(rows, fault))
+        code = "\n".join([
+            "import os, sys, paclab.distcsv, paclab.empirics",
+            "paclab.empirics._usable_cpus = lambda: int(sys.argv[1])",
+            "paclab.distcsv._MIN_SPLIT_BYTES = 1",
+            "fork, forks = os.fork, []",
+            "os.fork = lambda: forks.append(1) or fork()",
+            "from paclab.cli import main",
+            "code = main(sys.argv[2:])",
+            "print('forks', len(forks))",
+            "sys.exit(code)",
+        ])
+        env = dict(os.environ, PYTHONPATH=str(Path(paclab.cli.__file__).parents[1]))
+        runs = [
+            subprocess.run([sys.executable, "-W", "error", "-c", code, str(cpus), "kl", str(path), str(path), "--m", "5"],
+                           env=env, capture_output=True, text=True, timeout=60)
+            for cpus in (1, 2)
+        ]
+        assert [run.stdout.splitlines()[-1] for run in runs] == ["forks 0", "forks 1"]
+        one, two = [(run.returncode, run.stdout.splitlines()[:-1], run.stderr) for run in runs]
+        assert one == two
+        assert (one[0], len(one[1]), one[2].count("\n")) == ((0, 1, 0) if fault is None else (1, 0, 1))
 
 
 class TestKlCommand:

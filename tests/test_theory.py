@@ -2,6 +2,8 @@
 
 import math
 import sys
+import warnings
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -391,14 +393,41 @@ class TestDiscreteDistribution:
         ],
     )
     def test_check_matches_the_all_form(self, masses):
-        def outcome(make):
-            try:
-                make(masses)
-            except (ValueError, OverflowError) as exc:
-                return type(exc), str(exc)
-            return None
+        assert check_outcome(DiscreteDistribution, masses) == check_outcome(all_form_check, masses)
 
-        assert outcome(DiscreteDistribution) == outcome(all_form_check)
+    @pytest.mark.parametrize("slots", [2, 3, 2000])
+    @pytest.mark.parametrize("seed", [4, 7])
+    def test_sums_within_1e_15_of_the_tolerance_get_fsums_verdict(self, slots, seed):
+        # NumPy's rounded sum decides alone only where it clears the tolerance by its error bound.
+        base = np.random.default_rng(seed).random(slots)
+        verdicts, misled = set(), 0
+        for edge in (1 - 1e-9, 1 + 1e-9):
+            for step in range(-64, 65, 2):
+                masses = base / base.sum() * (edge + step * 2**-58)
+                if abs(step) == 64:
+                    assert abs(sum(map(Fraction, masses.tolist())) - Fraction(edge)) < Fraction(1, 10**15)
+                outcome = check_outcome(DiscreteDistribution, masses)
+                assert outcome == check_outcome(all_form_check, masses.tolist()), (edge, step)
+                verdicts.add(outcome is None)
+                misled += outcome is not None and abs(masses.sum() - 1) <= 1e-9
+        assert verdicts == {True, False}
+        assert misled or slots < 2000  # the rounded sum alone passes masses that fsum refuses
+
+    def test_a_sum_clear_of_the_tolerance_skips_fsum(self, monkeypatch):
+        calls, fsum = [], math.fsum
+        monkeypatch.setattr(math, "fsum", lambda values: calls.append(len(values)) or fsum(values))
+        DiscreteDistribution(np.full(2000, 1 / 2000))
+        DiscreteDistribution((0.25, 0.75 + 5e-10))
+        assert calls == []
+        with pytest.raises(ValueError, match=r"^slot masses must sum to 1 \(got 0\.9\)$"):
+            DiscreteDistribution((0.5, 0.4))
+        assert calls == [2]
+
+    def test_a_sum_past_the_largest_float_reads_inf_without_a_warning(self):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            with pytest.raises(ValueError, match=r"^slot masses must sum to 1 \(got inf\)$"):
+                DiscreteDistribution((1e308, 1e308))
 
     @pytest.mark.parametrize(
         "masses", [(1e308, 1e308), (MAX, MAX * 2**-54, MAX * 2**-54)], ids=["plain-sum-inf", "plain-sum-finite"]
@@ -429,6 +458,15 @@ class TestDiscreteDistribution:
         assert DiscreteDistribution((0.5, 0.5)) != DiscreteDistribution((0.25,) * 4)
         assert DiscreteDistribution((1.0, 0.0)) != DiscreteDistribution((1.0, 0.0, 0.0))
         assert DiscreteDistribution((0.5, 0.5)) != (0.5, 0.5)
+
+
+def check_outcome(make, masses):
+    """The type and message of what ``make(masses)`` raises, or None."""
+    try:
+        make(masses)
+    except (ValueError, OverflowError) as exc:
+        return type(exc), str(exc)
+    return None
 
 
 def all_form_check(masses):
